@@ -86,11 +86,11 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
         raise ValueError("connectivity needs a group of order >= 2")
     _check_brute_cap(group, args)
     graph = build_power_graph(group)
-    kappa = vertex_connectivity(graph)
     if graph.is_complete:
-        cutset = None
+        kappa, cutset = vertex_connectivity(graph), None
     else:
-        cutset = sorted(minimum_cutset(graph).cut)
+        report = minimum_cutset(graph)
+        kappa, cutset = report.kappa, sorted(report.cut)
     if args.json:
         print(json.dumps({"group": group.name, "kappa": kappa, "cutset": cutset}))
     else:
@@ -109,16 +109,17 @@ def _cmd_cutsets(args: argparse.Namespace) -> int:
         raise ValueError("cut-sets need a group of order >= 2")
     _check_brute_cap(group, args)
     graph = build_power_graph(group)
-    kappa = vertex_connectivity(graph)
     if graph.is_complete:
-        sets: list[list[int]] = []
+        kappa, sets = vertex_connectivity(graph), []
     elif args.all:
+        kappa = vertex_connectivity(graph)
         found = all_minimum_cutsets(
             graph, group.generator_classes, kappa, max_combinations=args.max_combinations
         )
         sets = [sorted(s) for s in found]
     else:
-        sets = [sorted(minimum_cutset(graph).cut)]
+        report = minimum_cutset(graph)
+        kappa, sets = report.kappa, [sorted(report.cut)]
     if args.json:
         print(json.dumps({"group": group.name, "kappa": kappa, "cutsets": sets}))
     else:

@@ -1,19 +1,18 @@
 """Exact vertex connectivity and minimum cut-set enumeration.
 
-Connectivity is computed by Menger's theorem: for a non-complete graph the
-connectivity equals the minimum over non-adjacent pairs (s, t) of the maximum
-number of internally vertex-disjoint s-t paths, obtained by unit-capacity
-max-flow on the vertex-split digraph (in/out node per vertex). Two pure-graph
-optimizations keep this fast on dense power graphs:
-
-* pairs are taken between representatives of closed-neighborhood twin classes
-  (twins are exchanged by a graph automorphism, so min cuts between them are
-  equal), ordered by increasing degree sum;
-* each flow aborts as soon as it reaches the best cut size found so far.
-
-Minimum cut-set enumeration searches unions of generator classes: any minimal
-cut-set is a union of such classes and contains the identity, so a
-depth-first exact-sum search over classes is exhaustive for minimum cut-sets.
+Both run on the closed-twin quotient: vertices with equal closed
+neighbourhoods form a class (elements generating one cyclic subgroup do), and
+no minimal separator splits a class or meets the classes of the vertices it
+separates. So a minimum s-t vertex cut is a minimum cut of the quotient with
+nodes weighted by class size: one integer-capacity vertex-split max-flow
+(Even & Tarjan, 1975). By Menger's theorem connectivity is its minimum over
+non-adjacent class pairs, taken by increasing degree sum of the classes'
+least vertices; each flow aborts once it reaches the best cut so far, and
+the search stops once that equals the number of universal vertices, which
+every separator contains. The s-t queries run the same flow on the graph
+itself with unit weights. Minimum cut-set enumeration is a depth-first
+exact-sum search over unions of generator classes (every minimal cut-set is
+one, and contains the identity), checking candidates on the class quotient.
 """
 
 from __future__ import annotations
@@ -49,116 +48,115 @@ class CutReport:
     witness: Separation | None
 
 
-def _split_residual(adj: Sequence[int], n: int) -> list[int]:
-    # node 2v = in-copy, node 2v+1 = out-copy; vertex arcs in->out carry unit
-    # capacity, edge arcs out->in are effectively infinite (never removed)
-    res = [0] * (2 * n)
-    for v in range(n):
-        res[2 * v] = 1 << (2 * v + 1)
-        out = 0
-        for w in iter_bits(adj[v]):
-            out |= 1 << (2 * w)
-        res[2 * v + 1] = out
-    return res
+def _max_flow(
+    adj: Sequence[int], weight: Sequence[int], s: int, t: int, limit: int | None = None
+) -> tuple[int, int | None, dict[tuple[int, int], int]]:
+    """Max flow from vertex s to vertex t when every other vertex v carries
+    at most weight[v] units and edges are uncapacitated.
 
-
-def _bfs_augment(res: list[int], src: int, snk: int, nnodes: int):
-    """One BFS on the residual digraph; returns (parent, visited_mask).
-
-    parent is None when the sink is unreachable, in which case visited_mask
-    covers everything reachable from src (used for min-cut extraction).
+    In the split network node v is the in-copy of v and node k + v its
+    out-copy. Paths through one common neighbour go first, then shortest
+    augmenting paths in increasing node order. Returns (flow, cut, arc_flow):
+    cut is None if the flow reached ``limit``, else the vertex mask of the
+    minimum s-t cut closest to s; arc_flow[a, b] is the flow on arc a -> b.
     """
-    parent = [-1] * nnodes
-    visited = 1 << src
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            m = res[u] & ~visited
-            if not m:
-                continue
-            visited |= m
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                parent[v] = u
-                if v == snk:
-                    return parent, visited
-                nxt.append(v)
-        frontier = nxt
-    return None, visited
+    k = len(adj)
+    res = [1 << (k + v) for v in range(k)] + list(adj)  # residual arcs by tail
+    arc_flow: dict[tuple[int, int], int] = {}
+    unbounded = sum(weight) + 1
 
+    def room(a: int, b: int) -> int:
+        if a % k == b % k:
+            cap = weight[a] if b >= k else 0
+        else:
+            cap = unbounded if a >= k else 0
+        return cap - arc_flow.get((a, b), 0)
 
-def _st_flow(
-    adj: Sequence[int], n: int, s: int, t: int, limit: int | None = None
-) -> tuple[int, frozenset[int] | None, list[int]]:
-    """Max vertex-disjoint s-t paths with optional early abort.
-
-    Returns (flow, cut, residual). cut is None when the computation aborted at
-    ``limit`` augmentations; otherwise it is a minimum s-t vertex cut read off
-    the final residual reachability.
-    """
-    res = _split_residual(adj, n)
-    src, snk = 2 * s + 1, 2 * t
+    src, snk = k + s, t
+    paths = [[(k + w, snk), (w, k + w), (src, w)] for w in iter_bits(adj[s] & adj[t])]
     flow = 0
-    while True:
-        if limit is not None and flow >= limit:
-            return flow, None, res
-        parent, visited = _bfs_augment(res, src, snk, 2 * n)
-        if parent is None:
-            # edge arcs stay open, so the reachable-set boundary crosses only
-            # saturated vertex arcs: exactly the min vertex cut
-            cut = frozenset(
-                v
-                for v in range(n)
-                if (visited >> (2 * v)) & 1 and not (visited >> (2 * v + 1)) & 1
-            )
-            return flow, cut, res
-        v = snk
-        while v != src:
-            u = parent[v]
-            if u ^ 1 == v:
-                # vertex arc (either direction): toggle forward/reverse
-                res[u] &= ~(1 << v)
-                res[v] |= 1 << u
-            elif u & 1:
-                # forward edge arc out->in: capacity unbounded, open reverse
-                res[v] |= 1 << u
-            else:
-                # reverse edge arc in->out: cancel the unit it carried
-                res[u] &= ~(1 << v)
-            v = u
-        flow += 1
+    while limit is None or flow < limit:
+        if paths:
+            arcs = paths.pop()
+        else:
+            parent = [-1] * (2 * k)
+            visited = 1 << src
+            frontier = [src]
+            while frontier and parent[snk] < 0:
+                nxt = []
+                for u in frontier:
+                    m = res[u] & ~visited
+                    visited |= m
+                    while m and parent[snk] < 0:
+                        low = m & -m
+                        m ^= low
+                        v = low.bit_length() - 1
+                        parent[v] = u
+                        nxt.append(v)
+                frontier = nxt
+            if parent[snk] < 0:
+                # edge arcs stay open, so the reachable set is left only
+                # through full vertex arcs: exactly the vertices of a min cut
+                return flow, visited & ~(visited >> k) & ((1 << k) - 1), arc_flow
+            arcs = []
+            v = snk
+            while v != src:
+                arcs.append((parent[v], v))
+                v = parent[v]
+        delta = min(room(a, b) for a, b in arcs)
+        for a, b in arcs:
+            arc_flow[a, b] = arc_flow.get((a, b), 0) + delta
+            arc_flow[b, a] = -arc_flow[a, b]
+            res[b] |= 1 << a
+            if not room(a, b):
+                res[a] &= ~(1 << b)
+        flow += delta
+    return flow, None, arc_flow
 
 
-def _twin_class_representatives(graph: PowerGraph) -> list[int]:
-    # vertices with equal closed neighborhoods are swapped by an automorphism,
-    # and same-class vertices are always adjacent: one representative suffices
-    reps: dict[int, int] = {}
-    for v in range(graph.vertex_count):
-        reps.setdefault(graph.adj[v] | (1 << v), v)
-    return sorted(reps.values())
+def _twin_classes(graph: PowerGraph) -> list[int]:
+    """Vertex masks of the closed-twin classes, ordered by least vertex."""
+    classes: dict[int, int] = {}
+    for v, row in enumerate(graph.adj):
+        key = row | 1 << v
+        classes[key] = classes.get(key, 0) | 1 << v
+    return list(classes.values())
+
+
+def _class_adjacency(graph: PowerGraph, classes: Sequence[int]) -> list[int]:
+    """Adjacency between disjoint vertex classes, given as masks, as class masks."""
+    reach = []
+    for m in classes:
+        row = 0
+        for v in iter_bits(m):
+            row |= graph.adj[v]
+        reach.append(mask_of(j for j, other in enumerate(classes) if row & other & ~m))
+    return reach
 
 
 def _connectivity_with_cut(graph: PowerGraph) -> tuple[int, frozenset[int]]:
     n = graph.vertex_count
-    adj = graph.adj
-    v_min = min(range(n), key=lambda v: adj[v].bit_count())
-    best = adj[v_min].bit_count()
+    degree = [row.bit_count() for row in graph.adj]
+    v_min = min(range(n), key=degree.__getitem__)
+    best = degree[v_min]
     best_cut = graph.neighbors(v_min)
-    reps = _twin_class_representatives(graph)
-    pairs = [
-        (s, t)
-        for i, s in enumerate(reps)
-        for t in reps[i + 1 :]
-        if not graph.adjacent(s, t)
-    ]
-    pairs.sort(key=lambda p: (adj[p[0]].bit_count() + adj[p[1]].bit_count(), p))
-    for s, t in pairs:
-        flow, cut, _ = _st_flow(adj, n, s, t, limit=best)
+    # every separator contains every universal vertex: nothing beats this
+    universal = degree.count(n - 1)
+    members = _twin_classes(graph)
+    q_adj = _class_adjacency(graph, members)
+    weight = [m.bit_count() for m in members]
+    rep_degree = [degree[(m & -m).bit_length() - 1] for m in members]
+    k = len(members)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if not (q_adj[i] >> j) & 1]
+    # class order is least-vertex order, so (i, j) orders pairs as their least vertices do
+    pairs.sort(key=lambda p: (rep_degree[p[0]] + rep_degree[p[1]], p))
+    for i, j in pairs:
+        if best == universal:
+            break
+        flow, cut, _ = _max_flow(q_adj, weight, i, j, limit=best)
         if cut is not None and flow < best:
-            best, best_cut = flow, cut
+            best = flow
+            best_cut = frozenset(v for c in iter_bits(cut) for v in iter_bits(members[c]))
     return best, best_cut
 
 
@@ -187,15 +185,20 @@ def minimum_cutset(graph: PowerGraph) -> CutReport:
     return CutReport(cut=cut, kappa=kappa, is_minimum=True, is_minimal=True, witness=witness)
 
 
-def min_vertex_cut_between(graph: PowerGraph, s: int, t: int) -> CutReport:
-    """A minimum s-t vertex cut; s and t must be distinct and non-adjacent."""
+def _unit_flow(graph: PowerGraph, s: int, t: int) -> tuple[int, int | None, dict]:
     n = graph.vertex_count
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError(f"need two distinct vertices, got {s}, {t}")
     if graph.adjacent(s, t):
         raise ValueError(f"vertices {s} and {t} are adjacent; no vertex cut separates them")
-    flow, cut, _ = _st_flow(graph.adj, n, s, t)
-    assert cut is not None and len(cut) == flow
+    return _max_flow(graph.adj, [1] * n, s, t)
+
+
+def min_vertex_cut_between(graph: PowerGraph, s: int, t: int) -> CutReport:
+    """A minimum s-t vertex cut; s and t must be distinct and non-adjacent."""
+    flow, cut_mask, _ = _unit_flow(graph, s, t)
+    cut = frozenset(iter_bits(cut_mask))
+    assert len(cut) == flow
     comps = graph.components_after_removal(cut)
     side_s = next(c for c in comps if s in c)
     rest = frozenset().union(*(c for c in comps if c is not side_s))
@@ -206,31 +209,20 @@ def min_vertex_cut_between(graph: PowerGraph, s: int, t: int) -> CutReport:
 
 
 def max_disjoint_paths(graph: PowerGraph, s: int, t: int) -> list[list[int]]:
-    """A maximum family of internally vertex-disjoint s-t paths."""
+    """A maximum family of internally vertex-disjoint s-t paths; s and t must
+    be distinct and non-adjacent."""
+    flow, _, arc_flow = _unit_flow(graph, s, t)
     n = graph.vertex_count
-    if graph.adjacent(s, t):
-        raise ValueError(f"vertices {s} and {t} are adjacent")
-    flow, _, res = _st_flow(graph.adj, n, s, t)
-    init = _split_residual(graph.adj, n)
-    # arcs carrying flow: saturated vertex arcs show as lost forward bits,
-    # flowed edge arcs show as reverse bits added at the head's in-node
-    used = [0] * (2 * n)
-    for v in range(n):
-        used[2 * v] |= init[2 * v] & ~res[2 * v]
-        for u_out in iter_bits(res[2 * v] & ~init[2 * v]):
-            used[u_out] |= 1 << (2 * v)
-    src, snk = 2 * s + 1, 2 * t
+    # unit vertex capacities: an edge arc out_u -> in_v carries one unit or none
+    succ: dict[int, list[int]] = {}
+    for (a, b), units in arc_flow.items():
+        if units > 0 and a >= n:
+            succ.setdefault(a - n, []).append(b)
     paths = []
     for _ in range(flow):
         path = [s]
-        node = src
-        while node != snk:
-            step = used[node] & -used[node]
-            used[node] ^= step
-            node = step.bit_length() - 1
-            if node % 2 == 1 and node != src:
-                path.append(node // 2)
-        path.append(t)
+        while path[-1] != t:
+            path.append(succ[path[-1]].pop())
         paths.append(path)
     return paths
 
@@ -280,9 +272,9 @@ def all_minimum_cutsets(
     underlying group. Every minimum cut-set is minimal, hence a union of
     generator classes, and contains the identity class {0}; the search walks
     class combinations of total size ``kappa`` (classes sorted by size
-    descending, pruned on exact remaining sum) and keeps those that pass
-    is_cut_set. Raises ResourceLimitError past ``max_combinations`` steps,
-    with the sets found so far attached.
+    descending, pruned on exact remaining sum) and keeps those whose removal
+    disconnects the quotient graph on the classes. Raises ResourceLimitError
+    past ``max_combinations`` steps, with the sets found so far attached.
     """
     n = graph.vertex_count
     covered = mask_of(v for c in classes for v in c)
@@ -292,7 +284,14 @@ def all_minimum_cutsets(
         return []
     identity_class = next(c for c in classes if 0 in c)
     others = sorted((c for c in classes if 0 not in c), key=lambda c: (-len(c), min(c)))
-    masks = [mask_of(c) for c in others]
+    # quotient node 0 is the identity class, node i + 1 is others[i]
+    nodes = [identity_class, *others]
+    masks = [mask_of(c) for c in nodes]
+    # a clique is connected, so removing a union of classes disconnects the
+    # graph exactly when it disconnects the quotient
+    if any((graph.adj[v] | 1 << v) & m != m for m in masks for v in iter_bits(m)):
+        raise ValueError("every class must be a clique")
+    quotient = PowerGraph(vertex_count=len(nodes), adj=tuple(_class_adjacency(graph, masks)))
     sizes = [len(c) for c in others]
     suffix = [0] * (len(others) + 1)
     for i in range(len(others) - 1, -1, -1):
@@ -300,7 +299,6 @@ def all_minimum_cutsets(
     target = kappa - len(identity_class)
     if target < 0:
         return []
-    id_mask = mask_of(identity_class)
     found: list[frozenset[int]] = []
     steps = 0
 
@@ -313,15 +311,16 @@ def all_minimum_cutsets(
                 partial=tuple(found),
             )
         if need == 0:
-            candidate = id_mask | acc
-            if graph.is_cut_set(iter_bits(candidate)):
-                found.append(frozenset(iter_bits(candidate)))
+            alive = quotient.full_mask & ~acc
+            start = (alive & -alive).bit_length() - 1
+            if quotient._flood(alive, start) != alive:
+                found.append(frozenset(v for j in iter_bits(acc) for v in nodes[j]))
             return
         if i == len(others) or suffix[i] < need:
             return
         if sizes[i] <= need:
-            walk(i + 1, acc | masks[i], need - sizes[i])
+            walk(i + 1, acc | 2 << i, need - sizes[i])
         walk(i + 1, acc, need)
 
-    walk(0, 0, target)
+    walk(0, 1, target)
     return sorted(found, key=sorted)

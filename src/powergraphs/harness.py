@@ -278,9 +278,10 @@ def verify_theorem(
             label, theorem_id, prediction, None, None, predicted_tuples, verdict, detail
         )
 
+    graph = build_power_graph(group)
     observed_kappa = None
     if group.size >= 2:
-        observed_kappa = vertex_connectivity(build_power_graph(group))
+        observed_kappa = vertex_connectivity(graph)
 
     if not prediction.applicable:
         return VerificationReport(
@@ -297,7 +298,6 @@ def verify_theorem(
     observed_cutsets = None
     forecast = prediction.cutsets
     if forecast.kind in ("unique", "count", "multiple-possible"):
-        graph = build_power_graph(group)
         try:
             sets = all_minimum_cutsets(
                 graph,

@@ -61,9 +61,13 @@ class PowerGraph:
         frontier = comp
         adj = self.adj
         while frontier:
-            reach = 0
-            for u in iter_bits(frontier):
-                reach |= adj[u]
+            reach = comp
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+                if not alive & ~reach:
+                    return alive
             frontier = reach & alive & ~comp
             comp |= frontier
         return comp

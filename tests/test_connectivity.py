@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from powergraphs.cli import parse_group_spec
 from powergraphs.connectivity import (
     ResourceLimitError,
     all_minimum_cutsets,
@@ -92,6 +93,30 @@ def test_min_cut_between_rejects_adjacent():
         min_vertex_cut_between(graph, 0, 1)
     with pytest.raises(ValueError):
         min_vertex_cut_between(graph, 3, 3)
+
+
+def test_max_disjoint_paths_rejects_bad_endpoints():
+    graph = build_power_graph(make_abelian([(2, 1), (2, 1), (3, 1)]))
+    for s, t in ((1, 1), (-1, 1), (1, graph.vertex_count), (0, 1)):
+        with pytest.raises(ValueError):
+            max_disjoint_paths(graph, s, t)
+
+
+@pytest.mark.parametrize(
+    "spec,cut",
+    [
+        ("cyclic:30", [0, 1, 7, 10, 11, 13, 15, 17, 19, 20, 23, 29]),
+        ("abelian:2,2,3", [0, 4, 5]),
+        ("quaternion:16", [0, 4]),
+        ("dihedral:12", [0]),
+    ],
+)
+def test_minimum_cutset_pinned(spec, cut):
+    # the minimum cut closest to the first vertex of the first improving pair
+    # is unique, so the reported cut is fixed by the pair order
+    report = minimum_cutset(build_power_graph(parse_group_spec(spec)))
+    assert sorted(report.cut) == cut
+    assert report.kappa == len(cut)
 
 
 def test_max_disjoint_paths_match_cut():
@@ -190,6 +215,15 @@ def test_all_minimum_cutsets_resource_limit():
     with pytest.raises(ResourceLimitError) as info:
         all_minimum_cutsets(graph, G.generator_classes, 3, max_combinations=3)
     assert isinstance(info.value.partial, tuple)
+
+
+def test_all_minimum_cutsets_rejects_bad_classes():
+    graph = build_power_graph(make_abelian([(2, 1), (2, 1)]))
+    with pytest.raises(ValueError):
+        all_minimum_cutsets(graph, [frozenset({0}), frozenset({1, 2})], 1)
+    # two distinct involutions are not adjacent
+    with pytest.raises(ValueError):
+        all_minimum_cutsets(graph, [frozenset({0}), frozenset({1, 2}), frozenset({3})], 1)
 
 
 def test_all_minimum_cutsets_complete_graph_empty():
@@ -305,3 +339,32 @@ def test_flow_kappa_matches_subset_enumeration():
     for G in corpus_groups(16):
         graph = build_power_graph(G)
         assert vertex_connectivity(graph) == kappa_by_subset_enumeration(graph), G.name
+
+
+def blown_up_graph(n, edge_bits, twins):
+    """Each vertex v of a random graph on n vertices becomes a clique of
+    twins[v] closed twins."""
+    base = random_graph(n, edge_bits)
+    owner = [v for v in range(n) for _ in range(twins[v])]
+    adj = [0] * len(owner)
+    for a, u in enumerate(owner):
+        for b, v in enumerate(owner):
+            if a != b and (u == v or base.adjacent(u, v)):
+                adj[a] |= 1 << b
+    return PowerGraph(vertex_count=len(owner), adj=tuple(adj), group_name="blown-up")
+
+
+@given(
+    st.integers(3, 6),
+    st.integers(0, 2**15 - 1),
+    st.lists(st.integers(1, 3), min_size=6, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_flow_kappa_matches_subset_oracle_on_planted_twins(n, edge_bits, twins):
+    graph = blown_up_graph(n, edge_bits, twins)
+    kappa = vertex_connectivity(graph)
+    assert kappa == kappa_by_subset_enumeration(graph)
+    if not graph.is_complete:
+        report = minimum_cutset(graph)
+        assert report.kappa == len(report.cut) == kappa
+        assert graph.is_cut_set(report.cut)
