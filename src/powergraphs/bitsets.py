@@ -17,7 +17,3 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def bit_list(mask: int) -> list[int]:
-    return list(iter_bits(mask))

@@ -27,7 +27,7 @@ from .groups import (
     make_dihedral,
     make_generalized_quaternion,
 )
-from .harness import ResourceCaps, survey, verify_theorem
+from .harness import THEOREM_IDS, ResourceCaps, survey, verify_theorem
 from .powergraph import build_power_graph
 
 EXIT_OK = 0
@@ -263,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check one prediction against brute force")
     add_common(p)
-    p.add_argument("--theorem", required=True, choices=["thm11", "thm12", "thm13", "thm14", "props"])
+    p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     p.add_argument("--strict", action="store_true", help="resource skips fail the run")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("survey", help="verify a prediction across the corpus")
     add_common(p, group_required=False)
-    p.add_argument("--theorem", required=True, choices=["thm11", "thm12", "thm13", "thm14", "props"])
+    p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--strict", action="store_true", help="resource skips fail the run")
     p.set_defaults(fn=_cmd_survey)

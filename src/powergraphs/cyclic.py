@@ -154,12 +154,7 @@ def gamma_set(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
             f"{group.name}: need exactly three primes with smallest prime 2"
         )
     p2, p3 = dec.primes[1], dec.primes[2]
-    orders = group.element_orders
-    cyclic_sylow = {
-        p: max(orders[g] for g in dec.subgroup(p)) == len(dec.subgroup(p))
-        for p in dec.primes
-    }
-    if cyclic_sylow[2] or not (cyclic_sylow[p2] and cyclic_sylow[p3]):
+    if dec.noncyclic != (2,):
         raise UnsupportedStructureError(
             f"{group.name}: need a non-cyclic 2-Sylow subgroup and cyclic odd "
             "Sylow subgroups"

@@ -62,12 +62,19 @@ class SylowDecomposition:
 
     ``subgroups[i]`` is the Sylow subgroup for ``primes[i]`` as an element
     set; ``components[g][i]`` is the projection of element g onto it, and the
-    projections of g multiply back to g.
+    projections of g multiply back to g. ``noncyclic`` lists the primes whose
+    Sylow subgroup has no element of its own order, ``elementary`` those whose
+    Sylow subgroup has exponent p, and ``quaternion`` says whether the 2-Sylow
+    subgroup is non-cyclic with a unique involution, i.e. generalized
+    quaternion.
     """
 
     primes: tuple[int, ...]
     subgroups: tuple[frozenset[int], ...]
     components: tuple[tuple[int, ...], ...]
+    noncyclic: tuple[int, ...]
+    elementary: tuple[int, ...]
+    quaternion: bool
 
     def subgroup(self, p: int) -> frozenset[int]:
         try:
@@ -189,11 +196,21 @@ class Group:
         return True
 
     def sylow_decomposition(self) -> SylowDecomposition:
-        """Sylow subgroups and element projections; the group must be nilpotent."""
+        """Sylow subgroups and element projections; the group must be nilpotent.
+
+        Computed once per group; a non-nilpotent group raises on every call.
+        """
+        return self._sylow_decomposition
+
+    @cached_property
+    def _sylow_decomposition(self) -> SylowDecomposition:
         orders = self.element_orders
         factors = factorize(self.size)
         primes = tuple(p for p, _ in factors)
         subgroups = []
+        noncyclic = []
+        elementary = []
+        quaternion = False
         for p, e in factors:
             members = frozenset(
                 g for g, o in enumerate(orders) if o == p ** p_adic_valuation(o, p)
@@ -204,6 +221,12 @@ class Group:
                     f"({len(members)} {p}-elements, expected {p**e})"
                 )
             subgroups.append(members)
+            if max(orders[g] for g in members) != len(members):
+                noncyclic.append(p)
+                if p == 2:
+                    quaternion = sum(1 for g in members if orders[g] == 2) == 1
+            if all(orders[g] in (1, p) for g in members):
+                elementary.append(p)
         components = []
         for g in range(self.size):
             n = orders[g]
@@ -224,7 +247,14 @@ class Group:
                     "multiply back to it"
                 )
             components.append(tuple(comps))
-        return SylowDecomposition(primes, tuple(subgroups), tuple(components))
+        return SylowDecomposition(
+            primes,
+            tuple(subgroups),
+            tuple(components),
+            tuple(noncyclic),
+            tuple(elementary),
+            quaternion,
+        )
 
 
 class CyclicGroup(Group):

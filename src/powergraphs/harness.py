@@ -11,17 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
+from typing import Callable
 
 from .connectivity import (
     ResourceLimitError,
     all_minimum_cutsets,
     vertex_connectivity,
 )
-from .cyclic import (
-    maximal_cyclic_orders,
-    min_order_maximal_cyclic,
-    sylow_product,
-)
+from .cyclic import maximal_cyclic_subgroups, sylow_product
 from .groups import (
     AbelianSpec,
     Group,
@@ -139,114 +136,112 @@ def corpus_groups(max_order: int) -> tuple[Group, ...]:
 def sylow_profile(group: Group) -> SylowProfile:
     """Structural facts consumed by the arithmetic predictors."""
     dec = group.sylow_decomposition()
-    orders = group.element_orders
-    noncyclic = []
-    elementary = []
-    for p, members in zip(dec.primes, dec.subgroups):
-        if max(orders[g] for g in members) != len(members):
-            noncyclic.append(p)
-        if all(orders[g] in (1, p) for g in members):
-            elementary.append(p)
+    maximal = maximal_cyclic_subgroups(group)
     return SylowProfile(
-        noncyclic=tuple(noncyclic),
-        elementary=tuple(elementary),
-        min_maximal_cyclic_order=min_order_maximal_cyclic(group).order,
-        maximal_cyclic_orders=maximal_cyclic_orders(group),
+        noncyclic=dec.noncyclic,
+        elementary=dec.elementary,
+        min_maximal_cyclic_order=min(m.order for m in maximal),
+        maximal_cyclic_orders=tuple(sorted({m.order for m in maximal})),
     )
 
 
-def _is_generalized_quaternion_sylow(group: Group, members: frozenset[int]) -> bool:
-    # a non-cyclic 2-group with a unique involution is generalized quaternion
-    orders = group.element_orders
-    size = len(members)
-    noncyclic = max(orders[g] for g in members) != size
-    involutions = sum(1 for g in members if orders[g] == 2)
-    return noncyclic and involutions == 1
+def _prime_count(group: Group) -> int:
+    return len(factorize(group.size))
 
 
-def _inapplicable(trace: tuple[tuple[str, bool], ...], tag: str) -> Prediction:
-    return Prediction(
-        applicable=False,
-        kappa=None,
-        case_tag=tag,
-        cutsets=CutsetForecast(kind="unknown"),
-        hypothesis_trace=trace,
+def _with_profile(
+    predictor: Callable[[Factorization, SylowProfile], Prediction],
+) -> Callable[[Group], Prediction]:
+    return lambda g: predictor(Factorization.from_int(g.size), sylow_profile(g))
+
+
+def _predict_thm12(group: Group) -> Prediction:
+    dec = group.sylow_decomposition()
+    return kappa_nilpotent_one_noncyclic(
+        Factorization.from_int(group.size),
+        dec.noncyclic[0],
+        sylow_is_generalized_quaternion=dec.quaternion,
     )
+
+
+_Condition = tuple[str, Callable[[Group], bool]]
+_Stage = tuple[_Condition, ...]
+
+_NONCYCLIC: _Condition = ("group is non-cyclic", lambda g: not g.is_cyclic)
+_ABELIAN_NONCYCLIC: _Stage = (("group is abelian", lambda g: g.is_abelian), _NONCYCLIC)
+_ONE_NONCYCLIC: _Condition = (
+    "exactly one Sylow subgroup is non-cyclic",
+    lambda g: len(g.sylow_decomposition().noncyclic) == 1,
+)
+
+# theorem id -> (case tag when a gate fails, gate stages, predictor); every
+# condition of a stage is traced before the stage is checked
+_THEOREM_GATES: dict[str, tuple[str, tuple[_Stage, ...], Callable[[Group], Prediction]]] = {
+    "thm11": (
+        "cyclic-gated",
+        ((("group is cyclic", lambda g: g.is_cyclic), ("order >= 2", lambda g: g.size >= 2)),),
+        lambda g: kappa_cyclic(g.size),
+    ),
+    "thm12": (
+        "nilpotent-gated",
+        (
+            (_NONCYCLIC, ("group is nilpotent", lambda g: g.is_nilpotent)),
+            (
+                ("order has at least two prime divisors", lambda g: _prime_count(g) >= 2),
+                _ONE_NONCYCLIC,
+            ),
+        ),
+        _predict_thm12,
+    ),
+    "thm13": (
+        "abelian-gated",
+        (
+            _ABELIAN_NONCYCLIC,
+            (("order has exactly two prime divisors", lambda g: _prime_count(g) == 2),),
+        ),
+        _with_profile(kappa_abelian_two_primes),
+    ),
+    "thm14": (
+        "abelian-gated",
+        (
+            _ABELIAN_NONCYCLIC,
+            (
+                ("order has exactly three prime divisors", lambda g: _prime_count(g) == 3),
+                _ONE_NONCYCLIC,
+            ),
+        ),
+        _with_profile(kappa_abelian_three_primes),
+    ),
+}
 
 
 def predict_for_group(
     theorem_id: str, group: Group
 ) -> tuple[Prediction, tuple[frozenset[int], ...] | None]:
     """Prediction for the group plus any structurally named cut-sets."""
-    if theorem_id == "thm11":
-        cyclic = group.is_cyclic
-        trace = (("group is cyclic", cyclic), ("order >= 2", group.size >= 2))
-        if not (cyclic and group.size >= 2):
-            return _inapplicable(trace, "cyclic-gated"), None
-        pred = kappa_cyclic(group.size)
-        return replace(pred, hypothesis_trace=trace + pred.hypothesis_trace), None
-
-    if theorem_id == "thm12":
-        trace = [
-            ("group is non-cyclic", not group.is_cyclic),
-            ("group is nilpotent", group.is_nilpotent),
-        ]
-        if group.is_cyclic or not group.is_nilpotent:
-            return _inapplicable(tuple(trace), "nilpotent-gated"), None
-        dec = group.sylow_decomposition()
-        f = Factorization.from_int(group.size)
-        profile = sylow_profile(group)
-        trace.append(("order has at least two prime divisors", f.r >= 2))
-        trace.append(
-            ("exactly one Sylow subgroup is non-cyclic", len(profile.noncyclic) == 1)
-        )
-        if f.r < 2 or len(profile.noncyclic) != 1:
-            return _inapplicable(tuple(trace), "nilpotent-gated"), None
-        p_k = profile.noncyclic[0]
-        quaternion = p_k == 2 and _is_generalized_quaternion_sylow(
-            group, dec.subgroup(2)
-        )
-        pred = kappa_nilpotent_one_noncyclic(
-            f, p_k, sylow_is_generalized_quaternion=quaternion
-        )
-        pred = replace(pred, hypothesis_trace=tuple(trace) + pred.hypothesis_trace)
-        return pred, _materialize_cutsets(group, pred.cutsets)
-
-    if theorem_id == "thm13":
-        trace = [
-            ("group is abelian", group.is_abelian),
-            ("group is non-cyclic", not group.is_cyclic),
-        ]
-        if not group.is_abelian or group.is_cyclic:
-            return _inapplicable(tuple(trace), "abelian-gated"), None
-        f = Factorization.from_int(group.size)
-        trace.append(("order has exactly two prime divisors", f.r == 2))
-        if f.r != 2:
-            return _inapplicable(tuple(trace), "abelian-gated"), None
-        pred = kappa_abelian_two_primes(f, sylow_profile(group))
-        pred = replace(pred, hypothesis_trace=tuple(trace) + pred.hypothesis_trace)
-        return pred, _materialize_cutsets(group, pred.cutsets)
-
-    if theorem_id == "thm14":
-        trace = [
-            ("group is abelian", group.is_abelian),
-            ("group is non-cyclic", not group.is_cyclic),
-        ]
-        if not group.is_abelian or group.is_cyclic:
-            return _inapplicable(tuple(trace), "abelian-gated"), None
-        f = Factorization.from_int(group.size)
-        profile = sylow_profile(group)
-        trace.append(("order has exactly three prime divisors", f.r == 3))
-        trace.append(
-            ("exactly one Sylow subgroup is non-cyclic", len(profile.noncyclic) == 1)
-        )
-        if f.r != 3 or len(profile.noncyclic) != 1:
-            return _inapplicable(tuple(trace), "abelian-gated"), None
-        pred = kappa_abelian_three_primes(f, profile)
-        pred = replace(pred, hypothesis_trace=tuple(trace) + pred.hypothesis_trace)
-        return pred, _materialize_cutsets(group, pred.cutsets)
-
-    raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
+    try:
+        gated_tag, stages, predict = _THEOREM_GATES[theorem_id]
+    except KeyError:
+        raise ValueError(
+            f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}"
+        ) from None
+    trace: tuple[tuple[str, bool], ...] = ()
+    for stage in stages:
+        trace += tuple((cond, holds(group)) for cond, holds in stage)
+        if not all(ok for _, ok in trace):
+            return (
+                Prediction(
+                    applicable=False,
+                    kappa=None,
+                    case_tag=gated_tag,
+                    cutsets=CutsetForecast(kind="unknown"),
+                    hypothesis_trace=trace,
+                ),
+                None,
+            )
+    pred = predict(group)
+    pred = replace(pred, hypothesis_trace=trace + pred.hypothesis_trace)
+    return pred, _materialize_cutsets(group, pred.cutsets)
 
 
 def _materialize_cutsets(
@@ -430,12 +425,13 @@ def run_property_suite(
         raise ValueError(
             f"unknown suite {suite_id!r}; registered: {', '.join(sorted(_suites.SUITES))}"
         )
+    graphs = [build_power_graph(group) for group in corpus]
     results = []
     for sid in ids:
         check = _suites.SUITES[sid]
-        for group in corpus:
+        for group, graph in zip(corpus, graphs):
             try:
-                outcome = check(group)
+                outcome = check(group, graph)
             except ResourceLimitError as exc:
                 results.append(SuiteResult(sid, group.name, "skipped", str(exc)))
                 continue

@@ -1,8 +1,10 @@
 """Property suites: structural invariants checked per group over a corpus.
 
-Each suite is a callable taking a Group and returning None when the suite
-does not apply to that group, or (passed, detail) where detail describes the
-first counterexample on failure. Suites are registered in SUITES by id.
+Each suite is a callable taking a Group and its power graph, built once per
+group by the caller and shared by every suite, and returning None when the
+suite does not apply to that group, or (passed, detail) where detail
+describes the first counterexample on failure. Suites are registered in
+SUITES by id. Sylow facts come from the group's cached Sylow decomposition.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from .cyclic import (
 )
 from .groups import Group
 from .numtheory import euler_phi, factorize, prime_power_base
-from .powergraph import Separation, build_power_graph, proper_power_graph_connected
+from .powergraph import PowerGraph, Separation
 from .predictions import kappa_cyclic_lower_bound
 
 _CLASS_UNION_VERTEX_LIMIT = 40
 _MENGER_PAIRS_PER_GROUP = 12
 
 CheckResult = tuple[bool, str] | None
-SuiteCheck = Callable[[Group], CheckResult]
+SuiteCheck = Callable[[Group, PowerGraph], CheckResult]
 
 SUITES: dict[str, SuiteCheck] = {}
 
@@ -47,22 +49,11 @@ def _suite(suite_id: str) -> Callable[[SuiteCheck], SuiteCheck]:
     return register
 
 
-def _noncyclic_sylow_primes(group: Group) -> tuple[int, ...]:
-    dec = group.sylow_decomposition()
-    orders = group.element_orders
-    return tuple(
-        p
-        for p, members in zip(dec.primes, dec.subgroups)
-        if max(orders[g] for g in members) != len(members)
-    )
-
-
 @_suite("graph-basics")
-def check_graph_basics(group: Group) -> CheckResult:
+def check_graph_basics(group: Group, graph: PowerGraph) -> CheckResult:
     """Connectedness, universal identity, symmetry, completeness criterion."""
     if group.size < 2:
         return None
-    graph = build_power_graph(group)
     n = graph.vertex_count
     if not graph.is_connected():
         return False, "power graph is disconnected"
@@ -83,12 +74,11 @@ def check_graph_basics(group: Group) -> CheckResult:
 
 
 @_suite("mtilde-cutset")
-def check_nongenerators_cut(group: Group) -> CheckResult:
+def check_nongenerators_cut(group: Group, graph: PowerGraph) -> CheckResult:
     """Non-generators of every maximal cyclic subgroup cut the power graph,
     with (outside, generators) as a witnessing separation."""
     if group.is_cyclic:
         return None
-    graph = build_power_graph(group)
     everything = frozenset(range(group.size))
     for m in maximal_cyclic_subgroups(group):
         tilde = nongenerators(group, m)
@@ -103,12 +93,11 @@ def check_nongenerators_cut(group: Group) -> CheckResult:
 
 
 @_suite("mbar-cutset")
-def check_external_overlap_cut(group: Group) -> CheckResult:
+def check_external_overlap_cut(group: Group, graph: PowerGraph) -> CheckResult:
     """The external overlap of every maximal cyclic subgroup is a cut-set
     sitting inside the non-generators, which are a proper subset."""
     if group.is_cyclic:
         return None
-    graph = build_power_graph(group)
     for m in maximal_cyclic_subgroups(group):
         bar = external_overlap(group, m)
         tilde = nongenerators(group, m)
@@ -120,13 +109,13 @@ def check_external_overlap_cut(group: Group) -> CheckResult:
 
 
 @_suite("mbar-eq-mtilde")
-def check_overlap_equals_nongenerators(group: Group) -> CheckResult:
+def check_overlap_equals_nongenerators(group: Group, graph: PowerGraph) -> CheckResult:
     """For abelian groups: overlap equals the non-generators exactly when
     every Sylow subgroup is non-cyclic."""
     if group.is_cyclic or not group.is_abelian:
         return None
     dec = group.sylow_decomposition()
-    expected = len(_noncyclic_sylow_primes(group)) == len(dec.primes)
+    expected = dec.noncyclic == dec.primes
     for m in maximal_cyclic_subgroups(group):
         equal = external_overlap(group, m) == nongenerators(group, m)
         if equal != expected:
@@ -138,7 +127,7 @@ def check_overlap_equals_nongenerators(group: Group) -> CheckResult:
 
 
 @_suite("mtilde-minimal")
-def check_nongenerators_minimal(group: Group) -> CheckResult:
+def check_nongenerators_minimal(group: Group, graph: PowerGraph) -> CheckResult:
     """For abelian groups with >= 2 prime divisors: the non-generator cut-set
     is minimal exactly when every Sylow subgroup is non-cyclic."""
     if group.is_cyclic or not group.is_abelian:
@@ -146,8 +135,7 @@ def check_nongenerators_minimal(group: Group) -> CheckResult:
     dec = group.sylow_decomposition()
     if len(dec.primes) < 2:
         return None
-    graph = build_power_graph(group)
-    expected = len(_noncyclic_sylow_primes(group)) == len(dec.primes)
+    expected = dec.noncyclic == dec.primes
     for m in maximal_cyclic_subgroups(group):
         tilde = nongenerators(group, m)
         if not graph.is_cut_set(tilde):
@@ -161,15 +149,14 @@ def check_nongenerators_minimal(group: Group) -> CheckResult:
 
 
 @_suite("mbar-minimal")
-def check_overlap_minimal(group: Group) -> CheckResult:
+def check_overlap_minimal(group: Group, graph: PowerGraph) -> CheckResult:
     """For nilpotent groups with >= 2 non-cyclic Sylow subgroups: the overlap
     cut-set is minimal, the graph minus a maximal cyclic subgroup stays
     connected, and removing the non-generators leaves exactly two components."""
     if group.is_cyclic or not group.is_nilpotent:
         return None
-    if len(_noncyclic_sylow_primes(group)) < 2:
+    if len(group.sylow_decomposition().noncyclic) < 2:
         return None
-    graph = build_power_graph(group)
     everything = frozenset(range(group.size))
     for m in maximal_cyclic_subgroups(group):
         comps = graph.components_after_removal(m.elements)
@@ -190,7 +177,7 @@ def check_overlap_minimal(group: Group) -> CheckResult:
 
 
 @_suite("size-compare")
-def check_nongenerator_size_minimum(group: Group) -> CheckResult:
+def check_nongenerator_size_minimum(group: Group, graph: PowerGraph) -> CheckResult:
     """For nilpotent groups: a minimum-order maximal cyclic subgroup has the
     fewest non-generators."""
     if group.is_cyclic or not group.is_nilpotent:
@@ -204,7 +191,7 @@ def check_nongenerator_size_minimum(group: Group) -> CheckResult:
 
 
 @_suite("sylow-complement-minimal")
-def check_sylow_complement_minimal(group: Group) -> CheckResult:
+def check_sylow_complement_minimal(group: Group, graph: PowerGraph) -> CheckResult:
     """For nilpotent groups with >= 2 prime divisors: the product of all
     Sylow subgroups except a non-cyclic, non-quaternion one is a minimal
     cut-set."""
@@ -213,14 +200,10 @@ def check_sylow_complement_minimal(group: Group) -> CheckResult:
     dec = group.sylow_decomposition()
     if len(dec.primes) < 2:
         return None
-    orders = group.element_orders
     checked = False
-    graph = build_power_graph(group)
-    for p, members in zip(dec.primes, dec.subgroups):
-        if max(orders[g] for g in members) == len(members):
-            continue  # cyclic Sylow subgroup
-        if p == 2 and sum(1 for g in members if orders[g] == 2) == 1:
-            continue  # generalized quaternion
+    for p in dec.noncyclic:
+        if p == 2 and dec.quaternion:
+            continue
         complement = sylow_complement_product(group, p)
         if not graph.is_cut_set(complement):
             return False, f"Sylow complement at {p} is not a cut-set"
@@ -233,7 +216,7 @@ def check_sylow_complement_minimal(group: Group) -> CheckResult:
 
 
 @_suite("cyclic-factorization")
-def check_maximal_cyclic_product_form(group: Group) -> CheckResult:
+def check_maximal_cyclic_product_form(group: Group, graph: PowerGraph) -> CheckResult:
     """For nilpotent groups: every maximal cyclic subgroup is the product of
     maximal cyclic subgroups of the Sylow subgroups."""
     if group.is_cyclic or not group.is_nilpotent:
@@ -261,7 +244,7 @@ def check_maximal_cyclic_product_form(group: Group) -> CheckResult:
 
 
 @_suite("element-coverage")
-def check_element_coverage(group: Group) -> CheckResult:
+def check_element_coverage(group: Group, graph: PowerGraph) -> CheckResult:
     """Every element lies in a maximal cyclic subgroup; with every Sylow
     subgroup non-cyclic (abelian case), elements generating a non-maximal
     subgroup lie in at least two."""
@@ -272,7 +255,7 @@ def check_element_coverage(group: Group) -> CheckResult:
             return False, f"element {g} lies in no maximal cyclic subgroup"
     if group.is_abelian and not group.is_cyclic:
         dec = group.sylow_decomposition()
-        if len(_noncyclic_sylow_primes(group)) == len(dec.primes):
+        if dec.noncyclic == dec.primes:
             maximal_masks = {frozenset(m.elements) for m in maximal}
             for g in range(group.size):
                 if group.cyclic_closure(g) in maximal_masks:
@@ -284,7 +267,7 @@ def check_element_coverage(group: Group) -> CheckResult:
 
 
 @_suite("witness-equivalence")
-def check_witness_equivalence(group: Group) -> CheckResult:
+def check_witness_equivalence(group: Group, graph: PowerGraph) -> CheckResult:
     """For abelian groups: every non-generator of every maximal cyclic
     subgroup has an outside generator exactly when all Sylow subgroups are
     non-cyclic; where witnesses exist, the search and constructive strategies
@@ -292,7 +275,7 @@ def check_witness_equivalence(group: Group) -> CheckResult:
     if group.is_cyclic or not group.is_abelian:
         return None
     dec = group.sylow_decomposition()
-    expected = len(_noncyclic_sylow_primes(group)) == len(dec.primes)
+    expected = dec.noncyclic == dec.primes
     for m in maximal_cyclic_subgroups(group):
         missing = None
         for alpha in sorted(nongenerators(group, m)):
@@ -313,25 +296,20 @@ def check_witness_equivalence(group: Group) -> CheckResult:
 
 
 @_suite("proper-pgroup")
-def check_proper_graph_p_group(group: Group) -> CheckResult:
+def check_proper_graph_p_group(group: Group, graph: PowerGraph) -> CheckResult:
     """For p-groups: the identity-deleted power graph is connected exactly
     for cyclic and generalized quaternion groups."""
     if group.size < 3 or prime_power_base(group.size) is None:
         return None
-    orders = group.element_orders
-    involutions = sum(1 for o in orders if o == 2)
-    quaternion = (
-        group.size % 2 == 0 and not group.is_cyclic and involutions == 1
-    )
-    expected = group.is_cyclic or quaternion
-    connected = proper_power_graph_connected(group)
+    expected = group.is_cyclic or group.sylow_decomposition().quaternion
+    connected = len(graph.components_after_removal({0})) == 1
     if connected != expected:
         return False, f"proper graph connected={connected}, expected {expected}"
     return True, ""
 
 
 @_suite("class-union")
-def check_minimal_cutsets_are_class_unions(group: Group) -> CheckResult:
+def check_minimal_cutsets_are_class_unions(group: Group, graph: PowerGraph) -> CheckResult:
     """Minimal cut-sets found by pure graph search contain the identity and
     are unions of generator classes.
 
@@ -341,7 +319,6 @@ def check_minimal_cutsets_are_class_unions(group: Group) -> CheckResult:
     """
     if group.size > _CLASS_UNION_VERTEX_LIMIT:
         return None
-    graph = build_power_graph(group)
     if graph.is_complete:
         return None
     n = graph.vertex_count
@@ -371,12 +348,11 @@ def check_minimal_cutsets_are_class_unions(group: Group) -> CheckResult:
 
 
 @_suite("menger")
-def check_menger_consistency(group: Group) -> CheckResult:
+def check_menger_consistency(group: Group, graph: PowerGraph) -> CheckResult:
     """Sampled non-adjacent pairs: max disjoint paths = min cut size, the cut
     separates the pair, and the paths are internally disjoint."""
     if group.size < 2:
         return None
-    graph = build_power_graph(group)
     if graph.is_complete:
         return None
     n = graph.vertex_count
@@ -409,7 +385,7 @@ def check_menger_consistency(group: Group) -> CheckResult:
 
 
 @_suite("cyclic-bound")
-def check_cyclic_lower_bound(group: Group) -> CheckResult:
+def check_cyclic_lower_bound(group: Group, graph: PowerGraph) -> CheckResult:
     """For cyclic groups: connectivity is at least phi(n)+1, with equality
     exactly for primes and products of two distinct primes."""
     if not group.is_cyclic or group.size < 2:
@@ -417,7 +393,7 @@ def check_cyclic_lower_bound(group: Group) -> CheckResult:
     if len(factorize(group.size)) == 1:
         return None  # complete graph; bound is about cut-sets
     bound, equality = kappa_cyclic_lower_bound(group.size)
-    kappa = vertex_connectivity(build_power_graph(group))
+    kappa = vertex_connectivity(graph)
     if kappa < bound:
         return False, f"kappa {kappa} below the bound {bound}"
     if (kappa == bound) != equality:

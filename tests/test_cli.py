@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from powergraphs.cli import main, parse_group_spec
+from powergraphs.cli import build_parser, main, parse_group_spec
+from powergraphs.harness import THEOREM_IDS
 
 
 def run(capsys, *argv):
@@ -149,3 +151,11 @@ def test_invalid_remove_exit_two(capsys):
     code, _, err = run(capsys, "export-dot", "--group", "abelian:2,2", "--remove", "99")
     assert code == 2
     assert "out of range" in err
+
+
+def test_theorem_choices_are_the_harness_ids():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("verify", "survey"):
+        theorem = next(a for a in sub.choices[command]._actions if a.dest == "theorem")
+        assert tuple(theorem.choices) == THEOREM_IDS

@@ -11,6 +11,7 @@ from powergraphs.groups import (
     make_dihedral,
     make_generalized_quaternion,
 )
+from powergraphs.harness import corpus_groups
 from powergraphs.numtheory import euler_phi
 
 
@@ -193,8 +194,43 @@ def test_sylow_decomposition_example_group():
 def test_sylow_rejects_dihedral_6():
     D6 = make_dihedral(6)
     assert not D6.is_nilpotent
-    with pytest.raises(UnsupportedStructureError):
-        D6.sylow_decomposition()
+    for _ in range(2):  # a failed decomposition is not cached
+        with pytest.raises(UnsupportedStructureError):
+            D6.sylow_decomposition()
+
+
+def test_sylow_decomposition_facts_match_definitions():
+    groups = list(corpus_groups(64)) + [
+        direct_product(make_generalized_quaternion(8), make_cyclic(3)),
+        make_dihedral(8),
+        make_dihedral(16),
+    ]
+    quaternion_names = set()
+    for G in groups:
+        if not G.is_nilpotent:
+            continue
+        dec = G.sylow_decomposition()
+        assert G.sylow_decomposition() is dec
+        orders = G.element_orders
+        noncyclic = tuple(
+            p
+            for p, members in zip(dec.primes, dec.subgroups)
+            if all(orders[g] != len(members) for g in members)
+        )
+        elementary = tuple(
+            p
+            for p, members in zip(dec.primes, dec.subgroups)
+            if all(p % orders[g] == 0 for g in members)
+        )
+        quaternion = 2 in noncyclic and (
+            sum(1 for g in dec.subgroup(2) if orders[g] == 2) == 1
+        )
+        assert dec.noncyclic == noncyclic, G.name
+        assert dec.elementary == elementary, G.name
+        assert dec.quaternion == quaternion, G.name
+        if quaternion:
+            quaternion_names.add(G.name)
+    assert quaternion_names == {"Q8", "Q16", "Q32", "Q8xC3"}
 
 
 def test_quaternion_is_nilpotent():
