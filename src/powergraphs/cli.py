@@ -113,9 +113,7 @@ def _cmd_cutsets(args: argparse.Namespace) -> int:
         kappa, sets = vertex_connectivity(graph), []
     elif args.all:
         kappa = vertex_connectivity(graph)
-        found = all_minimum_cutsets(
-            graph, group.generator_classes, kappa, max_combinations=args.max_combinations
-        )
+        found = all_minimum_cutsets(graph, kappa, max_combinations=args.max_combinations)
         sets = [sorted(s) for s in found]
     else:
         report = minimum_cutset(graph)
@@ -217,6 +215,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
         bad = [v for v in removed if not 0 <= v < group.size]
         if bad:
             raise ValueError(f"removed vertices {sorted(bad)} out of range")
+    _check_brute_cap(group, args)
     graph = build_power_graph(group)
     lines = [f'graph "{group.name}" {{']
     for v in range(group.size):

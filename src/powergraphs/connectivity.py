@@ -5,14 +5,16 @@ neighbourhoods form a class (elements generating one cyclic subgroup do), and
 no minimal separator splits a class or meets the classes of the vertices it
 separates. So a minimum s-t vertex cut is a minimum cut of the quotient with
 nodes weighted by class size: one integer-capacity vertex-split max-flow
-(Even & Tarjan, 1975). By Menger's theorem connectivity is its minimum over
-non-adjacent class pairs, taken by increasing degree sum of the classes'
-least vertices; each flow aborts once it reaches the best cut so far, and
-the search stops once that equals the number of universal vertices, which
-every separator contains. The s-t queries run the same flow on the graph
-itself with unit weights. Minimum cut-set enumeration is a depth-first
-exact-sum search over unions of generator classes (every minimal cut-set is
-one, and contains the identity), checking candidates on the class quotient.
+(Even & Tarjan, 1975). Every separator contains the universal class, the
+vertices adjacent to all others (in a power graph the identity, plus the
+generators when the group is cyclic), if there is one. By Menger's theorem
+connectivity is the minimum flow over non-adjacent class pairs, taken by
+increasing degree sum of the classes' least vertices; each flow aborts once
+it reaches the best cut so far, and the search stops once that equals the
+size of the universal class. The s-t queries run the same flow on the graph
+itself with unit weights. Minimum cut-set enumeration forces the universal
+class in and runs a depth-first exact-sum search over unions of the other
+classes, checking candidates on the quotient.
 """
 
 from __future__ import annotations
@@ -114,24 +116,25 @@ def _max_flow(
     return flow, None, arc_flow
 
 
-def _twin_classes(graph: PowerGraph) -> list[int]:
-    """Vertex masks of the closed-twin classes, ordered by least vertex."""
+def _twin_quotient(graph: PowerGraph) -> tuple[list[int], list[int], int | None]:
+    """The closed-twin quotient: (members, q_adj, universal).
+
+    members[i] is the vertex mask of class i, classes ordered by least vertex;
+    q_adj[i] is the mask of classes adjacent to class i; universal is the
+    index of the class of vertices adjacent to all others, or None.
+    """
     classes: dict[int, int] = {}
     for v, row in enumerate(graph.adj):
         key = row | 1 << v
         classes[key] = classes.get(key, 0) | 1 << v
-    return list(classes.values())
-
-
-def _class_adjacency(graph: PowerGraph, classes: Sequence[int]) -> list[int]:
-    """Adjacency between disjoint vertex classes, given as masks, as class masks."""
-    reach = []
-    for m in classes:
-        row = 0
-        for v in iter_bits(m):
-            row |= graph.adj[v]
-        reach.append(mask_of(j for j, other in enumerate(classes) if row & other & ~m))
-    return reach
+    members = list(classes.values())
+    # twins share a closed neighbourhood, so it is each class's key
+    q_adj = [
+        mask_of(j for j, m in enumerate(members) if key & m) & ~(1 << i)
+        for i, key in enumerate(classes)
+    ]
+    universal = next((i for i, key in enumerate(classes) if key == graph.full_mask), None)
+    return members, q_adj, universal
 
 
 def _connectivity_with_cut(graph: PowerGraph) -> tuple[int, frozenset[int]]:
@@ -140,10 +143,9 @@ def _connectivity_with_cut(graph: PowerGraph) -> tuple[int, frozenset[int]]:
     v_min = min(range(n), key=degree.__getitem__)
     best = degree[v_min]
     best_cut = graph.neighbors(v_min)
+    members, q_adj, u = _twin_quotient(graph)
     # every separator contains every universal vertex: nothing beats this
-    universal = degree.count(n - 1)
-    members = _twin_classes(graph)
-    q_adj = _class_adjacency(graph, members)
+    universal = 0 if u is None else members[u].bit_count()
     weight = [m.bit_count() for m in members]
     rep_degree = [degree[(m & -m).bit_length() - 1] for m in members]
     k = len(members)
@@ -260,45 +262,44 @@ def minimalize_cutset(graph: PowerGraph, vertices: Iterable[int]) -> frozenset[i
 
 
 def all_minimum_cutsets(
-    graph: PowerGraph,
-    classes: Sequence[frozenset[int]],
-    kappa: int,
-    *,
-    max_combinations: int = 10_000_000,
+    graph: PowerGraph, kappa: int, *, max_combinations: int = 10_000_000
 ) -> list[frozenset[int]]:
-    """Every minimum cut-set, by exhaustive search over generator-class unions.
+    """Every minimum cut-set, by exhaustive search over closed-twin class unions.
 
-    ``classes`` must partition the vertices into generator classes of the
-    underlying group. Every minimum cut-set is minimal, hence a union of
-    generator classes, and contains the identity class {0}; the search walks
-    class combinations of total size ``kappa`` (classes sorted by size
-    descending, pruned on exact remaining sum) and keeps those whose removal
-    disconnects the quotient graph on the classes. Raises ResourceLimitError
-    past ``max_combinations`` steps, with the sets found so far attached.
+    Every minimum cut-set is minimal, hence a union of closed-twin classes,
+    and contains the universal class (in a power graph the identity, plus the
+    generators when the group is cyclic), if the graph has one. The search
+    forces that class in and walks unions of the other classes of total size
+    ``kappa`` (classes sorted by size descending, then least vertex, pruned on
+    exact remaining sum), keeping those whose removal disconnects the
+    quotient; a class is a clique, so that is exactly when the removal
+    disconnects the graph. Raises ResourceLimitError past
+    ``max_combinations`` steps, with the sets found so far attached.
     """
-    n = graph.vertex_count
-    covered = mask_of(v for c in classes for v in c)
-    if covered != graph.full_mask or sum(len(c) for c in classes) != n:
-        raise ValueError("classes must partition the vertex set")
-    if kappa >= n - 1:
+    if kappa >= graph.vertex_count - 1:
         return []
-    identity_class = next(c for c in classes if 0 in c)
-    others = sorted((c for c in classes if 0 not in c), key=lambda c: (-len(c), min(c)))
-    # quotient node 0 is the identity class, node i + 1 is others[i]
-    nodes = [identity_class, *others]
-    masks = [mask_of(c) for c in nodes]
-    # a clique is connected, so removing a union of classes disconnects the
-    # graph exactly when it disconnects the quotient
-    if any((graph.adj[v] | 1 << v) & m != m for m in masks for v in iter_bits(m)):
-        raise ValueError("every class must be a clique")
-    quotient = PowerGraph(vertex_count=len(nodes), adj=tuple(_class_adjacency(graph, masks)))
-    sizes = [len(c) for c in others]
+    members, q_adj, universal = _twin_quotient(graph)
+    target = kappa - (0 if universal is None else members[universal].bit_count())
+    if target < 0:
+        return []
+    others = sorted(
+        (i for i in range(len(members)) if i != universal),
+        key=lambda i: (-members[i].bit_count(), i),
+    )
+    # quotient node p is nodes[p]: the search order, then the universal class,
+    # so each flood starts from the largest class left
+    nodes = others + ([] if universal is None else [universal])
+    slot = {c: p for p, c in enumerate(nodes)}
+    quotient = PowerGraph(
+        vertex_count=len(nodes),
+        adj=tuple(mask_of(slot[j] for j in iter_bits(q_adj[c])) for c in nodes),
+    )
+    masks = [members[c] for c in nodes]
+    sizes = [m.bit_count() for m in masks[: len(others)]]
     suffix = [0] * (len(others) + 1)
     for i in range(len(others) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + sizes[i]
-    target = kappa - len(identity_class)
-    if target < 0:
-        return []
+    full = quotient.full_mask
     found: list[frozenset[int]] = []
     steps = 0
 
@@ -311,16 +312,16 @@ def all_minimum_cutsets(
                 partial=tuple(found),
             )
         if need == 0:
-            alive = quotient.full_mask & ~acc
+            alive = full & ~acc
             start = (alive & -alive).bit_length() - 1
             if quotient._flood(alive, start) != alive:
-                found.append(frozenset(v for j in iter_bits(acc) for v in nodes[j]))
+                found.append(frozenset(v for j in iter_bits(acc) for v in iter_bits(masks[j])))
             return
         if i == len(others) or suffix[i] < need:
             return
         if sizes[i] <= need:
-            walk(i + 1, acc | 2 << i, need - sizes[i])
+            walk(i + 1, acc | 1 << i, need - sizes[i])
         walk(i + 1, acc, need)
 
-    walk(0, 1, target)
+    walk(0, 0 if universal is None else 1 << len(others), target)
     return sorted(found, key=sorted)

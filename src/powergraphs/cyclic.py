@@ -268,8 +268,3 @@ def _witness_constructive(group: Group, subgroup: CyclicSubgroup, alpha: int) ->
                 beta = group.mul(beta, group.power(gen_parts[j], k))
             return beta
     raise RuntimeError("internal: non-generator with no reducible component")
-
-
-def maximal_cyclic_orders(group: Group) -> tuple[int, ...]:
-    """Sorted distinct orders of the maximal cyclic subgroups."""
-    return tuple(sorted({m.order for m in maximal_cyclic_subgroups(group)}))

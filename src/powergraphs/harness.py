@@ -295,10 +295,7 @@ def verify_theorem(
     if forecast.kind in ("unique", "count", "multiple-possible"):
         try:
             sets = all_minimum_cutsets(
-                graph,
-                group.generator_classes,
-                observed_kappa,
-                max_combinations=caps.max_combinations,
+                graph, observed_kappa, max_combinations=caps.max_combinations
             )
             observed_cutsets = tuple(tuple(sorted(s)) for s in sets)
         except ResourceLimitError as exc:

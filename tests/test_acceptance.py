@@ -69,7 +69,7 @@ def test_criterion_03_minimum_cutset_counts():
         G = make_cyclic(n)
         graph = build_power_graph(G)
         kappa = vertex_connectivity(graph)
-        sets = all_minimum_cutsets(graph, G.generator_classes, kappa)
+        sets = all_minimum_cutsets(graph, kappa)
         if len(sets) != want:
             bad.append((n, len(sets), want))
     _report(3, "minimum cut-set counts for C12/C18/C15", not bad, str(bad))
@@ -79,7 +79,7 @@ def test_criterion_04_order_12_example_reproduction():
     G = make_abelian([(2, 1), (2, 1), (3, 1)])
     graph = build_power_graph(G)
     kappa = vertex_connectivity(graph)
-    sets = set(all_minimum_cutsets(graph, G.generator_classes, kappa))
+    sets = set(all_minimum_cutsets(graph, kappa))
     x = G.encode((0, 0, 1))
     expected = {frozenset(G.cyclic_closure(x))}
     for involution in (G.encode((1, 0, 0)), G.encode((0, 1, 0)), G.encode((1, 1, 0))):
@@ -120,7 +120,7 @@ def test_criterion_06_nilpotent_unique_cutset_instance():
     G = make_abelian([(3, 1), (3, 1), (5, 1)])
     graph = build_power_graph(G)
     kappa = vertex_connectivity(graph)
-    sets = all_minimum_cutsets(graph, G.generator_classes, kappa)
+    sets = all_minimum_cutsets(graph, kappa)
     ok = kappa == 5 and sets == [sylow_complement_product(G, 3)]
     _report(6, "(C3xC3)xC5: kappa 5 with the 5-Sylow subgroup as unique cut-set",
             ok, f"kappa={kappa}, sets={sorted(map(sorted, sets))}")
@@ -140,7 +140,7 @@ def test_criterion_08_three_prime_abelian_instances():
     G90 = make_abelian([(2, 1), (3, 1), (3, 1), (5, 1)])
     graph90 = build_power_graph(G90)
     k90 = vertex_connectivity(graph90)
-    sets90 = all_minimum_cutsets(graph90, G90.generator_classes, k90)
+    sets90 = all_minimum_cutsets(graph90, k90)
     unique_ok = sets90 == [frozenset(sylow_complement_product(G90, 3))]
     ok = k60 == 12 and k240 == 15 and k90 == 10 and unique_ok
     _report(8, "three-prime abelian instances at 60/240/90 vertices", ok,

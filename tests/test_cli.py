@@ -141,6 +141,13 @@ def test_export_dot_remove(capsys):
     assert not any(" -- " in line for line in out.splitlines())
 
 
+def test_export_dot_brute_cap_exit_three(capsys):
+    code, out, err = run(capsys, "export-dot", "--group", "cyclic:50", "--max-brute-vertices", "10")
+    assert code == 3
+    assert out == ""
+    assert "resource limit:" in err
+
+
 def test_invalid_spec_exit_two(capsys):
     code, _, err = run(capsys, "kappa", "--group", "cyclic:zero")
     assert code == 2

@@ -142,7 +142,7 @@ def test_all_minimum_cutsets_example_group():
     graph = build_power_graph(G)
     kappa = vertex_connectivity(graph)
     assert kappa == 3
-    sets = all_minimum_cutsets(graph, G.generator_classes, kappa)
+    sets = all_minimum_cutsets(graph, kappa)
     x = G.encode((0, 0, 1))
     expected = {frozenset(G.cyclic_closure(x))}
     for v in (G.encode((1, 0, 0)), G.encode((0, 1, 0)), G.encode((1, 1, 0))):
@@ -156,7 +156,7 @@ def test_all_minimum_cutsets_counts_cyclic(n, count):
     G = make_cyclic(n)
     graph = build_power_graph(G)
     kappa = vertex_connectivity(graph)
-    sets = all_minimum_cutsets(graph, G.generator_classes, kappa)
+    sets = all_minimum_cutsets(graph, kappa)
     assert len(sets) == count
     for s in sets:
         assert len(s) == kappa and 0 in s
@@ -166,7 +166,7 @@ def test_all_minimum_cutsets_counts_cyclic(n, count):
 def test_all_minimum_cutsets_dihedral_identity_only():
     G = make_dihedral(6)
     graph = build_power_graph(G)
-    sets = all_minimum_cutsets(graph, G.generator_classes, 1)
+    sets = all_minimum_cutsets(graph, 1)
     assert sets == [frozenset({0})]
 
 
@@ -174,7 +174,7 @@ def test_all_minimum_cutsets_quaternion():
     G = make_generalized_quaternion(8)
     graph = build_power_graph(G)
     involution = next(g for g, o in enumerate(G.element_orders) if o == 2)
-    sets = all_minimum_cutsets(graph, G.generator_classes, 2)
+    sets = all_minimum_cutsets(graph, 2)
     assert sets == [frozenset({0, involution})]
 
 
@@ -204,7 +204,7 @@ def all_minimum_cutsets_by_subsets(graph, kappa):
 def test_class_union_enumeration_matches_subset_oracle(G):
     graph = build_power_graph(G)
     kappa = vertex_connectivity(graph)
-    via_classes = all_minimum_cutsets(graph, G.generator_classes, kappa)
+    via_classes = all_minimum_cutsets(graph, kappa)
     via_subsets = all_minimum_cutsets_by_subsets(graph, kappa)
     assert via_classes == via_subsets
 
@@ -213,23 +213,14 @@ def test_all_minimum_cutsets_resource_limit():
     G = make_abelian([(2, 1), (2, 1), (3, 1)])
     graph = build_power_graph(G)
     with pytest.raises(ResourceLimitError) as info:
-        all_minimum_cutsets(graph, G.generator_classes, 3, max_combinations=3)
+        all_minimum_cutsets(graph, 3, max_combinations=3)
     assert isinstance(info.value.partial, tuple)
-
-
-def test_all_minimum_cutsets_rejects_bad_classes():
-    graph = build_power_graph(make_abelian([(2, 1), (2, 1)]))
-    with pytest.raises(ValueError):
-        all_minimum_cutsets(graph, [frozenset({0}), frozenset({1, 2})], 1)
-    # two distinct involutions are not adjacent
-    with pytest.raises(ValueError):
-        all_minimum_cutsets(graph, [frozenset({0}), frozenset({1, 2}), frozenset({3})], 1)
 
 
 def test_all_minimum_cutsets_complete_graph_empty():
     G = make_cyclic(9)
     graph = build_power_graph(G)
-    assert all_minimum_cutsets(graph, G.generator_classes, 8) == []
+    assert all_minimum_cutsets(graph, 8) == []
 
 
 def test_certify_minimal_quotient_cut():
@@ -368,3 +359,4 @@ def test_flow_kappa_matches_subset_oracle_on_planted_twins(n, edge_bits, twins):
         report = minimum_cutset(graph)
         assert report.kappa == len(report.cut) == kappa
         assert graph.is_cut_set(report.cut)
+        assert all_minimum_cutsets(graph, kappa) == all_minimum_cutsets_by_subsets(graph, kappa)
