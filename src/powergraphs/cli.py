@@ -239,44 +239,47 @@ def build_parser() -> argparse.ArgumentParser:
         "and closed-form predictions checked against brute force.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--group": dict(required=True, help="cyclic:N | abelian:p^e,... | quaternion:N | dihedral:N"),
+        "--json": dict(action="store_true", help="structured output"),
+        "--max-brute-vertices": dict(type=int, default=600),
+        "--max-combinations": dict(type=int, default=10_000_000),
+    }
 
-    def add_common(p: argparse.ArgumentParser, group_required: bool = True) -> None:
-        if group_required:
-            p.add_argument("--group", required=True, help="cyclic:N | abelian:p^e,... | quaternion:N | dihedral:N")
-        p.add_argument("--json", action="store_true", help="structured output")
-        p.add_argument("--max-brute-vertices", type=int, default=600)
-        p.add_argument("--max-combinations", type=int, default=10_000_000)
+    def add_command(name: str, fn, help: str, *flags: str) -> argparse.ArgumentParser:
+        """A subcommand that takes only the shared options it reads."""
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("kappa", help="connectivity and one minimum cut-set")
-    add_common(p)
-    p.set_defaults(fn=_cmd_kappa)
-
-    p = sub.add_parser("cutsets", help="minimum cut-sets")
-    add_common(p)
+    caps = ("--max-brute-vertices", "--max-combinations")
+    add_command(
+        "kappa", _cmd_kappa, "connectivity and one minimum cut-set",
+        "--group", "--json", "--max-brute-vertices",
+    )
+    p = add_command("cutsets", _cmd_cutsets, "minimum cut-sets", "--group", "--json", *caps)
     p.add_argument("--all", action="store_true", help="enumerate every minimum cut-set")
-    p.set_defaults(fn=_cmd_cutsets)
-
-    p = sub.add_parser("maximal-cyclics", help="maximal cyclic subgroups with cut sizes")
-    add_common(p)
-    p.set_defaults(fn=_cmd_maximal_cyclics)
-
-    p = sub.add_parser("verify", help="check one prediction against brute force")
-    add_common(p)
+    add_command(
+        "maximal-cyclics", _cmd_maximal_cyclics, "maximal cyclic subgroups with cut sizes",
+        "--group", "--json",
+    )
+    p = add_command(
+        "verify", _cmd_verify, "check one prediction against brute force",
+        "--group", "--json", *caps,
+    )
     p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     p.add_argument("--strict", action="store_true", help="resource skips fail the run")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("survey", help="verify a prediction across the corpus")
-    add_common(p, group_required=False)
+    p = add_command("survey", _cmd_survey, "verify a prediction across the corpus", "--json", *caps)
     p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--strict", action="store_true", help="resource skips fail the run")
-    p.set_defaults(fn=_cmd_survey)
-
-    p = sub.add_parser("export-dot", help="DOT text of the power graph on stdout")
-    add_common(p)
+    p = add_command(
+        "export-dot", _cmd_export_dot, "DOT text of the power graph on stdout",
+        "--group", "--max-brute-vertices",
+    )
     p.add_argument("--remove", default="", help="comma-separated vertex indices to drop")
-    p.set_defaults(fn=_cmd_export_dot)
 
     return parser
 

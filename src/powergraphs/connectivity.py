@@ -11,10 +11,11 @@ generators when the group is cyclic), if there is one. By Menger's theorem
 connectivity is the minimum flow over non-adjacent class pairs, taken by
 increasing degree sum of the classes' least vertices; each flow aborts once
 it reaches the best cut so far, and the search stops once that equals the
-size of the universal class. The s-t queries run the same flow on the graph
-itself with unit weights. Minimum cut-set enumeration forces the universal
-class in and runs a depth-first exact-sum search over unions of the other
-classes, checking candidates on the quotient.
+size of the universal class. The s-t query runs the same flow on the graph
+itself with unit weights and reads both the cut and the disjoint paths off
+it. Minimum cut-set enumeration forces the universal class in and runs a
+depth-first exact-sum search over unions of the other classes, checking
+candidates on the quotient.
 """
 
 from __future__ import annotations
@@ -187,34 +188,20 @@ def minimum_cutset(graph: PowerGraph) -> CutReport:
     return CutReport(cut=cut, kappa=kappa, is_minimum=True, is_minimal=True, witness=witness)
 
 
-def _unit_flow(graph: PowerGraph, s: int, t: int) -> tuple[int, int | None, dict]:
+def min_vertex_cut_between(
+    graph: PowerGraph, s: int, t: int
+) -> tuple[frozenset[int], list[list[int]]]:
+    """A minimum s-t vertex cut and a maximum family of internally
+    vertex-disjoint s-t paths, from one flow; s and t must be distinct and
+    non-adjacent. The cut is the one closest to s, and by Menger's theorem
+    there are exactly len(cut) paths.
+    """
     n = graph.vertex_count
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError(f"need two distinct vertices, got {s}, {t}")
     if graph.adjacent(s, t):
         raise ValueError(f"vertices {s} and {t} are adjacent; no vertex cut separates them")
-    return _max_flow(graph.adj, [1] * n, s, t)
-
-
-def min_vertex_cut_between(graph: PowerGraph, s: int, t: int) -> CutReport:
-    """A minimum s-t vertex cut; s and t must be distinct and non-adjacent."""
-    flow, cut_mask, _ = _unit_flow(graph, s, t)
-    cut = frozenset(iter_bits(cut_mask))
-    assert len(cut) == flow
-    comps = graph.components_after_removal(cut)
-    side_s = next(c for c in comps if s in c)
-    rest = frozenset().union(*(c for c in comps if c is not side_s))
-    return CutReport(
-        cut=cut, kappa=flow, is_minimum=None, is_minimal=None,
-        witness=Separation(side_s, rest),
-    )
-
-
-def max_disjoint_paths(graph: PowerGraph, s: int, t: int) -> list[list[int]]:
-    """A maximum family of internally vertex-disjoint s-t paths; s and t must
-    be distinct and non-adjacent."""
-    flow, _, arc_flow = _unit_flow(graph, s, t)
-    n = graph.vertex_count
+    flow, cut_mask, arc_flow = _max_flow(graph.adj, [1] * n, s, t)
     # unit vertex capacities: an edge arc out_u -> in_v carries one unit or none
     succ: dict[int, list[int]] = {}
     for (a, b), units in arc_flow.items():
@@ -226,7 +213,7 @@ def max_disjoint_paths(graph: PowerGraph, s: int, t: int) -> list[list[int]]:
         while path[-1] != t:
             path.append(succ[path[-1]].pop())
         paths.append(path)
-    return paths
+    return frozenset(iter_bits(cut_mask)), paths
 
 
 def certify_minimal(graph: PowerGraph, vertices: Iterable[int]) -> CutReport:

@@ -49,27 +49,22 @@ def cyclic_subgroup(group: Group, g: int) -> CyclicSubgroup:
 def maximal_cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
     """All maximal cyclic subgroups, one entry per distinct subgroup.
 
-    Brute force by design: compute every cyclic closure, keep the ones maximal
-    under set inclusion, dedupe by element set. Ordered by generator index.
+    Brute force by design: take one closure per generator class, keep the ones
+    maximal under set inclusion. Ordered by generator index, the least element
+    of each class.
     """
-    first_gen: dict[int, int] = {}
-    for g in range(group.size):
-        first_gen.setdefault(group.closure_masks[g], g)
-    distinct = list(first_gen)
-    out = []
-    for mask in distinct:
-        if any(other != mask and other & mask == mask for other in distinct):
-            continue
-        gen = first_gen[mask]
-        out.append(
-            CyclicSubgroup(
-                elements=frozenset(iter_bits(mask)),
-                generator=gen,
-                order=mask.bit_count(),
-                is_maximal=True,
-            )
+    gens = [min(c) for c in group.generator_classes]
+    distinct = [group.closure_masks[g] for g in gens]
+    return tuple(
+        CyclicSubgroup(
+            elements=frozenset(iter_bits(mask)),
+            generator=gen,
+            order=mask.bit_count(),
+            is_maximal=True,
         )
-    return tuple(sorted(out, key=lambda m: m.generator))
+        for gen, mask in zip(gens, distinct)
+        if not any(other != mask and other & mask == mask for other in distinct)
+    )
 
 
 def min_order_maximal_cyclic(group: Group) -> CyclicSubgroup:

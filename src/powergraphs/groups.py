@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 
 from .bitsets import iter_bits
 from .numtheory import factorize, is_prime, p_adic_valuation
@@ -177,17 +177,16 @@ class Group:
         return self.size == 1 or max(self.element_orders) == self.size
 
     @cached_property
-    def exponent(self) -> int:
-        return lcm(*self.element_orders) if self.size > 1 else 1
-
-    @cached_property
     def is_nilpotent(self) -> bool:
         """True iff for every prime p the p-elements number exactly |Sylow_p|.
 
         The p-elements of a group are the union of its Sylow p-subgroups, so
         this count criterion is equivalent to every Sylow subgroup being
-        normal (unique), i.e. to nilpotency for finite groups.
+        normal (unique), i.e. to nilpotency for finite groups. Abelian groups
+        are nilpotent, so they skip the count and build no closures.
         """
+        if self.is_abelian:
+            return True
         orders = self.element_orders
         for p, e in factorize(self.size):
             count = sum(1 for o in orders if o == p ** p_adic_valuation(o, p))

@@ -13,7 +13,6 @@ import random
 from typing import Callable
 
 from .connectivity import (
-    max_disjoint_paths,
     min_vertex_cut_between,
     minimalize_cutset,
     vertex_connectivity,
@@ -332,7 +331,7 @@ def check_minimal_cutsets_are_class_unions(group: Group, graph: PowerGraph) -> C
         (s, t) for s in range(n) for t in range(s + 1, n) if not graph.adjacent(s, t)
     ]
     for s, t in rng.sample(non_adjacent, min(10, len(non_adjacent))):
-        seeds.append(min_vertex_cut_between(graph, s, t).cut)
+        seeds.append(min_vertex_cut_between(graph, s, t)[0])
     minimal_sets = {minimalize_cutset(graph, seed) for seed in seeds}
     for cut in sorted(minimal_sets, key=sorted):
         if not graph.is_minimal_cut_set(cut):
@@ -361,11 +360,10 @@ def check_menger_consistency(group: Group, graph: PowerGraph) -> CheckResult:
     ]
     rng = random.Random(f"menger:{group.name}")
     for s, t in rng.sample(non_adjacent, min(_MENGER_PAIRS_PER_GROUP, len(non_adjacent))):
-        report = min_vertex_cut_between(graph, s, t)
-        paths = max_disjoint_paths(graph, s, t)
-        if len(paths) != report.kappa or len(report.cut) != report.kappa:
+        cut, paths = min_vertex_cut_between(graph, s, t)
+        if len(paths) != len(cut):
             return False, f"pair ({s},{t}): path count and cut size disagree"
-        if s in report.cut or t in report.cut:
+        if s in cut or t in cut:
             return False, f"pair ({s},{t}): cut touches an endpoint"
         seen: set[int] = set()
         for path in paths:
@@ -377,7 +375,7 @@ def check_menger_consistency(group: Group, graph: PowerGraph) -> CheckResult:
             seen |= inner
             if any(not graph.adjacent(a, b) for a, b in zip(path, path[1:])):
                 return False, f"pair ({s},{t}): path uses a non-edge"
-        comps = graph.components_after_removal(report.cut)
+        comps = graph.components_after_removal(cut)
         side_s = next(c for c in comps if s in c)
         if t in side_s:
             return False, f"pair ({s},{t}): removing the cut does not separate them"

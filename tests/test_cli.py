@@ -1,5 +1,8 @@
 import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +149,49 @@ def test_export_dot_brute_cap_exit_three(capsys):
     assert code == 3
     assert out == ""
     assert "resource limit:" in err
+
+
+def test_verify_thm12_cyclic_skips_without_closures(capsys):
+    # the nilpotency gate reads is_abelian, so no closure of the million
+    # elements is built before the brute-force cap applies
+    code, out, _ = run(
+        capsys, "verify", "--theorem", "thm12", "--group", "cyclic:1000000", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "skipped-resource"
+    assert payload["hypothesis_trace"] == [
+        {"cond": "group is non-cyclic", "holds": False},
+        {"cond": "group is nilpotent", "holds": True},
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kappa", "--group", "cyclic:12", "--max-combinations", "5"),
+        ("maximal-cyclics", "--group", "cyclic:12", "--max-brute-vertices", "5"),
+        ("maximal-cyclics", "--group", "cyclic:12", "--max-combinations", "5"),
+        ("export-dot", "--group", "cyclic:12", "--json"),
+        ("export-dot", "--group", "cyclic:12", "--max-combinations", "5"),
+    ],
+)
+def test_unread_options_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv and argv[0] == "powergraphs"]
+    assert len(commands) == 6
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_invalid_spec_exit_two(capsys):

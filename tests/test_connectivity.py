@@ -8,7 +8,6 @@ from powergraphs.connectivity import (
     ResourceLimitError,
     all_minimum_cutsets,
     certify_minimal,
-    max_disjoint_paths,
     min_vertex_cut_between,
     minimalize_cutset,
     minimum_cutset,
@@ -64,9 +63,9 @@ def test_connectivity_rejects_tiny_graphs():
 
 def test_min_cut_between_star_center():
     graph = build_power_graph(make_abelian([(2, 1), (2, 1)]))
-    report = min_vertex_cut_between(graph, 1, 2)
-    assert report.cut == {0}
-    assert report.kappa == 1
+    cut, paths = min_vertex_cut_between(graph, 1, 2)
+    assert cut == {0}
+    assert paths == [[1, 0, 2]]
 
 
 def test_min_cut_between_quaternion_involution_free_pair():
@@ -75,14 +74,14 @@ def test_min_cut_between_quaternion_involution_free_pair():
     # two order-4 elements generating different subgroups
     a, b = 1, 4
     assert Q8.cyclic_closure(a) != Q8.cyclic_closure(b)
-    report = min_vertex_cut_between(graph, a, b)
-    assert report.kappa == 2
+    cut, paths = min_vertex_cut_between(graph, a, b)
+    assert len(cut) == len(paths) == 2
 
 
 def test_min_cut_between_consistency():
     graph = build_power_graph(make_cyclic(20))
-    report = min_vertex_cut_between(graph, 2, 5)
-    comps = graph.components_after_removal(report.cut)
+    cut, _ = min_vertex_cut_between(graph, 2, 5)
+    comps = graph.components_after_removal(cut)
     side_with_2 = next(c for c in comps if 2 in c)
     assert 5 not in side_with_2
 
@@ -99,7 +98,7 @@ def test_max_disjoint_paths_rejects_bad_endpoints():
     graph = build_power_graph(make_abelian([(2, 1), (2, 1), (3, 1)]))
     for s, t in ((1, 1), (-1, 1), (1, graph.vertex_count), (0, 1)):
         with pytest.raises(ValueError):
-            max_disjoint_paths(graph, s, t)
+            min_vertex_cut_between(graph, s, t)
 
 
 @pytest.mark.parametrize(
@@ -124,9 +123,8 @@ def test_max_disjoint_paths_match_cut():
     for s, t in ((2, 3), (6, 9), (2, 9)):
         if graph.adjacent(s, t):
             continue
-        paths = max_disjoint_paths(graph, s, t)
-        report = min_vertex_cut_between(graph, s, t)
-        assert len(paths) == report.kappa
+        cut, paths = min_vertex_cut_between(graph, s, t)
+        assert len(paths) == len(cut)
         inner_seen = set()
         for path in paths:
             assert path[0] == s and path[-1] == t
@@ -304,11 +302,10 @@ def test_flow_cut_matches_subset_oracle_on_random_graphs(n, edge_bits):
     if pair is None:
         return
     s, t = pair
-    report = min_vertex_cut_between(graph, s, t)
-    paths = max_disjoint_paths(graph, s, t)
+    cut, paths = min_vertex_cut_between(graph, s, t)
     want = brute_st_separator_size(graph, s, t)
-    assert report.kappa == len(report.cut) == len(paths) == want
-    comps = graph.components_after_removal(report.cut)
+    assert len(cut) == len(paths) == want
+    comps = graph.components_after_removal(cut)
     assert t not in next(c for c in comps if s in c)
 
 

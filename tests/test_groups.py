@@ -233,6 +233,12 @@ def test_sylow_decomposition_facts_match_definitions():
     assert quaternion_names == {"Q8", "Q16", "Q32", "Q8xC3"}
 
 
+def test_abelian_is_nilpotent_without_closures():
+    for G in (make_cyclic(12), make_abelian([(2, 1), (2, 1), (3, 1)])):
+        assert G.is_nilpotent
+        assert "closure_masks" not in vars(G)
+
+
 def test_quaternion_is_nilpotent():
     assert make_generalized_quaternion(8).is_nilpotent
 
