@@ -6,6 +6,10 @@ Abelian groups are built structurally from prime-power cyclic factors
 use plain residue arithmetic so that element i times element j is element
 (i + j) mod n; dihedral and generalized quaternion groups are backed by an
 explicit, validated multiplication table.
+
+Element orders, cyclic closures, generator classes and powers all come from
+one walk per cyclic subgroup: the powers of its least element are listed
+once and shared by all of its generators, so ``power`` is a table lookup.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 
 from .bitsets import iter_bits
 from .numtheory import factorize, is_prime, p_adic_valuation
@@ -112,28 +116,56 @@ class Group:
             raise ValueError(f"element index {g} out of range [0, {self.size})")
 
     def power(self, g: int, k: int) -> int:
-        """g**k by square-and-multiply (k may be any integer)."""
-        k %= self.element_order(g)
-        acc, base = 0, g
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
+        """g**k (k may be any integer), looked up in the power list of <g>."""
+        self._check_index(g)
+        powers, j = self._power_table[g]
+        return powers[j * k % len(powers)]
+
+    @cached_property
+    def _power_table(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per element g, the power list (h**0, ..., h**(o-1)) of the least
+        generator h of <g>, and the exponent j with g = h**j.
+
+        Each cyclic subgroup is walked once, from its least element h, with
+        one multiplication per listed power; all generators h**j with
+        gcd(j, o) = 1 share that one list.
+        """
+        table: list[tuple[tuple[int, ...], int] | None] = [None] * self.size
+        for h in range(self.size):
+            if table[h] is not None:
+                continue
+            walk = []
+            x = 0
+            while True:
+                walk.append(x)
+                x = self.mul(x, h)
+                if x == 0:
+                    break
+            powers = tuple(walk)
+            o = len(powers)
+            for j in range(o):
+                if gcd(j, o) == 1:
+                    table[powers[j]] = (powers, j)
+        return tuple(table)
 
     @cached_property
     def closure_masks(self) -> tuple[int, ...]:
-        """Per element, the cyclic closure <g> as a vertex bitmask."""
-        masks = []
-        for g in range(self.size):
-            m = 1  # identity
-            x = g
-            while x != 0:
-                m |= 1 << x
-                x = self.mul(x, g)
-            masks.append(m)
-        return tuple(masks)
+        """Per element, the cyclic closure <g> as a vertex bitmask.
+
+        Read off the shared power lists, so each cyclic subgroup's mask is
+        built once and given to all of its generators.
+        """
+        masks: dict[int, int] = {}  # id of a shared power list -> its mask
+        out = []
+        for powers, _ in self._power_table:
+            m = masks.get(id(powers))
+            if m is None:
+                m = 0
+                for x in powers:
+                    m |= 1 << x
+                masks[id(powers)] = m
+            out.append(m)
+        return tuple(out)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:

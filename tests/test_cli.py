@@ -166,6 +166,23 @@ def test_verify_thm12_cyclic_skips_without_closures(capsys):
     ]
 
 
+def test_verify_thm12_oversized_abelian_skips_resource(capsys):
+    # 26244 elements: closures and Sylow data for the prediction, no graph
+    code, out, _ = run(
+        capsys,
+        "verify",
+        "--theorem",
+        "thm12",
+        "--group",
+        "abelian:2,2,3^8",
+        "--max-brute-vertices",
+        "10",
+        "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "skipped-resource"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,6 +4,8 @@ import pytest
 
 from powergraphs.groups import (
     AbelianSpec,
+    CyclicGroup,
+    StructuredAbelianGroup,
     UnsupportedStructureError,
     direct_product,
     make_abelian,
@@ -12,7 +14,7 @@ from powergraphs.groups import (
     make_generalized_quaternion,
 )
 from powergraphs.harness import corpus_groups
-from powergraphs.numtheory import euler_phi
+from powergraphs.numtheory import divisors, euler_phi
 
 
 def check_group_axioms(G):
@@ -263,3 +265,88 @@ def test_identity_row_and_column():
     for G in (make_dihedral(12), make_generalized_quaternion(16)):
         for a in range(G.size):
             assert G.mul(0, a) == a and G.mul(a, 0) == a
+
+
+class CountingMul:
+    """Counts the calls to ``mul`` on one group instance."""
+
+    muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+class CountingCyclic(CountingMul, CyclicGroup):
+    pass
+
+
+class CountingAbelian(CountingMul, StructuredAbelianGroup):
+    pass
+
+
+@pytest.mark.parametrize(
+    "G, expected",
+    [
+        (CountingCyclic(360), sum(divisors(360))),
+        (CountingAbelian(AbelianSpec(((2, 1), (2, 2), (3, 2)))), None),
+    ],
+    ids=["C360", "C2xC4xC9"],
+)
+def test_closures_walk_each_cyclic_subgroup_once(G, expected):
+    G.closure_masks
+    walked = G.muls
+    # one multiplication per listed power of each class's least element
+    assert walked == sum(G.element_orders[min(c)] for c in G.generator_classes)
+    if expected is not None:
+        assert walked == expected
+    assert walked < sum(G.element_orders)  # the per-element walk's count
+    G.muls = 0
+    for g in range(G.size):
+        for k in (-7, -1, 0, 1, 2, 5, G.size + 1):
+            G.power(g, k)
+    assert G.muls == 0
+
+
+def naive_closure(G, g):
+    powers = [0]
+    x = g
+    while x != 0:
+        powers.append(x)
+        x = G.mul(x, g)
+    return powers
+
+
+def naive_power(G, g, k):
+    base = g if k >= 0 else G.inverse(g)
+    acc = 0
+    for _ in range(abs(k)):
+        acc = G.mul(acc, base)
+    return acc
+
+
+def test_closures_and_powers_match_naive_reference():
+    groups = (
+        list(corpus_groups(60))
+        + [make_cyclic(n) for n in range(1, 80)]
+        + [make_dihedral(n) for n in range(6, 41, 2)]
+        + [make_generalized_quaternion(n) for n in (8, 16, 32)]
+        + [
+            direct_product(make_generalized_quaternion(8), make_cyclic(3)),
+            direct_product(make_dihedral(8), make_cyclic(5)),
+        ]
+    )
+    for G in groups:
+        closures = [naive_closure(G, g) for g in range(G.size)]
+        masks = tuple(sum(1 << x for x in c) for c in closures)
+        assert G.closure_masks == masks, G.name
+        assert G.element_orders == tuple(len(c) for c in closures), G.name
+        by_mask = {}
+        for g, m in enumerate(masks):
+            by_mask.setdefault(m, set()).add(g)
+        classes = sorted(by_mask.values(), key=min)
+        assert [set(c) for c in G.generator_classes] == classes, G.name
+        for g, c in enumerate(closures):
+            o = len(c)
+            for k in (-o - 2, -1, 0, 1, 2, o, o + 3):
+                assert G.power(g, k) == naive_power(G, g, k), (G.name, g, k)
