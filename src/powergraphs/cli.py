@@ -41,28 +41,37 @@ def parse_group_spec(text: str) -> Group:
     kind, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"group spec {text!r} needs the form kind:args")
+    where = f"group spec {text!r}"
     if kind == "cyclic":
-        return make_cyclic(_parse_int(rest, text))
+        return make_cyclic(_parse_int(rest, where))
     if kind == "quaternion":
-        return make_generalized_quaternion(_parse_int(rest, text))
+        return make_generalized_quaternion(_parse_int(rest, where))
     if kind == "dihedral":
-        return make_dihedral(_parse_int(rest, text))
+        return make_dihedral(_parse_int(rest, where))
     if kind == "abelian":
         factors = []
         for chunk in rest.split(","):
             base, caret, exp = chunk.strip().partition("^")
-            p = _parse_int(base, text)
-            e = _parse_int(exp, text) if caret else 1
+            p = _parse_int(base, where)
+            e = _parse_int(exp, where) if caret else 1
             factors.append((p, e))
         return make_abelian(factors)
     raise ValueError(f"unknown group kind {kind!r} in spec {text!r}")
 
 
-def _parse_int(chunk: str, spec: str) -> int:
+def _parse_int(chunk: str, where: str) -> int:
     try:
         return int(chunk)
     except ValueError:
-        raise ValueError(f"bad integer {chunk!r} in group spec {spec!r}") from None
+        raise ValueError(f"bad integer {chunk!r} in {where}") from None
+
+
+def non_negative_int(text: str) -> int:
+    """A resource cap: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _caps(args: argparse.Namespace) -> ResourceCaps:
@@ -89,8 +98,8 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
     if graph.is_complete:
         kappa, cutset = vertex_connectivity(graph), None
     else:
-        report = minimum_cutset(graph)
-        kappa, cutset = report.kappa, sorted(report.cut)
+        cutset = sorted(minimum_cutset(graph))
+        kappa = len(cutset)
     if args.json:
         print(json.dumps({"group": group.name, "kappa": kappa, "cutset": cutset}))
     else:
@@ -116,8 +125,8 @@ def _cmd_cutsets(args: argparse.Namespace) -> int:
         found = all_minimum_cutsets(graph, kappa, max_combinations=args.max_combinations)
         sets = [sorted(s) for s in found]
     else:
-        report = minimum_cutset(graph)
-        kappa, sets = report.kappa, [sorted(report.cut)]
+        sets = [sorted(minimum_cutset(graph))]
+        kappa = len(sets[0])
     if args.json:
         print(json.dumps({"group": group.name, "kappa": kappa, "cutsets": sets}))
     else:
@@ -211,7 +220,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     group = parse_group_spec(args.group)
     removed: set[int] = set()
     if args.remove:
-        removed = {_parse_int(chunk, args.remove) for chunk in args.remove.split(",")}
+        where = f"--remove {args.remove!r}"
+        removed = {_parse_int(chunk, where) for chunk in args.remove.split(",")}
         bad = [v for v in removed if not 0 <= v < group.size]
         if bad:
             raise ValueError(f"removed vertices {sorted(bad)} out of range")
@@ -242,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--group": dict(required=True, help="cyclic:N | abelian:p^e,... | quaternion:N | dihedral:N"),
         "--json": dict(action="store_true", help="structured output"),
-        "--max-brute-vertices": dict(type=int, default=600),
-        "--max-combinations": dict(type=int, default=10_000_000),
+        "--max-brute-vertices": dict(type=non_negative_int, default=600),
+        "--max-combinations": dict(type=non_negative_int, default=10_000_000),
     }
 
     def add_command(name: str, fn, help: str, *flags: str) -> argparse.ArgumentParser:

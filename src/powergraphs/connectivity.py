@@ -1,30 +1,31 @@
 """Exact vertex connectivity and minimum cut-set enumeration.
 
-Both run on the closed-twin quotient: vertices with equal closed
-neighbourhoods form a class (elements generating one cyclic subgroup do), and
-no minimal separator splits a class or meets the classes of the vertices it
-separates. So a minimum s-t vertex cut is a minimum cut of the quotient with
-nodes weighted by class size: one integer-capacity vertex-split max-flow
-(Even & Tarjan, 1975). Every separator contains the universal class, the
-vertices adjacent to all others (in a power graph the identity, plus the
-generators when the group is cyclic), if there is one. By Menger's theorem
-connectivity is the minimum flow over non-adjacent class pairs, taken by
-increasing degree sum of the classes' least vertices; each flow aborts once
-it reaches the best cut so far, and the search stops once that equals the
-size of the universal class. The s-t query runs the same flow on the graph
-itself with unit weights and reads both the cut and the disjoint paths off
-it. Minimum cut-set enumeration forces the universal class in and runs a
+Both read only the graph's closed-twin quotient (``PowerGraph.twin_quotient``,
+computed once per graph): vertices with equal closed neighbourhoods form a
+class (elements generating one cyclic subgroup do), and no minimal separator
+splits a class or meets the classes of the vertices it separates. So a
+minimum s-t vertex cut is a minimum cut of the quotient with nodes weighted by
+class size: one integer-capacity vertex-split max-flow (Even & Tarjan, 1975).
+Every separator contains the universal class, the vertices adjacent to all
+others (in a power graph the identity, plus the generators when the group is
+cyclic), if there is one. By Menger's theorem connectivity is the minimum
+flow over non-adjacent class pairs, taken by increasing degree sum of the two
+classes (twins share a degree); each flow aborts once it reaches the best cut
+so far, and the search stops once that equals the size of the universal
+class. ``minimum_cutset`` returns the cut that search ends on, and
+``vertex_connectivity`` its size. The s-t query runs the same flow on the
+graph itself with unit weights and reads both the cut and the disjoint paths
+off it. Minimum cut-set enumeration forces the universal class in and runs a
 depth-first exact-sum search over unions of the other classes, checking
 candidates on the quotient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bitsets import iter_bits, mask_of
-from .powergraph import PowerGraph, Separation
+from .powergraph import PowerGraph
 
 
 class ResourceLimitError(RuntimeError):
@@ -33,22 +34,6 @@ class ResourceLimitError(RuntimeError):
     def __init__(self, message: str, partial: tuple[frozenset[int], ...] = ()):
         super().__init__(message)
         self.partial = partial
-
-
-@dataclass(frozen=True)
-class CutReport:
-    """A vertex cut with its size and any certified status.
-
-    ``kappa`` is the size of the reported cut; it equals the graph's vertex
-    connectivity exactly when ``is_minimum`` is True. Flags are None when the
-    corresponding status was not determined.
-    """
-
-    cut: frozenset[int]
-    kappa: int
-    is_minimum: bool | None
-    is_minimal: bool | None
-    witness: Separation | None
 
 
 def _max_flow(
@@ -117,50 +102,41 @@ def _max_flow(
     return flow, None, arc_flow
 
 
-def _twin_quotient(graph: PowerGraph) -> tuple[list[int], list[int], int | None]:
-    """The closed-twin quotient: (members, q_adj, universal).
-
-    members[i] is the vertex mask of class i, classes ordered by least vertex;
-    q_adj[i] is the mask of classes adjacent to class i; universal is the
-    index of the class of vertices adjacent to all others, or None.
-    """
-    classes: dict[int, int] = {}
-    for v, row in enumerate(graph.adj):
-        key = row | 1 << v
-        classes[key] = classes.get(key, 0) | 1 << v
-    members = list(classes.values())
-    # twins share a closed neighbourhood, so it is each class's key
-    q_adj = [
-        mask_of(j for j, m in enumerate(members) if key & m) & ~(1 << i)
-        for i, key in enumerate(classes)
-    ]
-    universal = next((i for i, key in enumerate(classes) if key == graph.full_mask), None)
-    return members, q_adj, universal
-
-
-def _connectivity_with_cut(graph: PowerGraph) -> tuple[int, frozenset[int]]:
-    n = graph.vertex_count
-    degree = [row.bit_count() for row in graph.adj]
-    v_min = min(range(n), key=degree.__getitem__)
-    best = degree[v_min]
-    best_cut = graph.neighbors(v_min)
-    members, q_adj, u = _twin_quotient(graph)
-    # every separator contains every universal vertex: nothing beats this
-    universal = 0 if u is None else members[u].bit_count()
-    weight = [m.bit_count() for m in members]
-    rep_degree = [degree[(m & -m).bit_length() - 1] for m in members]
+def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
+    """A minimum vertex cut read off the twin quotient; None if the graph is complete."""
+    if graph.vertex_count < 2:
+        raise ValueError("vertex connectivity needs at least 2 vertices")
+    members, q_adj, u = graph.twin_quotient
     k = len(members)
+    if k == 1:
+        return None
+    weight = [m.bit_count() for m in members]
+
+    def vertices(classes: int) -> int:
+        out = 0
+        for c in iter_bits(classes):
+            out |= members[c]
+        return out
+
+    # twins share a closed neighbourhood: each vertex of class i has degree |closed[i]| - 1
+    closed = [vertices(q_adj[i] | 1 << i) for i in range(k)]
+    degree = [m.bit_count() - 1 for m in closed]
+    first = min(range(k), key=degree.__getitem__)
+    best = degree[first]
+    best_cut = closed[first] & ~(members[first] & -members[first])
+    # every separator contains every universal vertex: nothing beats this
+    universal = 0 if u is None else weight[u]
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if not (q_adj[i] >> j) & 1]
     # class order is least-vertex order, so (i, j) orders pairs as their least vertices do
-    pairs.sort(key=lambda p: (rep_degree[p[0]] + rep_degree[p[1]], p))
+    pairs.sort(key=lambda p: (degree[p[0]] + degree[p[1]], p))
     for i, j in pairs:
         if best == universal:
             break
         flow, cut, _ = _max_flow(q_adj, weight, i, j, limit=best)
         if cut is not None and flow < best:
             best = flow
-            best_cut = frozenset(v for c in iter_bits(cut) for v in iter_bits(members[c]))
-    return best, best_cut
+            best_cut = vertices(cut)
+    return frozenset(iter_bits(best_cut))
 
 
 def vertex_connectivity(graph: PowerGraph) -> int:
@@ -168,24 +144,17 @@ def vertex_connectivity(graph: PowerGraph) -> int:
 
     Complete graphs yield vertex_count - 1 (removal down to a single vertex).
     """
-    if graph.vertex_count < 2:
-        raise ValueError("vertex connectivity needs at least 2 vertices")
-    if graph.is_complete:
-        return graph.vertex_count - 1
-    kappa, _ = _connectivity_with_cut(graph)
-    return kappa
+    cut = _minimum_cut(graph)
+    return graph.vertex_count - 1 if cut is None else len(cut)
 
 
-def minimum_cutset(graph: PowerGraph) -> CutReport:
-    """One minimum cut-set with a witnessing separation; graph must not be complete."""
-    if graph.vertex_count < 2:
-        raise ValueError("vertex connectivity needs at least 2 vertices")
-    if graph.is_complete:
+def minimum_cutset(graph: PowerGraph) -> frozenset[int]:
+    """One minimum cut-set; its size is the vertex connectivity. The graph
+    must have at least 2 vertices and not be complete."""
+    cut = _minimum_cut(graph)
+    if cut is None:
         raise ValueError("a complete graph has no cut-set")
-    kappa, cut = _connectivity_with_cut(graph)
-    comps = graph.components_after_removal(cut)
-    witness = Separation(comps[0], frozenset().union(*comps[1:]))
-    return CutReport(cut=cut, kappa=kappa, is_minimum=True, is_minimal=True, witness=witness)
+    return cut
 
 
 def min_vertex_cut_between(
@@ -214,21 +183,6 @@ def min_vertex_cut_between(
             path.append(succ[path[-1]].pop())
         paths.append(path)
     return frozenset(iter_bits(cut_mask)), paths
-
-
-def certify_minimal(graph: PowerGraph, vertices: Iterable[int]) -> CutReport:
-    """Check a cut-set for minimality and attach a witnessing separation."""
-    cut = frozenset(vertices)
-    if not graph.is_cut_set(cut):
-        raise ValueError("certify_minimal requires a cut-set")
-    minimal = graph.is_minimal_cut_set(cut)
-    witness = None
-    if minimal:
-        comps = graph.components_after_removal(cut)
-        witness = Separation(comps[0], frozenset().union(*comps[1:]))
-    return CutReport(
-        cut=cut, kappa=len(cut), is_minimum=None, is_minimal=minimal, witness=witness
-    )
 
 
 def minimalize_cutset(graph: PowerGraph, vertices: Iterable[int]) -> frozenset[int]:
@@ -265,7 +219,7 @@ def all_minimum_cutsets(
     """
     if kappa >= graph.vertex_count - 1:
         return []
-    members, q_adj, universal = _twin_quotient(graph)
+    members, q_adj, universal = graph.twin_quotient
     target = kappa - (0 if universal is None else members[universal].bit_count())
     if target < 0:
         return []

@@ -219,12 +219,19 @@ class Group:
         """
         if self.is_abelian:
             return True
+        return all(
+            len(members) == p**e
+            for (p, e), members in zip(factorize(self.size), self._p_elements)
+        )
+
+    @cached_property
+    def _p_elements(self) -> tuple[frozenset[int], ...]:
+        """Per prime divisor p of the order, ascending, the elements of p-power order."""
         orders = self.element_orders
-        for p, e in factorize(self.size):
-            count = sum(1 for o in orders if o == p ** p_adic_valuation(o, p))
-            if count != p**e:
-                return False
-        return True
+        return tuple(
+            frozenset(g for g, o in enumerate(orders) if o == p ** p_adic_valuation(o, p))
+            for p, _ in factorize(self.size)
+        )
 
     def sylow_decomposition(self) -> SylowDecomposition:
         """Sylow subgroups and element projections; the group must be nilpotent.
@@ -242,10 +249,7 @@ class Group:
         noncyclic = []
         elementary = []
         quaternion = False
-        for p, e in factors:
-            members = frozenset(
-                g for g, o in enumerate(orders) if o == p ** p_adic_valuation(o, p)
-            )
+        for (p, e), members in zip(factors, self._p_elements):
             if len(members) != p**e:
                 raise UnsupportedStructureError(
                     f"{self.name}: Sylow {p}-subgroup is not normal "

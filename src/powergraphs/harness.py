@@ -104,8 +104,6 @@ def _partitions(k: int, cap: int | None = None) -> list[tuple[int, ...]]:
 
 def generate_abelian_corpus(max_order: int) -> tuple[AbelianSpec, ...]:
     """One spec per isomorphism class of abelian group of order 2..max_order."""
-    if max_order < 2:
-        raise ValueError(f"max_order must be >= 2, got {max_order}")
     specs = []
     for n in range(2, max_order + 1):
         per_prime = [
@@ -378,6 +376,8 @@ def survey(
     theorem_id: str, max_order: int, caps: ResourceCaps = ResourceCaps()
 ) -> list[VerificationReport]:
     """Verify one theorem across the corpus up to max_order."""
+    if max_order < 2:
+        raise ValueError(f"max_order must be >= 2, got {max_order}")
     if theorem_id == "thm11":
         groups: tuple[Group, ...] = tuple(make_cyclic(n) for n in range(2, max_order + 1))
     else:

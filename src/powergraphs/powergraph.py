@@ -4,12 +4,14 @@ Two distinct elements are adjacent exactly when one lies in the cyclic
 subgroup generated by the other. Adjacency is stored densely as one integer
 bitmask per vertex: power graphs are dense and the desk-scale sizes here
 (at most ~1000 vertices) make O(1) edge queries and whole-row operations the
-dominant win.
+dominant win. Each graph computes its closed-twin quotient once, on first
+use; the connectivity engine reads only that quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .bitsets import iter_bits, mask_of
@@ -44,6 +46,30 @@ class PowerGraph:
 
     def adjacent(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
+
+    @cached_property
+    def twin_quotient(self) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
+        """The closed-twin quotient: (members, q_adj, universal).
+
+        Vertices with equal closed neighbourhoods are twins, and twins form a
+        class (in a power graph the generators of one cyclic subgroup are
+        twins, so each class is a union of generator classes).
+        members[i] is the vertex mask of class i, classes ordered by least
+        vertex; q_adj[i] is the mask of classes adjacent to class i; universal
+        is the index of the class of vertices adjacent to all others, or None.
+        """
+        classes: dict[int, int] = {}
+        for v, row in enumerate(self.adj):
+            key = row | 1 << v
+            classes[key] = classes.get(key, 0) | 1 << v
+        members = tuple(classes.values())
+        # twins share a closed neighbourhood, so it is each class's key
+        q_adj = tuple(
+            mask_of(j for j, m in enumerate(members) if key & m) & ~(1 << i)
+            for i, key in enumerate(classes)
+        )
+        universal = next((i for i, key in enumerate(classes) if key == self.full_mask), None)
+        return members, q_adj, universal
 
     @property
     def is_complete(self) -> bool:

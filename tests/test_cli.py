@@ -127,6 +127,14 @@ def test_survey_text_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("theorem", ["thm11", "thm12"])
+def test_survey_max_order_below_two_exit_two(capsys, theorem):
+    code, out, err = run(capsys, "survey", "--theorem", theorem, "--max-order", "1")
+    assert code == 2
+    assert out == ""
+    assert "max_order must be >= 2" in err
+
+
 def test_export_dot(capsys):
     code, out, _ = run(capsys, "export-dot", "--group", "abelian:2,2")
     assert code == 0
@@ -221,6 +229,24 @@ def test_invalid_remove_exit_two(capsys):
     code, _, err = run(capsys, "export-dot", "--group", "abelian:2,2", "--remove", "99")
     assert code == 2
     assert "out of range" in err
+
+
+def test_invalid_remove_names_the_option(capsys):
+    code, _, err = run(capsys, "export-dot", "--group", "cyclic:4", "--remove", "1,x")
+    assert code == 2
+    assert "bad integer 'x' in --remove '1,x'" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-brute-vertices", "--max-combinations"])
+def test_negative_cap_exit_two(capsys, flag):
+    argv = ["verify", "--theorem", "thm11", "--group", "cyclic:12", "--strict"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
+    # a zero cap is valid input, and it is a resource limit
+    code, _, _ = run(capsys, *argv, flag, "0")
+    assert code == 3
 
 
 def test_theorem_choices_are_the_harness_ids():

@@ -7,7 +7,6 @@ from powergraphs.cli import parse_group_spec
 from powergraphs.connectivity import (
     ResourceLimitError,
     all_minimum_cutsets,
-    certify_minimal,
     min_vertex_cut_between,
     minimalize_cutset,
     minimum_cutset,
@@ -26,7 +25,7 @@ from powergraphs.groups import (
     make_dihedral,
     make_generalized_quaternion,
 )
-from powergraphs.powergraph import PowerGraph, build_power_graph
+from powergraphs.powergraph import PowerGraph, Separation, build_power_graph
 
 
 def test_complete_graph_connectivity():
@@ -48,11 +47,12 @@ def test_cyclic_12_connectivity():
 
 def test_minimum_cutset_report():
     graph = build_power_graph(make_cyclic(12))
-    report = minimum_cutset(graph)
-    assert report.kappa == 6 == len(report.cut)
-    assert report.is_minimum and report.is_minimal
-    assert graph.is_cut_set(report.cut)
-    assert graph.is_separation(report.cut, report.witness)
+    cut = minimum_cutset(graph)
+    assert isinstance(cut, frozenset)
+    assert len(cut) == 6 == vertex_connectivity(graph)
+    assert graph.is_minimal_cut_set(cut)
+    comps = graph.components_after_removal(cut)
+    assert graph.is_separation(cut, Separation(comps[0], frozenset().union(*comps[1:])))
 
 
 def test_connectivity_rejects_tiny_graphs():
@@ -113,9 +113,9 @@ def test_max_disjoint_paths_rejects_bad_endpoints():
 def test_minimum_cutset_pinned(spec, cut):
     # the minimum cut closest to the first vertex of the first improving pair
     # is unique, so the reported cut is fixed by the pair order
-    report = minimum_cutset(build_power_graph(parse_group_spec(spec)))
-    assert sorted(report.cut) == cut
-    assert report.kappa == len(cut)
+    graph = build_power_graph(parse_group_spec(spec))
+    assert sorted(minimum_cutset(graph)) == cut
+    assert vertex_connectivity(graph) == len(cut)
 
 
 def test_max_disjoint_paths_match_cut():
@@ -207,6 +207,33 @@ def test_class_union_enumeration_matches_subset_oracle(G):
     assert via_classes == via_subsets
 
 
+class CountingRows(tuple):
+    """Adjacency rows that count whole passes and single-row lookups."""
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return super().__getitem__(index)
+
+
+def test_engine_reads_adjacency_once_through_the_cached_quotient():
+    plain = build_power_graph(make_abelian([(2, 1), (2, 1), (3, 1), (5, 1)]))
+    rows = CountingRows(plain.adj)
+    rows.passes = rows.lookups = 0
+    graph = PowerGraph(vertex_count=plain.vertex_count, adj=rows)
+    kappa = vertex_connectivity(graph)
+    quotient = graph.twin_quotient
+    sets = all_minimum_cutsets(graph, kappa)
+    cut = minimum_cutset(graph)
+    assert graph.twin_quotient is quotient
+    assert (rows.passes, rows.lookups) == (1, 0)
+    assert kappa == vertex_connectivity(plain) == len(cut)
+    assert sets == all_minimum_cutsets(plain, kappa) and cut in sets
+
+
 def test_all_minimum_cutsets_resource_limit():
     G = make_abelian([(2, 1), (2, 1), (3, 1)])
     graph = build_power_graph(G)
@@ -225,32 +252,31 @@ def test_certify_minimal_quotient_cut():
     G = make_abelian([(3, 1), (3, 1), (5, 1)])
     graph = build_power_graph(G)
     q = sylow_complement_product(G, 3)
-    report = certify_minimal(graph, q)
-    assert report.is_minimal
-    assert graph.is_separation(report.cut, report.witness)
+    assert graph.is_minimal_cut_set(q)
+    comps = graph.components_after_removal(q)
+    assert graph.is_separation(q, Separation(comps[0], frozenset().union(*comps[1:])))
 
 
 def test_certify_minimal_gamma_cut():
     G = make_abelian([(2, 1), (2, 1), (3, 1), (5, 1)])
     graph = build_power_graph(G)
     M = min_order_maximal_cyclic(G)
-    report = certify_minimal(graph, gamma_set(G, M))
-    assert report.is_minimal
+    assert graph.is_minimal_cut_set(gamma_set(G, M))
 
 
 def test_certify_not_minimal_with_cyclic_sylow():
     G = make_abelian([(2, 1), (2, 1), (3, 1)])
     graph = build_power_graph(G)
     M = next(m for m in maximal_cyclic_subgroups(G) if m.order == 6)
-    report = certify_minimal(graph, nongenerators(G, M))
-    assert report.is_minimal is False
-    assert report.witness is None
+    cut = nongenerators(G, M)
+    assert graph.is_cut_set(cut)
+    assert graph.is_minimal_cut_set(cut) is False
 
 
 def test_certify_minimal_rejects_non_cut():
     graph = build_power_graph(make_cyclic(12))
     with pytest.raises(ValueError):
-        certify_minimal(graph, {3})
+        graph.is_minimal_cut_set({3})
 
 
 def test_minimalize_cutset():
@@ -353,7 +379,7 @@ def test_flow_kappa_matches_subset_oracle_on_planted_twins(n, edge_bits, twins):
     kappa = vertex_connectivity(graph)
     assert kappa == kappa_by_subset_enumeration(graph)
     if not graph.is_complete:
-        report = minimum_cutset(graph)
-        assert report.kappa == len(report.cut) == kappa
-        assert graph.is_cut_set(report.cut)
+        cut = minimum_cutset(graph)
+        assert len(cut) == kappa
+        assert graph.is_cut_set(cut)
         assert all_minimum_cutsets(graph, kappa) == all_minimum_cutsets_by_subsets(graph, kappa)
