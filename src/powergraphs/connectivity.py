@@ -15,16 +15,19 @@ so far, and the search stops once that equals the size of the universal
 class. ``minimum_cutset`` returns the cut that search ends on, and
 ``vertex_connectivity`` its size. The s-t query runs the same flow on the
 graph itself with unit weights and reads both the cut and the disjoint paths
-off it. Minimum cut-set enumeration forces the universal class in and runs a
-depth-first exact-sum search over unions of the other classes, checking
-candidates on the quotient.
+off it. Minimum cut-set enumeration runs the same flow too: every minimum
+separator is a minimum s-t cut of the quotient for a source s among a few
+heavy classes, and the minimum cuts of each such pair are listed by
+partitioning on classes forced into or kept out of the cut (Picard &
+Queyranne, 1980; Provan & Shier, 1996), one flow per part, so the work
+follows the number of cuts rather than the number of class subsets.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .bitsets import iter_bits, mask_of
+from .bitsets import iter_bits
 from .powergraph import PowerGraph
 
 
@@ -44,28 +47,22 @@ def _max_flow(
 
     In the split network node v is the in-copy of v and node k + v its
     out-copy. Paths through one common neighbour go first, then shortest
-    augmenting paths in increasing node order. Returns (flow, cut, arc_flow):
+    augmenting paths in increasing node order. Returns (flow, cut, edge_flow):
     cut is None if the flow reached ``limit``, else the vertex mask of the
-    minimum s-t cut closest to s; arc_flow[a, b] is the flow on arc a -> b.
+    minimum s-t cut closest to s; edge_flow[u, v] is the flow on the edge arc
+    k + u -> v, keyed in the order the arcs were first used.
     """
     k = len(adj)
-    res = [1 << (k + v) for v in range(k)] + list(adj)  # residual arcs by tail
-    arc_flow: dict[tuple[int, int], int] = {}
-    unbounded = sum(weight) + 1
-
-    def room(a: int, b: int) -> int:
-        if a % k == b % k:
-            cap = weight[a] if b >= k else 0
-        else:
-            cap = unbounded if a >= k else 0
-        return cap - arc_flow.get((a, b), 0)
-
+    # residual arcs by tail; a vertex of weight 0 has no arc through it
+    res = [1 << (k + v) if weight[v] else 0 for v in range(k)] + list(adj)
+    through = [0] * k  # flow on the vertex arc v -> k + v
+    edge_flow: dict[tuple[int, int], int] = {}
     src, snk = k + s, t
-    paths = [[(k + w, snk), (w, k + w), (src, w)] for w in iter_bits(adj[s] & adj[t])]
+    paths = [[snk, k + w, w, src] for w in iter_bits(adj[s] & adj[t]) if weight[w]]
     flow = 0
     while limit is None or flow < limit:
         if paths:
-            arcs = paths.pop()
+            nodes = paths.pop()
         else:
             parent = [-1] * (2 * k)
             visited = 1 << src
@@ -85,21 +82,43 @@ def _max_flow(
             if parent[snk] < 0:
                 # edge arcs stay open, so the reachable set is left only
                 # through full vertex arcs: exactly the vertices of a min cut
-                return flow, visited & ~(visited >> k) & ((1 << k) - 1), arc_flow
-            arcs = []
-            v = snk
-            while v != src:
-                arcs.append((parent[v], v))
-                v = parent[v]
-        delta = min(room(a, b) for a, b in arcs)
+                return flow, visited & ~(visited >> k) & ((1 << k) - 1), edge_flow
+            nodes = [snk]
+            while nodes[-1] != src:
+                nodes.append(parent[nodes[-1]])
+        # nodes run from the sink back to the source, and so do the arcs;
+        # forward edge arcs never fill up
+        arcs = list(zip(nodes[1:], nodes))
+        delta = None
         for a, b in arcs:
-            arc_flow[a, b] = arc_flow.get((a, b), 0) + delta
-            arc_flow[b, a] = -arc_flow[a, b]
+            if b == a + k:
+                room = weight[a] - through[a]
+            elif a == b + k:
+                room = through[b]
+            elif a < k:
+                room = edge_flow[b - k, a]
+            else:
+                continue
+            if delta is None or room < delta:
+                delta = room
+        for a, b in arcs:
             res[b] |= 1 << a
-            if not room(a, b):
+            if b == a + k:
+                through[a] += delta
+                full = through[a] == weight[a]
+            elif a == b + k:
+                through[b] -= delta
+                full = not through[b]
+            elif a < k:
+                edge_flow[b - k, a] -= delta
+                full = not edge_flow[b - k, a]
+            else:
+                edge_flow[a - k, b] = edge_flow.get((a - k, b), 0) + delta
+                full = False
+            if full:
                 res[a] &= ~(1 << b)
         flow += delta
-    return flow, None, arc_flow
+    return flow, None, edge_flow
 
 
 def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
@@ -170,12 +189,12 @@ def min_vertex_cut_between(
         raise ValueError(f"need two distinct vertices, got {s}, {t}")
     if graph.adjacent(s, t):
         raise ValueError(f"vertices {s} and {t} are adjacent; no vertex cut separates them")
-    flow, cut_mask, arc_flow = _max_flow(graph.adj, [1] * n, s, t)
+    flow, cut_mask, edge_flow = _max_flow(graph.adj, [1] * n, s, t)
     # unit vertex capacities: an edge arc out_u -> in_v carries one unit or none
     succ: dict[int, list[int]] = {}
-    for (a, b), units in arc_flow.items():
-        if units > 0 and a >= n:
-            succ.setdefault(a - n, []).append(b)
+    for (u, v), units in edge_flow.items():
+        if units > 0:
+            succ.setdefault(u, []).append(v)
     paths = []
     for _ in range(flow):
         path = [s]
@@ -205,64 +224,72 @@ def minimalize_cutset(graph: PowerGraph, vertices: Iterable[int]) -> frozenset[i
 def all_minimum_cutsets(
     graph: PowerGraph, kappa: int, *, max_combinations: int = 10_000_000
 ) -> list[frozenset[int]]:
-    """Every minimum cut-set, by exhaustive search over closed-twin class unions.
+    """Every minimum cut-set, listed by max-flows on the closed-twin quotient.
 
-    Every minimum cut-set is minimal, hence a union of closed-twin classes,
-    and contains the universal class (in a power graph the identity, plus the
-    generators when the group is cyclic), if the graph has one. The search
-    forces that class in and walks unions of the other classes of total size
-    ``kappa`` (classes sorted by size descending, then least vertex, pruned on
-    exact remaining sum), keeping those whose removal disconnects the
-    quotient; a class is a clique, so that is exactly when the removal
-    disconnects the graph. Raises ResourceLimitError past
-    ``max_combinations`` steps, with the sets found so far attached.
+    ``kappa`` must be the graph's vertex connectivity; a larger value raises
+    ValueError, and a smaller one finds nothing. Every minimum cut-set
+    C is a union of closed-twin classes and contains the universal class U,
+    if there is one. The non-universal classes of C weigh kappa - |U|, so C
+    misses one of the heaviest classes whose total weight exceeds that; call
+    it s. Then C is a minimum s-t cut of the quotient (nodes weighted by
+    class size) for any class t in another component of the rest. So for
+    each such source s and each class t not adjacent to it, every minimum
+    s-t cut of weight kappa is listed by partition (Lawler): a node fixes
+    classes forced into the cut (weight 0) and kept out of it (weight above
+    every cut), one flow finds a minimum cut under them, and if it weighs
+    kappa the node records it and splits the remaining cuts by the first of
+    its new classes they leave out. A flow that exceeds kappa ends its node.
+    Raises ResourceLimitError once the search would run more than
+    ``max_combinations`` max-flows, with the sets found so far attached.
     """
     if kappa >= graph.vertex_count - 1:
         return []
     members, q_adj, universal = graph.twin_quotient
-    target = kappa - (0 if universal is None else members[universal].bit_count())
-    if target < 0:
+    weight = [m.bit_count() for m in members]
+    rest = kappa - (0 if universal is None else weight[universal])
+    if rest < 0:
         return []
-    others = sorted(
-        (i for i in range(len(members)) if i != universal),
-        key=lambda i: (-members[i].bit_count(), i),
-    )
-    # quotient node p is nodes[p]: the search order, then the universal class,
-    # so each flood starts from the largest class left
-    nodes = others + ([] if universal is None else [universal])
-    slot = {c: p for p, c in enumerate(nodes)}
-    quotient = PowerGraph(
-        vertex_count=len(nodes),
-        adj=tuple(mask_of(slot[j] for j in iter_bits(q_adj[c])) for c in nodes),
-    )
-    masks = [members[c] for c in nodes]
-    sizes = [m.bit_count() for m in masks[: len(others)]]
-    suffix = [0] * (len(others) + 1)
-    for i in range(len(others) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + sizes[i]
-    full = quotient.full_mask
-    found: list[frozenset[int]] = []
-    steps = 0
+    sources = []
+    covered = 0
+    for c in sorted(range(len(members)), key=lambda c: (-weight[c], c)):
+        if covered > rest:
+            break
+        if c != universal:
+            sources.append(c)
+            covered += weight[c]
+    blocked = sum(weight) + 1
+    found: set[int] = set()
+    flows = 0
 
-    def walk(i: int, acc: int, need: int) -> None:
-        nonlocal steps
-        steps += 1
-        if steps > max_combinations:
-            raise ResourceLimitError(
-                f"class-union search exceeded {max_combinations} combinations",
-                partial=tuple(found),
-            )
-        if need == 0:
-            alive = full & ~acc
-            start = (alive & -alive).bit_length() - 1
-            if quotient._flood(alive, start) != alive:
-                found.append(frozenset(v for j in iter_bits(acc) for v in iter_bits(masks[j])))
-            return
-        if i == len(others) or suffix[i] < need:
-            return
-        if sizes[i] <= need:
-            walk(i + 1, acc | 1 << i, need - sizes[i])
-        walk(i + 1, acc, need)
+    def listed() -> list[frozenset[int]]:
+        sets = (frozenset(v for c in iter_bits(m) for v in iter_bits(members[c])) for m in found)
+        return sorted(sets, key=sorted)
 
-    walk(0, 0 if universal is None else 1 << len(others), target)
-    return sorted(found, key=sorted)
+    done = 0
+    for s in sources:
+        done |= 1 << s
+        for t in iter_bits(~(q_adj[s] | done) & ((1 << len(members)) - 1)):
+            stack = [(0, 0)]
+            while stack:
+                into, out = stack.pop()
+                if flows == max_combinations:
+                    raise ResourceLimitError(
+                        f"minimum cut enumeration exceeded {max_combinations} max-flows",
+                        partial=tuple(listed()),
+                    )
+                flows += 1
+                w = [
+                    0 if into >> c & 1 else blocked if out >> c & 1 else m
+                    for c, m in enumerate(weight)
+                ]
+                need = kappa - sum(weight[c] for c in iter_bits(into))
+                flow, cut, _ = _max_flow(q_adj, w, s, t, limit=need + 1)
+                if cut is None:
+                    continue
+                if flow < need:
+                    raise ValueError(f"kappa {kappa} exceeds the vertex connectivity")
+                found.add(cut | into)
+                for c in iter_bits(cut & ~into):
+                    stack.append((into, out | 1 << c))
+                    into |= 1 << c
+    return listed()

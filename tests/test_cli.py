@@ -191,6 +191,17 @@ def test_verify_thm12_oversized_abelian_skips_resource(capsys):
     assert json.loads(out)["verdict"] == "skipped-resource"
 
 
+def test_verify_enumerates_many_small_classes(capsys):
+    # C2^5 x C9: 96 twin classes and 63 minimum cut-sets, at the default caps
+    code, out, _ = run(
+        capsys, "verify", "--theorem", "thm13", "--group", "abelian:2,2,2,2,2,3^2", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "match"
+    assert len(payload["observed_cutsets"]) == 63
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from powergraphs import cli
 from powergraphs.cli import parse_group_spec
 from powergraphs.connectivity import (
     ResourceLimitError,
@@ -196,6 +197,10 @@ def all_minimum_cutsets_by_subsets(graph, kappa):
         make_abelian([(2, 1), (2, 1)]),
         make_generalized_quaternion(16),
         make_dihedral(12),
+        # many small twin classes, so many class unions of the size kappa
+        make_abelian([(2, 1), (2, 1), (2, 1), (3, 1)]),
+        make_abelian([(2, 1), (2, 1), (2, 1), (2, 1), (3, 1)]),
+        make_abelian([(2, 1), (2, 1), (3, 1), (3, 1)]),
     ],
     ids=lambda g: g.name,
 )
@@ -234,12 +239,75 @@ def test_engine_reads_adjacency_once_through_the_cached_quotient():
     assert sets == all_minimum_cutsets(plain, kappa) and cut in sets
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kappa", "--group", "abelian:2,2,3,5", "--json"),
+        ("cutsets", "--group", "abelian:2,2,3,5", "--all", "--json"),
+        ("kappa", "--group", "cyclic:8", "--json"),
+        ("cutsets", "--group", "cyclic:8", "--all", "--json"),
+    ],
+)
+def test_cli_reads_adjacency_once_through_the_cached_quotient(monkeypatch, capsys, argv):
+    assert cli.main(list(argv)) == 0
+    plain_out = capsys.readouterr().out
+    counted = []
+
+    def build_counting(group):
+        plain = build_power_graph(group)
+        rows = CountingRows(plain.adj)
+        rows.passes = rows.lookups = 0
+        counted.append(rows)
+        return PowerGraph(plain.vertex_count, rows, plain.group_name)
+
+    monkeypatch.setattr(cli, "build_power_graph", build_counting)
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out == plain_out
+    [rows] = counted
+    assert (rows.passes, rows.lookups) == (1, 0)
+
+
 def test_all_minimum_cutsets_resource_limit():
     G = make_abelian([(2, 1), (2, 1), (3, 1)])
     graph = build_power_graph(G)
     with pytest.raises(ResourceLimitError) as info:
         all_minimum_cutsets(graph, 3, max_combinations=3)
     assert isinstance(info.value.partial, tuple)
+
+
+def test_all_minimum_cutsets_partial_is_a_sorted_subset():
+    graph = build_power_graph(parse_group_spec("abelian:2,2,2,2,2,5"))
+    kappa = vertex_connectivity(graph)
+    full = all_minimum_cutsets(graph, kappa)
+    assert len(full) == 32
+    with pytest.raises(ResourceLimitError) as info:
+        all_minimum_cutsets(graph, kappa, max_combinations=50)
+    partial = list(info.value.partial)
+    assert 0 < len(partial) < len(full)
+    assert partial == sorted(partial, key=sorted)
+    assert set(partial) <= set(full)
+
+
+@pytest.mark.parametrize(
+    "spec,kappa,count",
+    [("abelian:2,2,2,2,3,5", 12, 15), ("abelian:2,2,2,2,2,3^2", 9, 63)],
+)
+def test_all_minimum_cutsets_many_small_classes(spec, kappa, count):
+    # 64 and 96 twin classes: the cost follows the cut-sets, not the class subsets
+    graph = build_power_graph(parse_group_spec(spec))
+    assert vertex_connectivity(graph) == kappa
+    sets = all_minimum_cutsets(graph, kappa)
+    assert len(sets) == count
+    for s in sets:
+        assert len(s) == kappa and 0 in s
+        assert graph.is_minimal_cut_set(s)
+
+
+def test_all_minimum_cutsets_rejects_kappa_above_connectivity():
+    graph = build_power_graph(make_cyclic(12))
+    with pytest.raises(ValueError, match="exceeds the vertex connectivity"):
+        all_minimum_cutsets(graph, 7)
+    assert all_minimum_cutsets(graph, 5) == []
 
 
 def test_all_minimum_cutsets_complete_graph_empty():
