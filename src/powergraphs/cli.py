@@ -28,7 +28,7 @@ from .groups import (
     make_generalized_quaternion,
 )
 from .harness import THEOREM_IDS, ResourceCaps, survey, verify_theorem
-from .powergraph import PowerGraph, build_power_graph
+from .powergraph import build_power_graph
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -89,20 +89,13 @@ def _check_brute_cap(group: Group, args: argparse.Namespace) -> None:
         )
 
 
-def _is_complete(graph: PowerGraph) -> bool:
-    # complete exactly when all vertices are closed twins: the cached quotient
-    # the engine reads next has a single class
-    members, _, _ = graph.twin_quotient
-    return len(members) == 1
-
-
 def _cmd_kappa(args: argparse.Namespace) -> int:
     group = parse_group_spec(args.group)
     if group.size < 2:
         raise ValueError("connectivity needs a group of order >= 2")
     _check_brute_cap(group, args)
     graph = build_power_graph(group)
-    if _is_complete(graph):
+    if graph.is_complete:
         kappa, cutset = vertex_connectivity(graph), None
     else:
         cutset = sorted(minimum_cutset(graph))
@@ -125,7 +118,7 @@ def _cmd_cutsets(args: argparse.Namespace) -> int:
         raise ValueError("cut-sets need a group of order >= 2")
     _check_brute_cap(group, args)
     graph = build_power_graph(group)
-    if _is_complete(graph):
+    if graph.is_complete:
         kappa, sets = vertex_connectivity(graph), []
     elif args.all:
         kappa = vertex_connectivity(graph)

@@ -8,24 +8,22 @@ minimum s-t vertex cut is a minimum cut of the quotient with nodes weighted by
 class size: one integer-capacity vertex-split max-flow (Even & Tarjan, 1975).
 Every separator contains the universal class, the vertices adjacent to all
 others (in a power graph the identity, plus the generators when the group is
-cyclic), if there is one. By Menger's theorem connectivity is the minimum
-flow over non-adjacent class pairs, taken by increasing degree sum of the two
-classes (twins share a degree); each flow aborts once it reaches the best cut
-so far, and the search stops once that equals the size of the universal
-class. ``minimum_cutset`` returns the cut that search ends on, and
-``vertex_connectivity`` its size. The s-t query runs the same flow on the
-graph itself with unit weights and reads both the cut and the disjoint paths
-off it. Minimum cut-set enumeration runs the same flow too: every minimum
-separator is a minimum s-t cut of the quotient for a source s among a few
-heavy classes, and the minimum cuts of each such pair are listed by
-partitioning on classes forced into or kept out of the cut (Picard &
-Queyranne, 1980; Provan & Shier, 1996), one flow per part, so the work
-follows the number of cuts rather than the number of class subsets.
+cyclic), if there is one. Both engines run their flows on the class pairs of
+``_menger_pairs``, a few heavy sources and their non-neighbours (Esfahanian &
+Hakimi, 1984). Connectivity starts from the smallest neighbourhood; each flow
+aborts once it reaches the best cut so far, and the search stops once that
+equals the size of the universal class. ``minimum_cutset`` returns the cut
+that search ends on, and ``vertex_connectivity`` its size. The s-t query runs
+the same flow on the graph itself with unit weights and reads both the cut
+and the disjoint paths off it. Minimum cut-set enumeration lists the minimum
+cuts of each pair by partitioning on classes forced into or kept out of the
+cut (Picard & Queyranne, 1980; Provan & Shier, 1996), one flow per part, so
+the work follows the number of cuts rather than the number of class subsets.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitsets import iter_bits
 from .powergraph import PowerGraph
@@ -121,6 +119,35 @@ def _max_flow(
     return flow, None, edge_flow
 
 
+def _menger_pairs(
+    q_adj: Sequence[int], weight: Sequence[int], universal: int | None, bound: int
+) -> Iterator[tuple[int, int]]:
+    """Class pairs (s, t) such that every separator of weight at most
+    ``bound`` is an s-t cut of the quotient for one of them.
+
+    A separator C is a union of classes and contains the universal class U,
+    if there is one. If C weighs at most ``bound``, its non-universal classes
+    weigh at most bound - |U|, so C misses one of the heaviest non-universal
+    classes whose total weight exceeds that; call it s. Any class t in
+    another component of the rest is not adjacent to s, and C separates s
+    from t. So the sources are those heaviest classes, in (-weight, index)
+    order, and each is paired with the classes not adjacent to it, by index;
+    a class that was already a source is skipped, since its pair with s came
+    up when it was the source.
+    """
+    rest = bound - (0 if universal is None else weight[universal])
+    everything = (1 << len(q_adj)) - 1
+    covered = done = 0
+    for s in sorted(range(len(q_adj)), key=lambda c: (-weight[c], c)):
+        if covered > rest:
+            return
+        if s != universal:
+            covered += weight[s]
+            done |= 1 << s
+            for t in iter_bits(everything & ~(q_adj[s] | done)):
+                yield s, t
+
+
 def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
     """A minimum vertex cut read off the twin quotient; None if the graph is complete."""
     if graph.vertex_count < 2:
@@ -145,10 +172,7 @@ def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
     best_cut = closed[first] & ~(members[first] & -members[first])
     # every separator contains every universal vertex: nothing beats this
     universal = 0 if u is None else weight[u]
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if not (q_adj[i] >> j) & 1]
-    # class order is least-vertex order, so (i, j) orders pairs as their least vertices do
-    pairs.sort(key=lambda p: (degree[p[0]] + degree[p[1]], p))
-    for i, j in pairs:
+    for i, j in _menger_pairs(q_adj, weight, u, best):
         if best == universal:
             break
         flow, cut, _ = _max_flow(q_adj, weight, i, j, limit=best)
@@ -227,36 +251,21 @@ def all_minimum_cutsets(
     """Every minimum cut-set, listed by max-flows on the closed-twin quotient.
 
     ``kappa`` must be the graph's vertex connectivity; a larger value raises
-    ValueError, and a smaller one finds nothing. Every minimum cut-set
-    C is a union of closed-twin classes and contains the universal class U,
-    if there is one. The non-universal classes of C weigh kappa - |U|, so C
-    misses one of the heaviest classes whose total weight exceeds that; call
-    it s. Then C is a minimum s-t cut of the quotient (nodes weighted by
-    class size) for any class t in another component of the rest. So for
-    each such source s and each class t not adjacent to it, every minimum
-    s-t cut of weight kappa is listed by partition (Lawler): a node fixes
-    classes forced into the cut (weight 0) and kept out of it (weight above
-    every cut), one flow finds a minimum cut under them, and if it weighs
-    kappa the node records it and splits the remaining cuts by the first of
-    its new classes they leave out. A flow that exceeds kappa ends its node.
-    Raises ResourceLimitError once the search would run more than
+    ValueError, and a smaller one finds nothing. Every minimum cut-set is a
+    minimum s-t cut of the quotient (nodes weighted by class size) for one of
+    the pairs ``_menger_pairs`` yields with bound kappa. For each pair, every
+    minimum s-t cut of weight kappa is listed by partition (Lawler): a node
+    fixes classes forced into the cut (weight 0) and kept out of it (weight
+    above every cut), one flow finds a minimum cut under them, and if it
+    weighs kappa the node records it and splits the remaining cuts by the
+    first of its new classes they leave out. A flow that exceeds kappa ends
+    its node. Raises ResourceLimitError once the search would run more than
     ``max_combinations`` max-flows, with the sets found so far attached.
     """
     if kappa >= graph.vertex_count - 1:
         return []
     members, q_adj, universal = graph.twin_quotient
     weight = [m.bit_count() for m in members]
-    rest = kappa - (0 if universal is None else weight[universal])
-    if rest < 0:
-        return []
-    sources = []
-    covered = 0
-    for c in sorted(range(len(members)), key=lambda c: (-weight[c], c)):
-        if covered > rest:
-            break
-        if c != universal:
-            sources.append(c)
-            covered += weight[c]
     blocked = sum(weight) + 1
     found: set[int] = set()
     flows = 0
@@ -265,31 +274,28 @@ def all_minimum_cutsets(
         sets = (frozenset(v for c in iter_bits(m) for v in iter_bits(members[c])) for m in found)
         return sorted(sets, key=sorted)
 
-    done = 0
-    for s in sources:
-        done |= 1 << s
-        for t in iter_bits(~(q_adj[s] | done) & ((1 << len(members)) - 1)):
-            stack = [(0, 0)]
-            while stack:
-                into, out = stack.pop()
-                if flows == max_combinations:
-                    raise ResourceLimitError(
-                        f"minimum cut enumeration exceeded {max_combinations} max-flows",
-                        partial=tuple(listed()),
-                    )
-                flows += 1
-                w = [
-                    0 if into >> c & 1 else blocked if out >> c & 1 else m
-                    for c, m in enumerate(weight)
-                ]
-                need = kappa - sum(weight[c] for c in iter_bits(into))
-                flow, cut, _ = _max_flow(q_adj, w, s, t, limit=need + 1)
-                if cut is None:
-                    continue
-                if flow < need:
-                    raise ValueError(f"kappa {kappa} exceeds the vertex connectivity")
-                found.add(cut | into)
-                for c in iter_bits(cut & ~into):
-                    stack.append((into, out | 1 << c))
-                    into |= 1 << c
+    for s, t in _menger_pairs(q_adj, weight, universal, kappa):
+        stack = [(0, 0)]
+        while stack:
+            into, out = stack.pop()
+            if flows == max_combinations:
+                raise ResourceLimitError(
+                    f"minimum cut enumeration exceeded {max_combinations} max-flows",
+                    partial=tuple(listed()),
+                )
+            flows += 1
+            w = [
+                0 if into >> c & 1 else blocked if out >> c & 1 else m
+                for c, m in enumerate(weight)
+            ]
+            need = kappa - sum(weight[c] for c in iter_bits(into))
+            flow, cut, _ = _max_flow(q_adj, w, s, t, limit=need + 1)
+            if cut is None:
+                continue
+            if flow < need:
+                raise ValueError(f"kappa {kappa} exceeds the vertex connectivity")
+            found.add(cut | into)
+            for c in iter_bits(cut & ~into):
+                stack.append((into, out | 1 << c))
+                into |= 1 << c
     return listed()

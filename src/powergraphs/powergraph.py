@@ -73,8 +73,8 @@ class PowerGraph:
 
     @property
     def is_complete(self) -> bool:
-        want = self.vertex_count - 1
-        return all(m.bit_count() == want for m in self.adj)
+        # complete exactly when all vertices are closed twins
+        return len(self.twin_quotient[0]) <= 1
 
     def _vertex_mask(self, vertices: Iterable[int]) -> int:
         m = mask_of(vertices)

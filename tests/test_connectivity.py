@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powergraphs import cli
+from powergraphs import cli, connectivity
 from powergraphs.cli import parse_group_spec
 from powergraphs.connectivity import (
     ResourceLimitError,
@@ -109,14 +109,47 @@ def test_max_disjoint_paths_rejects_bad_endpoints():
         ("abelian:2,2,3", [0, 4, 5]),
         ("quaternion:16", [0, 4]),
         ("dihedral:12", [0]),
+        ("abelian:2,2,3,3", [0, 9, 18, 27]),
     ],
 )
 def test_minimum_cutset_pinned(spec, cut):
-    # the minimum cut closest to the first vertex of the first improving pair
-    # is unique, so the reported cut is fixed by the pair order
+    # the minimum cut closest to the source of the first improving pair is
+    # unique, so the reported cut is fixed by the pair order
     graph = build_power_graph(parse_group_spec(spec))
     assert sorted(minimum_cutset(graph)) == cut
     assert vertex_connectivity(graph) == len(cut)
+
+
+@pytest.mark.parametrize(
+    "spec,most",
+    [("abelian:2,2,2,2,2,5", 100), ("dihedral:100", 0), ("quaternion:64", 1)],
+)
+def test_kappa_flow_count(monkeypatch, spec, most):
+    # flows run only from the heaviest classes, and none once the cut is the
+    # universal class; every non-adjacent pair would be 1891 on C2^5xC5
+    graph = build_power_graph(parse_group_spec(spec))
+    flows = []
+    real = connectivity._max_flow
+
+    def counting(*args, **kwargs):
+        flows.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "_max_flow", counting)
+    vertex_connectivity(graph)
+    assert len(flows) <= most
+
+
+def test_minimum_cutset_is_listed_by_the_enumeration():
+    from powergraphs.harness import corpus_groups
+
+    groups = list(corpus_groups(64)) + [make_cyclic(n) for n in range(2, 121)]
+    for G in groups:
+        graph = build_power_graph(G)
+        if graph.is_complete:
+            continue
+        cut = minimum_cutset(graph)
+        assert cut in all_minimum_cutsets(graph, len(cut)), G.name
 
 
 def test_max_disjoint_paths_match_cut():
