@@ -250,19 +250,20 @@ def all_minimum_cutsets(
 ) -> list[frozenset[int]]:
     """Every minimum cut-set, listed by max-flows on the closed-twin quotient.
 
-    ``kappa`` must be the graph's vertex connectivity; a larger value raises
-    ValueError, and a smaller one finds nothing. Every minimum cut-set is a
-    minimum s-t cut of the quotient (nodes weighted by class size) for one of
-    the pairs ``_menger_pairs`` yields with bound kappa. For each pair, every
-    minimum s-t cut of weight kappa is listed by partition (Lawler): a node
-    fixes classes forced into the cut (weight 0) and kept out of it (weight
-    above every cut), one flow finds a minimum cut under them, and if it
-    weighs kappa the node records it and splits the remaining cuts by the
-    first of its new classes they leave out. A flow that exceeds kappa ends
-    its node. Raises ResourceLimitError once the search would run more than
-    ``max_combinations`` max-flows, with the sets found so far attached.
+    A complete graph has none. Otherwise ``kappa`` must be the vertex
+    connectivity; a larger value raises ValueError, a smaller one finds
+    nothing. Every minimum cut-set is a minimum s-t cut of the quotient (nodes
+    weighted by class size) for one of the pairs ``_menger_pairs`` yields with
+    bound kappa. For each pair, every minimum s-t cut of weight kappa is
+    listed by partition (Lawler): a node fixes classes forced into the cut
+    (weight 0) and kept out of it (weight above every cut), one flow finds a
+    minimum cut under them, and if it weighs kappa the node records it and
+    splits the remaining cuts by the first of its new classes they leave out.
+    A flow that exceeds kappa ends its node. Raises ResourceLimitError once
+    the search would run more than ``max_combinations`` max-flows, with the
+    sets found so far attached.
     """
-    if kappa >= graph.vertex_count - 1:
+    if graph.is_complete:
         return []
     members, q_adj, universal = graph.twin_quotient
     weight = [m.bit_count() for m in members]

@@ -10,10 +10,11 @@ assembled from exact-order shells and divisor subgroups of M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .bitsets import iter_bits, mask_of
 from .groups import Group, UnsupportedStructureError
-from .numtheory import factorize, p_adic_valuation, solve_congruence
+from .numtheory import p_adic_valuation, solve_congruence
 from .predictions import gamma_cardinality
 
 
@@ -93,18 +94,15 @@ def sylow_product(group: Group, primes: tuple[int, ...] | frozenset[int]) -> fro
     """Product of the Sylow subgroups at the given primes, as an element set.
 
     For a nilpotent group this is exactly the set of elements whose order has
-    all its prime factors among ``primes``.
+    all its prime factors among ``primes``, i.e. divides their part of |G|.
     """
     dec = group.sylow_decomposition()
     chosen = frozenset(primes)
     unknown = chosen - set(dec.primes)
     if unknown:
         raise ValueError(f"primes {sorted(unknown)} do not divide the group order")
-    keep = []
-    for g, order in enumerate(group.element_orders):
-        if all(p in chosen for p, _ in factorize(order)):
-            keep.append(g)
-    return frozenset(keep)
+    m = prod(p ** p_adic_valuation(group.size, p) for p in chosen)
+    return frozenset(g for g, order in enumerate(group.element_orders) if m % order == 0)
 
 
 def sylow_complement_product(group: Group, k_prime: int) -> frozenset[int]:

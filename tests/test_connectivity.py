@@ -341,6 +341,10 @@ def test_all_minimum_cutsets_rejects_kappa_above_connectivity():
     with pytest.raises(ValueError, match="exceeds the vertex connectivity"):
         all_minimum_cutsets(graph, 7)
     assert all_minimum_cutsets(graph, 5) == []
+    c6 = build_power_graph(make_cyclic(6))  # kappa 3, six vertices, not complete
+    for kappa in (4, 5):
+        with pytest.raises(ValueError, match="exceeds the vertex connectivity"):
+            all_minimum_cutsets(c6, kappa)
 
 
 def test_all_minimum_cutsets_complete_graph_empty():

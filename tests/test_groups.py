@@ -4,6 +4,7 @@ import pytest
 
 from powergraphs.groups import (
     AbelianSpec,
+    CayleyTableGroup,
     CyclicGroup,
     StructuredAbelianGroup,
     UnsupportedStructureError,
@@ -265,6 +266,50 @@ def test_identity_row_and_column():
     for G in (make_dihedral(12), make_generalized_quaternion(16)):
         for a in range(G.size):
             assert G.mul(0, a) == a and G.mul(a, 0) == a
+
+
+# The smallest non-associative loop: a Latin square with identity 0 in which
+# every element is its own inverse, which no group of order 5 allows.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def _d100_with_swapped_row_2():
+    # r**2 * r and r**2 * r**2 exchanged: row 2 stays a permutation, every
+    # inverse stays two-sided, and only associativity fails
+    G = make_dihedral(100)
+    table = [[G.mul(a, b) for b in range(G.size)] for a in range(G.size)]
+    table[2][1], table[2][2] = table[2][2], table[2][1]
+    return table
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 2, 1], [1, 2, 0], [2, 0, 1]], "index 0 is not a two-sided identity"),
+        ([[0, 1, 2], [1, 2, 2], [2, 2, 0]], "element 1 has no right inverse"),
+        ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], "element 1 has no two-sided inverse"),
+        (LOOP5, r"not associative at \(\d+, \d+, \d+\)"),
+        (_d100_with_swapped_row_2(), r"not associative at \(\d+, \d+, \d+\)"),
+    ],
+    ids=["identity", "right-inverse", "two-sided-inverse", "loop5", "d100-swapped"],
+)
+def test_table_validation_rejects_non_groups(table, message):
+    with pytest.raises(ValueError, match=message):
+        CayleyTableGroup("bad", table)
+
+
+@pytest.mark.parametrize("table", [LOOP5, _d100_with_swapped_row_2()], ids=["loop5", "d100-swapped"])
+def test_table_validation_names_a_failing_triple(table):
+    with pytest.raises(ValueError) as info:
+        CayleyTableGroup("bad", table)
+    x, s, y = map(int, info.value.args[0].split("at (")[1].rstrip(")").split(", "))
+    assert table[table[x][s]][y] != table[x][table[s][y]]
 
 
 class CountingMul:

@@ -1,5 +1,7 @@
 """Structural invariants over the group corpus, plus randomized properties."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +47,13 @@ def test_abelian_spec_order_independent(factors):
 def test_random_abelian_group_axioms(factors):
     G = make_abelian(factors)
     assert G.mul(0, 0) == 0
+    # mixed radix, most significant factor first, against coordinate sums
+    coords = list(product(*(range(p**e) for p, e in G.spec.factors)))
+    assert [G.encode(x) for x in coords] == list(range(G.size))
+    for x in coords:
+        assert G.inverse(G.encode(x)) == G.encode(tuple(-a for a in x))
+        for y in coords:
+            assert G.mul(G.encode(x), G.encode(y)) == G.encode(tuple(map(sum, zip(x, y))))
     for g in range(G.size):
         assert G.mul(g, G.inverse(g)) == 0
         assert G.size % G.element_order(g) == 0
