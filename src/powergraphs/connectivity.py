@@ -229,20 +229,20 @@ def min_vertex_cut_between(
 
 
 def minimalize_cutset(graph: PowerGraph, vertices: Iterable[int]) -> frozenset[int]:
-    """Greedily shrink a cut-set to a minimal one (deterministic scan order)."""
-    cut = set(vertices)
-    if not graph.is_cut_set(cut):
+    """Greedily shrink a cut-set to a minimal one: drop the least vertex
+    whose removal leaves a cut-set, and rescan from the least, until none does."""
+    cut = graph._vertex_mask(vertices)
+    if not graph.is_cut_set(iter_bits(cut)):
         raise ValueError("minimalize_cutset requires a cut-set")
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(cut):
-            smaller = cut - {x}
-            if graph.is_cut_set(smaller):
-                cut = smaller
-                changed = True
+    alive = graph.full_mask & ~cut
+    while True:
+        for x in iter_bits(cut):
+            if graph._is_split(alive | 1 << x):
+                cut ^= 1 << x
+                alive |= 1 << x
                 break
-    return frozenset(cut)
+        else:
+            return frozenset(iter_bits(cut))
 
 
 def all_minimum_cutsets(

@@ -7,9 +7,10 @@ use plain residue arithmetic so that element i times element j is element
 (i + j) mod n; dihedral and generalized quaternion groups are backed by an
 explicit, validated multiplication table.
 
-Element orders, cyclic closures, generator classes and powers all come from
-one walk per cyclic subgroup: the powers of its least element are listed
-once and shared by all of its generators, so ``power`` is a table lookup.
+Element orders, cyclic closures, roots, generator classes and powers all
+come from one walk per cyclic subgroup: the powers of its least element are
+listed once and shared by all of its generators, so ``power`` is a table
+lookup.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 from math import gcd, prod
 
 from .bitsets import iter_bits
-from .numtheory import factorize, is_prime, p_adic_valuation
+from .numtheory import divisors, factorize, is_prime, p_adic_valuation
 
 
 class UnsupportedStructureError(ValueError):
@@ -162,6 +163,37 @@ class Group:
                 masks[id(powers)] = m
             out.append(m)
         return tuple(out)
+
+    @cached_property
+    def root_masks(self) -> tuple[int, ...]:
+        """Per element g, the mask of every y with g in <y>.
+
+        Read off the shared power lists, one pass per cyclic subgroup: the
+        generators of <h>, of order o, lie in <h**d> exactly for the divisors
+        d of o, so their mask is ORed into the entry of each such subgroup
+        (d = 1 is <h> itself, and d = o the identity's, which holds every
+        element). All generators of a subgroup share its entry.
+        """
+        table = self._power_table
+        gens: dict[int, int] = {}  # id of a shared power list -> its generators' mask
+        lists = []
+        for g, (powers, _) in enumerate(table):
+            key = id(powers)
+            if key in gens:
+                gens[key] |= 1 << g
+            else:
+                gens[key] = 1 << g
+                lists.append(powers)
+        roots = gens.copy()
+        roots[id(table[0][0])] = (1 << self.size) - 1
+        divs: dict[int, list[int]] = {}  # order -> its divisors other than 1 and itself
+        for powers in lists:
+            o = len(powers)
+            if o not in divs:
+                divs[o] = divisors(o)[1:-1]
+            for d in divs[o]:
+                roots[id(table[powers[d]][0])] |= gens[id(powers)]
+        return tuple(roots[id(powers)] for powers, _ in table)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:

@@ -1,11 +1,15 @@
 """Power graphs of finite groups and the cut-set predicates on them.
 
 Two distinct elements are adjacent exactly when one lies in the cyclic
-subgroup generated by the other. Adjacency is stored densely as one integer
-bitmask per vertex: power graphs are dense and the desk-scale sizes here
-(at most ~1000 vertices) make O(1) edge queries and whole-row operations the
-dominant win. Each graph computes its closed-twin quotient once, on first
-use; the connectivity engine reads only that quotient.
+subgroup generated by the other, so the graph depends only on which cyclic
+subgroups contain which. Each row is built from that containment: the
+closure <x> joined with the roots of x (the y with x in <y>), two masks the
+group computes once per cyclic subgroup and shares among its generators.
+Adjacency is stored densely as one integer bitmask per vertex: power graphs
+are dense and the desk-scale sizes here (at most ~1000 vertices) make O(1)
+edge queries and whole-row operations the dominant win. Each graph computes
+its closed-twin quotient once, on first use; the connectivity engine reads
+only that quotient.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ class PowerGraph:
     adj: tuple[int, ...]
     group_name: str = ""
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.vertex_count) - 1
 
@@ -98,6 +102,11 @@ class PowerGraph:
             comp |= frontier
         return comp
 
+    def _is_split(self, alive: int) -> bool:
+        """True iff the vertices of the non-empty mask alive induce a disconnected subgraph."""
+        start = (alive & -alive).bit_length() - 1
+        return self._flood(alive, start) != alive
+
     def _component_masks(self, alive: int) -> list[int]:
         comps = []
         rest = alive
@@ -114,9 +123,7 @@ class PowerGraph:
         return [frozenset(iter_bits(c)) for c in self._component_masks(alive)]
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
-        return self._flood(self.full_mask, 0) == self.full_mask
+        return self.vertex_count == 0 or not self._is_split(self.full_mask)
 
     def is_cut_set(self, vertices: Iterable[int]) -> bool:
         """True iff removing the set leaves >= 2 connected components.
@@ -128,8 +135,7 @@ class PowerGraph:
         alive = self.full_mask & ~cut
         if alive.bit_count() < 2:
             raise ValueError("a cut-set must leave at least two vertices")
-        start = (alive & -alive).bit_length() - 1
-        return self._flood(alive, start) != alive
+        return self._is_split(alive)
 
     def is_minimal_cut_set(self, vertices: Iterable[int]) -> bool:
         """True iff no single element can be dropped while staying a cut-set."""
@@ -137,12 +143,7 @@ class PowerGraph:
         if not self.is_cut_set(iter_bits(cut)):
             raise ValueError("is_minimal_cut_set requires a cut-set")
         alive = self.full_mask & ~cut
-        for x in iter_bits(cut):
-            smaller = alive | (1 << x)
-            start = (smaller & -smaller).bit_length() - 1
-            if self._flood(smaller, start) != smaller:
-                return False
-        return True
+        return not any(self._is_split(alive | 1 << x) for x in iter_bits(cut))
 
     def is_separation(self, removed: Iterable[int], sep: Separation) -> bool:
         """True iff sep partitions the surviving vertices with no crossing edge."""
@@ -158,15 +159,16 @@ class PowerGraph:
 
 
 def build_power_graph(group: Group) -> PowerGraph:
-    """The power graph of a group: x ~ y iff x != y and x in <y> or y in <x>."""
-    n = group.size
-    adj = [0] * n
-    for x in range(n):
-        m = group.closure_mask(x) & ~(1 << x)
-        adj[x] |= m
-        for y in iter_bits(m):
-            adj[y] |= 1 << x
-    return PowerGraph(vertex_count=n, adj=tuple(adj), group_name=group.name)
+    """The power graph of a group: x ~ y iff x != y and x in <y> or y in <x>.
+
+    Row x is the closure <x> together with the roots of x (every y with x in
+    <y>), both read from the group's per-subgroup masks, minus x itself.
+    """
+    adj = tuple(
+        (closure | roots) & ~(1 << x)
+        for x, (closure, roots) in enumerate(zip(group.closure_masks, group.root_masks))
+    )
+    return PowerGraph(vertex_count=group.size, adj=adj, group_name=group.name)
 
 
 def proper_power_graph_connected(group: Group) -> bool:
@@ -174,6 +176,4 @@ def proper_power_graph_connected(group: Group) -> bool:
     if group.size < 3:
         raise ValueError("proper power graph connectivity needs order >= 3")
     graph = build_power_graph(group)
-    alive = graph.full_mask & ~1
-    start = (alive & -alive).bit_length() - 1
-    return graph._flood(alive, start) == alive
+    return not graph._is_split(graph.full_mask & ~1)

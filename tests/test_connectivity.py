@@ -391,6 +391,51 @@ def test_minimalize_cutset():
     assert graph.is_minimal_cut_set(cut)
 
 
+def naive_minimalize(graph, vertices):
+    cut = set(vertices)
+    if not graph.is_cut_set(cut):
+        raise ValueError("minimalize_cutset requires a cut-set")
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(cut):
+            if graph.is_cut_set(cut - {x}):
+                cut -= {x}
+                changed = True
+                break
+    return frozenset(cut)
+
+
+def test_minimalize_cutset_matches_set_based_scan():
+    from powergraphs.harness import corpus_groups
+
+    checked = 0
+    for G in corpus_groups(24):
+        graph = build_power_graph(G)
+        n = graph.vertex_count
+        if graph.is_complete:
+            continue
+        seeds = [graph.neighbors(v) for v in range(n)]
+        # all but two non-adjacent vertices: the longest shrinking scans
+        seeds += [
+            frozenset(range(n)) - {s, t}
+            for s in range(n)
+            for t in range(s)
+            if not graph.adjacent(s, t)
+        ]
+        for seed in seeds:
+            if len(seed) <= n - 2 and graph.is_cut_set(seed):
+                expected = naive_minimalize(graph, seed)
+                assert minimalize_cutset(graph, seed) == expected, (G.name, sorted(seed))
+                checked += 1
+            else:
+                with pytest.raises(ValueError):
+                    minimalize_cutset(graph, seed)
+    assert checked > 1000
+    with pytest.raises(ValueError):
+        minimalize_cutset(build_power_graph(make_dihedral(6)), {0, 6})
+
+
 def test_dihedral_connectivity_is_one():
     for order in range(6, 21, 2):
         graph = build_power_graph(make_dihedral(order))

@@ -16,6 +16,7 @@ from powergraphs.groups import (
 )
 from powergraphs.harness import corpus_groups
 from powergraphs.numtheory import divisors, euler_phi
+from powergraphs.powergraph import build_power_graph
 
 
 def check_group_axioms(G):
@@ -350,6 +351,28 @@ def test_closures_walk_each_cyclic_subgroup_once(G, expected):
     for g in range(G.size):
         for k in (-7, -1, 0, 1, 2, 5, G.size + 1):
             G.power(g, k)
+    assert G.muls == 0
+
+
+class CountingTable(CountingMul, CayleyTableGroup):
+    pass
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        CountingCyclic(360),
+        CountingAbelian(AbelianSpec(((2, 1), (2, 2), (3, 2)))),
+        CountingTable(
+            "Q16xC3", direct_product(make_generalized_quaternion(16), make_cyclic(3))._table
+        ),
+    ],
+    ids=lambda g: g.name,
+)
+def test_power_graph_build_multiplies_nothing_after_the_closure_walk(G):
+    G.closure_masks
+    G.muls = 0
+    build_power_graph(G)
     assert G.muls == 0
 
 

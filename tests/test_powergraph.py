@@ -1,11 +1,13 @@
 import pytest
 
 from powergraphs.groups import (
+    direct_product,
     make_abelian,
     make_cyclic,
     make_dihedral,
     make_generalized_quaternion,
 )
+from powergraphs.harness import corpus_groups
 from powergraphs.powergraph import (
     Separation,
     build_power_graph,
@@ -13,28 +15,57 @@ from powergraphs.powergraph import (
 )
 
 
-def adjacency_by_definition(G, x, y):
-    return x != y and (x in G.cyclic_closure(y) or y in G.cyclic_closure(x))
-
-
-@pytest.mark.parametrize(
-    "G",
-    [
+def membership_groups():
+    """Every group representation on the corpus up to 64, C1-C120, D6-D60,
+    Q8-Q64 and Q8xC3, each once, as params; a name shared by two
+    representations is qualified by its class after the first."""
+    groups = [
         make_cyclic(8),
         make_cyclic(12),
         make_abelian([(2, 1), (2, 1)]),
         make_abelian([(2, 1), (2, 1), (3, 1)]),
         make_dihedral(10),
         make_generalized_quaternion(8),
-    ],
-    ids=lambda g: g.name,
-)
+        *corpus_groups(64),
+        *(make_cyclic(n) for n in range(1, 121)),
+        *(make_dihedral(n) for n in range(6, 61, 2)),
+        *(make_generalized_quaternion(2**m) for m in range(3, 7)),
+        direct_product(make_generalized_quaternion(8), make_cyclic(3)),
+    ]
+    kinds: dict[str, set[str]] = {}
+    params = []
+    for G in groups:
+        seen = kinds.setdefault(G.name, set())
+        kind = type(G).__name__
+        if kind not in seen:
+            params.append(pytest.param(G, id=f"{G.name}-{kind}" if seen else G.name))
+            seen.add(kind)
+    return params
+
+
+MEMBERSHIP_GROUPS = membership_groups()
+
+
+def adjacency_by_definition(closures, x, y):
+    return x != y and (x in closures[y] or y in closures[x])
+
+
+@pytest.mark.parametrize("G", MEMBERSHIP_GROUPS)
 def test_adjacency_matches_membership_definition(G):
     graph = build_power_graph(G)
+    closures = [G.cyclic_closure(g) for g in range(G.size)]
     for x in range(G.size):
         assert not graph.adjacent(x, x)
         for y in range(G.size):
-            assert graph.adjacent(x, y) == adjacency_by_definition(G, x, y)
+            assert graph.adjacent(x, y) == adjacency_by_definition(closures, x, y)
+
+
+def test_root_masks_match_definition():
+    for G in (param.values[0] for param in MEMBERSHIP_GROUPS):
+        closures = [G.cyclic_closure(y) for y in range(G.size)]
+        for g in range(G.size):
+            roots = {y for y in range(G.size) if g in closures[y]}
+            assert G.root_masks[g] == sum(1 << y for y in roots), (G.name, g)
 
 
 def test_cyclic_prime_power_graph_complete():
