@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
+from typing import Callable
 
 from .connectivity import (
     ResourceLimitError,
@@ -20,6 +22,7 @@ from .connectivity import (
 )
 from .cyclic import external_overlap, maximal_cyclic_subgroups, nongenerators
 from .groups import (
+    AbelianSpec,
     Group,
     UnsupportedStructureError,
     make_abelian,
@@ -38,16 +41,15 @@ EXIT_RESOURCE = 3
 
 def parse_group_spec(text: str) -> Group:
     """Build a group from a spec like cyclic:12 or abelian:2^2,3."""
+    return _parse_spec(text)[1]()
+
+
+def _parse_spec(text: str) -> tuple[int, Callable[[], Group]]:
+    """The order a group spec names and the constructor of its group; nothing is built."""
     kind, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"group spec {text!r} needs the form kind:args")
     where = f"group spec {text!r}"
-    if kind == "cyclic":
-        return make_cyclic(_parse_int(rest, where))
-    if kind == "quaternion":
-        return make_generalized_quaternion(_parse_int(rest, where))
-    if kind == "dihedral":
-        return make_dihedral(_parse_int(rest, where))
     if kind == "abelian":
         factors = []
         for chunk in rest.split(","):
@@ -55,8 +57,13 @@ def parse_group_spec(text: str) -> Group:
             p = _parse_int(base, where)
             e = _parse_int(exp, where) if caret else 1
             factors.append((p, e))
-        return make_abelian(factors)
-    raise ValueError(f"unknown group kind {kind!r} in spec {text!r}")
+        spec = AbelianSpec(tuple(factors))
+        return spec.order, partial(make_abelian, spec)
+    makers = dict(cyclic=make_cyclic, quaternion=make_generalized_quaternion, dihedral=make_dihedral)
+    if kind not in makers:
+        raise ValueError(f"unknown group kind {kind!r} in spec {text!r}")
+    n = _parse_int(rest, where)
+    return n, partial(makers[kind], n)
 
 
 def _parse_int(chunk: str, where: str) -> int:
@@ -81,19 +88,21 @@ def _caps(args: argparse.Namespace) -> ResourceCaps:
     )
 
 
-def _check_brute_cap(group: Group, args: argparse.Namespace) -> None:
-    if group.size > args.max_brute_vertices:
+def _capped_group(args: argparse.Namespace) -> Group:
+    """The --group group, refused before it is built if above --max-brute-vertices."""
+    order, build = _parse_spec(args.group)
+    if order > args.max_brute_vertices:
         raise ResourceLimitError(
-            f"{group.name}: {group.size} vertices exceed --max-brute-vertices "
+            f"{args.group}: {order} vertices exceed --max-brute-vertices "
             f"{args.max_brute_vertices}"
         )
+    return build()
 
 
 def _cmd_kappa(args: argparse.Namespace) -> int:
-    group = parse_group_spec(args.group)
+    group = _capped_group(args)
     if group.size < 2:
         raise ValueError("connectivity needs a group of order >= 2")
-    _check_brute_cap(group, args)
     graph = build_power_graph(group)
     if graph.is_complete:
         kappa, cutset = vertex_connectivity(graph), None
@@ -113,10 +122,9 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
 
 
 def _cmd_cutsets(args: argparse.Namespace) -> int:
-    group = parse_group_spec(args.group)
+    group = _capped_group(args)
     if group.size < 2:
         raise ValueError("cut-sets need a group of order >= 2")
-    _check_brute_cap(group, args)
     graph = build_power_graph(group)
     if graph.is_complete:
         kappa, sets = vertex_connectivity(graph), []
@@ -217,15 +225,14 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    group = parse_group_spec(args.group)
     removed: set[int] = set()
     if args.remove:
         where = f"--remove {args.remove!r}"
         removed = {_parse_int(chunk, where) for chunk in args.remove.split(",")}
-        bad = [v for v in removed if not 0 <= v < group.size]
-        if bad:
-            raise ValueError(f"removed vertices {sorted(bad)} out of range")
-    _check_brute_cap(group, args)
+    group = _capped_group(args)
+    bad = [v for v in removed if not 0 <= v < group.size]
+    if bad:
+        raise ValueError(f"removed vertices {sorted(bad)} out of range")
     graph = build_power_graph(group)
     lines = [f'graph "{group.name}" {{']
     for v in range(group.size):

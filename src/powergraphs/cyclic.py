@@ -5,6 +5,12 @@ vertex cuts of the power graph: its non-generators, its overlap with cyclic
 subgroups generated outside it, the product of all Sylow subgroups except a
 chosen one, and (in one specific abelian configuration) a layered set
 assembled from exact-order shells and divisor subgroups of M.
+
+Containment questions are mask expressions over an element's closure mask c
+and roots mask r (``Group.closure_masks``, ``Group.root_masks``): the
+generators of <g> are c & r, and <g> is maximal iff r & ~c is empty; the
+external overlap of M is the set of its members with a root outside M, and
+the search witness for alpha is its least root outside M.
 """
 
 from __future__ import annotations
@@ -34,37 +40,32 @@ class CyclicSubgroup:
 
 def cyclic_subgroup(group: Group, g: int) -> CyclicSubgroup:
     """The cyclic subgroup generated by g, with its maximality decided."""
-    mask = group.closure_mask(g)
-    maximal = not any(
-        other != mask and other & mask == mask for other in group.closure_masks
-    )
-    gen = min(h for h in iter_bits(mask) if group.closure_masks[h] == mask)
+    c = group.closure_mask(g)
+    r = group.root_masks[g]
     return CyclicSubgroup(
-        elements=frozenset(iter_bits(mask)),
-        generator=gen,
-        order=mask.bit_count(),
-        is_maximal=maximal,
+        elements=frozenset(iter_bits(c)),
+        generator=next(iter_bits(c & r)),
+        order=c.bit_count(),
+        is_maximal=not r & ~c,
     )
 
 
 def maximal_cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
     """All maximal cyclic subgroups, one entry per distinct subgroup.
 
-    Brute force by design: take one closure per generator class, keep the ones
-    maximal under set inclusion. Ordered by generator index, the least element
-    of each class.
+    One test per generator class: <g> is maximal iff no root of g lies
+    outside <g>. Ordered by generator index, the least element of each class.
     """
-    gens = [min(c) for c in group.generator_classes]
-    distinct = [group.closure_masks[g] for g in gens]
+    closures, roots = group.closure_masks, group.root_masks
     return tuple(
         CyclicSubgroup(
-            elements=frozenset(iter_bits(mask)),
-            generator=gen,
-            order=mask.bit_count(),
+            elements=frozenset(iter_bits(closures[g])),
+            generator=g,
+            order=closures[g].bit_count(),
             is_maximal=True,
         )
-        for gen, mask in zip(gens, distinct)
-        if not any(other != mask and other & mask == mask for other in distinct)
+        for g in (min(c) for c in group.generator_classes)
+        if not roots[g] & ~closures[g]
     )
 
 
@@ -82,12 +83,9 @@ def external_overlap(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
     """Union of the subgroup's intersections with closures of outside elements."""
     if group.is_cyclic:
         raise ValueError("external overlap needs a non-cyclic group")
-    m_mask = mask_of(subgroup.elements)
-    acc = 0
-    for y in range(group.size):
-        if not (m_mask >> y) & 1:
-            acc |= group.closure_masks[y] & m_mask
-    return frozenset(iter_bits(acc))
+    outside = ~mask_of(subgroup.elements)
+    roots = group.root_masks
+    return frozenset(x for x in subgroup.elements if roots[x] & outside)
 
 
 def sylow_product(group: Group, primes: tuple[int, ...] | frozenset[int]) -> frozenset[int]:
@@ -180,10 +178,11 @@ def external_generator_witness(
 ) -> int:
     """An element outside the maximal cyclic subgroup whose closure contains alpha.
 
-    alpha must be a non-generator of the subgroup. The default strategy scans
-    all outside elements; "constructive" rebuilds the witness from Sylow
-    components and a congruence solution, as an independent cross-check. A
-    WitnessNotFoundError signals that some Sylow subgroup is cyclic.
+    alpha must be a non-generator of the subgroup. The default strategy takes
+    the least root of alpha outside the subgroup; "constructive" rebuilds the
+    witness from Sylow components and a congruence solution, as an independent
+    cross-check. A WitnessNotFoundError signals that some Sylow subgroup is
+    cyclic.
     """
     if not group.is_abelian:
         raise ValueError("witness search is defined for abelian groups")
@@ -203,14 +202,13 @@ def external_generator_witness(
 
 
 def _witness_by_search(group: Group, subgroup: CyclicSubgroup, alpha: int) -> int:
-    bit = 1 << alpha
-    for y in range(group.size):
-        if y not in subgroup.elements and group.closure_masks[y] & bit:
-            return y
-    raise WitnessNotFoundError(
-        f"no element outside the subgroup generates {alpha}; some Sylow "
-        "subgroup of the group is cyclic"
-    )
+    outside_roots = group.root_masks[alpha] & ~mask_of(subgroup.elements)
+    if not outside_roots:
+        raise WitnessNotFoundError(
+            f"no element outside the subgroup generates {alpha}; some Sylow "
+            "subgroup of the group is cyclic"
+        )
+    return next(iter_bits(outside_roots))
 
 
 def _dlog(group: Group, base: int, target: int, order: int) -> int:

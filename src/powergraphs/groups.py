@@ -7,10 +7,11 @@ use plain residue arithmetic so that element i times element j is element
 (i + j) mod n; dihedral and generalized quaternion groups are backed by an
 explicit, validated multiplication table.
 
-Element orders, cyclic closures, roots, generator classes and powers all
-come from one walk per cyclic subgroup: the powers of its least element are
-listed once and shared by all of its generators, so ``power`` is a table
-lookup.
+Each cyclic subgroup <h> has one record, built by one walk from its least
+generator h: the powers of h, and as masks its members, its generators and its
+roots (every y with <h> inside <y>). Element orders, cyclic closures, roots
+and generator classes are read from these records, and ``power`` is one
+lookup of the element's place (record, j) with g = h**j.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
 
-from .bitsets import iter_bits
+from .bitsets import iter_bits, mask_of
 from .numtheory import divisors, factorize, is_prime, p_adic_valuation
 
 
@@ -87,6 +88,21 @@ class SylowDecomposition:
         return self.components[g]
 
 
+@dataclass(slots=True)
+class _CyclicRecord:
+    """One cyclic subgroup <h>, h its least generator.
+
+    ``powers`` lists h**0, ..., h**(o-1). The masks are its members
+    (``closure``), the elements that generate it (``generators``) and every
+    y with <h> inside <y> (``roots``).
+    """
+
+    powers: tuple[int, ...]
+    closure: int
+    generators: int
+    roots: int
+
+
 class Group:
     """Base class: a finite group on indices 0..size-1 with identity 0."""
 
@@ -99,14 +115,8 @@ class Group:
     def inverse(self, a: int) -> int:
         raise NotImplementedError
 
-    def __len__(self) -> int:
-        return self.size
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, size={self.size})"
-
-    def elements(self) -> range:
-        return range(self.size)
 
     def _check_index(self, g: int) -> None:
         if not 0 <= g < self.size:
@@ -115,21 +125,26 @@ class Group:
     def power(self, g: int, k: int) -> int:
         """g**k (k may be any integer), looked up in the power list of <g>."""
         self._check_index(g)
-        powers, j = self._power_table[g]
+        sub, j = self._cyclic_places[g]
+        powers = sub.powers
         return powers[j * k % len(powers)]
 
     @cached_property
-    def _power_table(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Per element g, the power list (h**0, ..., h**(o-1)) of the least
-        generator h of <g>, and the exponent j with g = h**j.
+    def _cyclic_places(self) -> tuple[tuple[_CyclicRecord, int], ...]:
+        """Per element g, its place (record of <g>, j) with g = h**j, h the
+        least generator of <g>; each record is shared by all of its generators.
 
-        Each cyclic subgroup is walked once, from its least element h, with
-        one multiplication per listed power; all generators h**j with
-        gcd(j, o) = 1 share that one list.
+        Each cyclic subgroup is walked once, from its least generator h, with
+        one multiplication per listed power, and every generator h**j,
+        gcd(j, o) = 1, gets the place (record, j). The generators of <h>, of
+        order o, lie in <h**d> exactly for the divisors d of o, so a second
+        pass ORs them into the roots of each such subgroup (d = 1 is <h>
+        itself, and d = o the identity's, which holds every element).
         """
-        table: list[tuple[tuple[int, ...], int] | None] = [None] * self.size
+        places: list = [None] * self.size
+        subgroups = []
         for h in range(self.size):
-            if table[h] is not None:
+            if places[h] is not None:
                 continue
             walk = []
             x = 0
@@ -138,62 +153,34 @@ class Group:
                 x = self.mul(x, h)
                 if x == 0:
                     break
-            powers = tuple(walk)
-            o = len(powers)
+            o = len(walk)
+            sub = _CyclicRecord(tuple(walk), mask_of(walk), 0, 0)
+            gens = 0
             for j in range(o):
                 if gcd(j, o) == 1:
-                    table[powers[j]] = (powers, j)
-        return tuple(table)
-
-    @cached_property
-    def closure_masks(self) -> tuple[int, ...]:
-        """Per element, the cyclic closure <g> as a vertex bitmask.
-
-        Read off the shared power lists, so each cyclic subgroup's mask is
-        built once and given to all of its generators.
-        """
-        masks: dict[int, int] = {}  # id of a shared power list -> its mask
-        out = []
-        for powers, _ in self._power_table:
-            m = masks.get(id(powers))
-            if m is None:
-                m = 0
-                for x in powers:
-                    m |= 1 << x
-                masks[id(powers)] = m
-            out.append(m)
-        return tuple(out)
-
-    @cached_property
-    def root_masks(self) -> tuple[int, ...]:
-        """Per element g, the mask of every y with g in <y>.
-
-        Read off the shared power lists, one pass per cyclic subgroup: the
-        generators of <h>, of order o, lie in <h**d> exactly for the divisors
-        d of o, so their mask is ORed into the entry of each such subgroup
-        (d = 1 is <h> itself, and d = o the identity's, which holds every
-        element). All generators of a subgroup share its entry.
-        """
-        table = self._power_table
-        gens: dict[int, int] = {}  # id of a shared power list -> its generators' mask
-        lists = []
-        for g, (powers, _) in enumerate(table):
-            key = id(powers)
-            if key in gens:
-                gens[key] |= 1 << g
-            else:
-                gens[key] = 1 << g
-                lists.append(powers)
-        roots = gens.copy()
-        roots[id(table[0][0])] = (1 << self.size) - 1
+                    places[walk[j]] = (sub, j)
+                    gens |= 1 << walk[j]
+            sub.generators = sub.roots = gens
+            subgroups.append(sub)
+        subgroups[0].roots = (1 << self.size) - 1
         divs: dict[int, list[int]] = {}  # order -> its divisors other than 1 and itself
-        for powers in lists:
-            o = len(powers)
+        for sub in subgroups:
+            o = len(sub.powers)
             if o not in divs:
                 divs[o] = divisors(o)[1:-1]
             for d in divs[o]:
-                roots[id(table[powers[d]][0])] |= gens[id(powers)]
-        return tuple(roots[id(powers)] for powers, _ in table)
+                places[sub.powers[d]][0].roots |= sub.generators
+        return tuple(places)
+
+    @cached_property
+    def closure_masks(self) -> tuple[int, ...]:
+        """Per element, the cyclic closure <g> as a vertex bitmask."""
+        return tuple(sub.closure for sub, _ in self._cyclic_places)
+
+    @cached_property
+    def root_masks(self) -> tuple[int, ...]:
+        """Per element g, the mask of every y with g in <y>."""
+        return tuple(sub.roots for sub, _ in self._cyclic_places)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -213,16 +200,15 @@ class Group:
 
     def generator_class(self, g: int) -> frozenset[int]:
         """All elements generating the same cyclic subgroup as g."""
-        m = self.closure_mask(g)
-        return frozenset(h for h in iter_bits(m) if self.closure_masks[h] == m)
+        self._check_index(g)
+        return frozenset(iter_bits(self._cyclic_places[g][0].generators))
 
     @cached_property
     def generator_classes(self) -> tuple[frozenset[int], ...]:
         """The partition of the group into generator classes, by least element."""
-        by_mask: dict[int, list[int]] = {}
-        for g in range(self.size):
-            by_mask.setdefault(self.closure_masks[g], []).append(g)
-        return tuple(frozenset(c) for c in sorted(by_mask.values(), key=min))
+        # a record's least generator h is its h**1, and the identity is its h**0
+        places = self._cyclic_places
+        return tuple(frozenset(iter_bits(sub.generators)) for sub, j in places if j < 2)
 
     @cached_property
     def is_abelian(self) -> bool:

@@ -159,6 +159,20 @@ def test_export_dot_brute_cap_exit_three(capsys):
     assert "resource limit:" in err
 
 
+@pytest.mark.parametrize("command", ["kappa", "cutsets", "export-dot"])
+def test_brute_cap_applies_before_the_group_is_built(capsys, monkeypatch, command):
+    def no_table(order):
+        raise AssertionError(f"built the {order}x{order} table of an oversized group")
+
+    monkeypatch.setattr("powergraphs.cli.make_dihedral", no_table)
+    code, out, err = run(
+        capsys, command, "--group", "dihedral:2000", "--max-brute-vertices", "10"
+    )
+    assert code == 3
+    assert out == ""
+    assert "dihedral:2000: 2000 vertices exceed --max-brute-vertices 10" in err
+
+
 def test_verify_thm12_cyclic_skips_without_closures(capsys):
     # the nilpotency gate reads is_abelian, so no closure of the million
     # elements is built before the brute-force cap applies

@@ -22,8 +22,13 @@ from powergraphs.groups import (
     make_cyclic,
     make_generalized_quaternion,
 )
+from powergraphs.harness import corpus_groups
 from powergraphs.numtheory import divisors, euler_phi
 from powergraphs.predictions import gamma_cardinality
+from test_powergraph import MEMBERSHIP_GROUPS
+
+
+NONCYCLIC_CORPUS = [G for G in corpus_groups(64) if not G.is_cyclic]
 
 
 def brute_force_maximal(G):
@@ -32,20 +37,11 @@ def brute_force_maximal(G):
     return {c for c in closures if not any(c < d for d in closures)}
 
 
-@pytest.mark.parametrize(
-    "G",
-    [
-        make_cyclic(12),
-        make_abelian([(2, 1), (2, 1)]),
-        make_abelian([(2, 1), (2, 1), (3, 1)]),
-        make_abelian([(2, 2), (2, 1), (3, 1)]),
-        make_generalized_quaternion(16),
-    ],
-    ids=lambda g: g.name,
-)
+@pytest.mark.parametrize("G", MEMBERSHIP_GROUPS)
 def test_maximal_cyclic_against_oracle(G):
     got = {m.elements for m in maximal_cyclic_subgroups(G)}
-    assert got == brute_force_maximal(G)
+    maximal = brute_force_maximal(G)
+    assert got == maximal
     for m in maximal_cyclic_subgroups(G):
         assert m.is_maximal
         assert m.elements == G.cyclic_closure(m.generator)
@@ -53,6 +49,12 @@ def test_maximal_cyclic_against_oracle(G):
     # every element is covered
     covered = set().union(*got)
     assert covered == set(range(G.size))
+    closures = [G.cyclic_closure(g) for g in range(G.size)]
+    for g, c in enumerate(closures):
+        sub = cyclic_subgroup(G, g)
+        assert sub.elements == c and sub.order == len(c)
+        assert sub.generator == min(h for h, d in enumerate(closures) if d == c)
+        assert sub.is_maximal == (c in maximal)
 
 
 def test_cyclic_group_single_maximal():
@@ -110,6 +112,15 @@ def test_external_overlap_examples():
     cyclic_sylow = make_abelian([(2, 1), (2, 1), (3, 1)])
     m6 = next(m for m in maximal_cyclic_subgroups(cyclic_sylow) if m.order == 6)
     assert external_overlap(cyclic_sylow, m6) < nongenerators(cyclic_sylow, m6)
+
+    # definition: the union over y outside M of <y> & M
+    for G in NONCYCLIC_CORPUS:
+        for m in maximal_cyclic_subgroups(G):
+            expected = set()
+            for y in range(G.size):
+                if y not in m.elements:
+                    expected |= G.cyclic_closure(y) & m.elements
+            assert external_overlap(G, m) == expected, (G.name, m.generator)
 
 
 def test_external_overlap_rejects_cyclic_group():
@@ -208,6 +219,23 @@ def test_witness_strategies_agree_on_validity():
                 beta = external_generator_witness(G, M, alpha, strategy=strategy)
                 assert beta not in M.elements
                 assert alpha in G.cyclic_closure(beta)
+
+    # definition: the search witness is the least y outside M with alpha in
+    # <y>, and WitnessNotFoundError means there is none (the witness search
+    # is defined for abelian groups only)
+    for G in (G for G in NONCYCLIC_CORPUS if G.is_abelian):
+        closures = [G.cyclic_closure(y) for y in range(G.size)]
+        for M in maximal_cyclic_subgroups(G):
+            for alpha in sorted(nongenerators(G, M)):
+                expected = next(
+                    (y for y in range(G.size) if y not in M.elements and alpha in closures[y]),
+                    None,
+                )
+                if expected is None:
+                    with pytest.raises(WitnessNotFoundError):
+                        external_generator_witness(G, M, alpha)
+                else:
+                    assert external_generator_witness(G, M, alpha) == expected, (G.name, alpha)
 
 
 def test_witness_not_found_with_cyclic_sylow():

@@ -415,6 +415,7 @@ def test_closures_and_powers_match_naive_reference():
         classes = sorted(by_mask.values(), key=min)
         assert [set(c) for c in G.generator_classes] == classes, G.name
         for g, c in enumerate(closures):
+            assert G.generator_class(g) == by_mask[masks[g]], (G.name, g)
             o = len(c)
             for k in (-o - 2, -1, 0, 1, 2, o, o + 3):
                 assert G.power(g, k) == naive_power(G, g, k), (G.name, g, k)
