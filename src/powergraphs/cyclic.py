@@ -20,7 +20,7 @@ from math import prod
 
 from .bitsets import iter_bits, mask_of
 from .groups import Group, UnsupportedStructureError
-from .numtheory import p_adic_valuation, solve_congruence
+from .numtheory import p_adic_valuation
 from .predictions import gamma_cardinality
 
 
@@ -173,15 +173,12 @@ def gamma_set(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
     return frozenset(acc)
 
 
-def external_generator_witness(
-    group: Group, subgroup: CyclicSubgroup, alpha: int, *, strategy: str = "search"
-) -> int:
-    """An element outside the maximal cyclic subgroup whose closure contains alpha.
+def external_generator_witness(group: Group, subgroup: CyclicSubgroup, alpha: int) -> int:
+    """The least element outside the maximal cyclic subgroup whose closure
+    contains alpha, i.e. the least root of alpha outside it.
 
-    alpha must be a non-generator of the subgroup. The default strategy takes
-    the least root of alpha outside the subgroup; "constructive" rebuilds the
-    witness from Sylow components and a congruence solution, as an independent
-    cross-check. A WitnessNotFoundError signals that some Sylow subgroup is
+    alpha must be a non-generator of the subgroup. A WitnessNotFoundError
+    signals that alpha has no root outside it, so some Sylow subgroup is
     cyclic.
     """
     if not group.is_abelian:
@@ -190,72 +187,13 @@ def external_generator_witness(
         raise ValueError("witness search needs a maximal cyclic subgroup")
     if alpha not in nongenerators(group, subgroup):
         raise ValueError(f"element {alpha} is not a non-generator of the subgroup")
-    if strategy == "search":
-        beta = _witness_by_search(group, subgroup, alpha)
-    elif strategy == "constructive":
-        beta = _witness_constructive(group, subgroup, alpha)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if beta in subgroup.elements or alpha not in group.cyclic_closure(beta):
-        raise RuntimeError(f"internal: produced an invalid witness {beta} for {alpha}")
-    return beta
-
-
-def _witness_by_search(group: Group, subgroup: CyclicSubgroup, alpha: int) -> int:
     outside_roots = group.root_masks[alpha] & ~mask_of(subgroup.elements)
     if not outside_roots:
         raise WitnessNotFoundError(
             f"no element outside the subgroup generates {alpha}; some Sylow "
             "subgroup of the group is cyclic"
         )
-    return next(iter_bits(outside_roots))
-
-
-def _dlog(group: Group, base: int, target: int, order: int) -> int:
-    x = 0
-    for k in range(order):
-        if x == target:
-            return k
-        x = group.mul(x, base)
-    raise RuntimeError(f"internal: {target} not a power of {base}")
-
-
-def _witness_constructive(group: Group, subgroup: CyclicSubgroup, alpha: int) -> int:
-    outside = [y for y in range(group.size) if y not in subgroup.elements]
-    if not outside:
-        raise WitnessNotFoundError("the subgroup is the whole group; no outside element")
-    if alpha == 0:
-        return min(outside)
-    dec = group.sylow_decomposition()
-    gen_parts = dec.project(subgroup.generator)
-    alpha_parts = dec.project(alpha)
-    orders = group.element_orders
-    exps = []
-    for w, a in zip(gen_parts, alpha_parts):
-        exps.append(_dlog(group, w, a, orders[w]))
-
-    def order_p_outside(i: int, p: int) -> int:
-        inside = subgroup.elements
-        for u in sorted(dec.subgroups[i]):
-            if orders[u] == p and u not in inside:
-                return u
-        raise WitnessNotFoundError(
-            f"Sylow {p}-subgroup is cyclic: every order-{p} element lies in "
-            "the subgroup"
-        )
-
-    for i, p in enumerate(dec.primes):
-        if exps[i] == 0:
-            u = order_p_outside(i, p)
-            return group.mul(u, alpha)
-    for i, p in enumerate(dec.primes):
-        if exps[i] % p == 0 and exps[i] != 0:
-            u = order_p_outside(i, p)
-            beta = group.mul(u, group.power(gen_parts[i], exps[i] // p))
-            for j in range(len(dec.primes)):
-                if j == i:
-                    continue
-                k = solve_congruence(p, exps[j], orders[gen_parts[j]])
-                beta = group.mul(beta, group.power(gen_parts[j], k))
-            return beta
-    raise RuntimeError("internal: non-generator with no reducible component")
+    beta = next(iter_bits(outside_roots))
+    if beta in subgroup.elements or alpha not in group.cyclic_closure(beta):
+        raise RuntimeError(f"internal: produced an invalid witness {beta} for {alpha}")
+    return beta

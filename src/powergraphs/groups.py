@@ -60,20 +60,17 @@ class AbelianSpec:
 
 @dataclass(frozen=True)
 class SylowDecomposition:
-    """Sylow subgroups of a nilpotent group plus per-element projections.
+    """Sylow subgroups of a nilpotent group and the facts read from them.
 
     ``subgroups[i]`` is the Sylow subgroup for ``primes[i]`` as an element
-    set; ``components[g][i]`` is the projection of element g onto it, and the
-    projections of g multiply back to g. ``noncyclic`` lists the primes whose
-    Sylow subgroup has no element of its own order, ``elementary`` those whose
-    Sylow subgroup has exponent p, and ``quaternion`` says whether the 2-Sylow
-    subgroup is non-cyclic with a unique involution, i.e. generalized
-    quaternion.
+    set. ``noncyclic`` lists the primes whose Sylow subgroup has no element
+    of its own order, ``elementary`` those whose Sylow subgroup has exponent
+    p, and ``quaternion`` says whether the 2-Sylow subgroup is non-cyclic
+    with a unique involution, i.e. generalized quaternion.
     """
 
     primes: tuple[int, ...]
     subgroups: tuple[frozenset[int], ...]
-    components: tuple[tuple[int, ...], ...]
     noncyclic: tuple[int, ...]
     elementary: tuple[int, ...]
     quaternion: bool
@@ -83,9 +80,6 @@ class SylowDecomposition:
             return self.subgroups[self.primes.index(p)]
         except ValueError:
             raise ValueError(f"{p} does not divide the group order") from None
-
-    def project(self, g: int) -> tuple[int, ...]:
-        return self.components[g]
 
 
 @dataclass(slots=True)
@@ -248,7 +242,7 @@ class Group:
         )
 
     def sylow_decomposition(self) -> SylowDecomposition:
-        """Sylow subgroups and element projections; the group must be nilpotent.
+        """Sylow subgroups and their facts; the group must be nilpotent.
 
         Computed once per group; a non-nilpotent group raises on every call.
         """
@@ -276,30 +270,9 @@ class Group:
                     quaternion = sum(1 for g in members if orders[g] == 2) == 1
             if all(orders[g] in (1, p) for g in members):
                 elementary.append(p)
-        components = []
-        for g in range(self.size):
-            n = orders[g]
-            comps = []
-            for p in primes:
-                a = p_adic_valuation(n, p)
-                if a == 0:
-                    comps.append(0)
-                else:
-                    q = n // p**a
-                    comps.append(self.power(g, q * pow(q, -1, p**a)))
-            rebuilt = 0
-            for c in comps:
-                rebuilt = self.mul(rebuilt, c)
-            if rebuilt != g:
-                raise UnsupportedStructureError(
-                    f"{self.name}: Sylow projections of element {g} do not "
-                    "multiply back to it"
-                )
-            components.append(tuple(comps))
         return SylowDecomposition(
             primes,
             tuple(subgroups),
-            tuple(components),
             tuple(noncyclic),
             tuple(elementary),
             quaternion,

@@ -215,10 +215,9 @@ def test_witness_strategies_agree_on_validity():
     G = make_abelian([(2, 1), (2, 1), (3, 1), (3, 1)])
     for M in maximal_cyclic_subgroups(G):
         for alpha in sorted(nongenerators(G, M)):
-            for strategy in ("search", "constructive"):
-                beta = external_generator_witness(G, M, alpha, strategy=strategy)
-                assert beta not in M.elements
-                assert alpha in G.cyclic_closure(beta)
+            beta = external_generator_witness(G, M, alpha)
+            assert beta not in M.elements
+            assert alpha in G.cyclic_closure(beta)
 
     # definition: the search witness is the least y outside M with alpha in
     # <y>, and WitnessNotFoundError means there is none (the witness search
