@@ -230,19 +230,34 @@ def min_vertex_cut_between(
 
 def minimalize_cutset(graph: PowerGraph, vertices: Iterable[int]) -> frozenset[int]:
     """Greedily shrink a cut-set to a minimal one: drop the least vertex
-    whose removal leaves a cut-set, and rescan from the least, until none does."""
-    cut = graph._vertex_mask(vertices)
-    if not graph.is_cut_set(iter_bits(cut)):
-        raise ValueError("minimalize_cutset requires a cut-set")
-    alive = graph.full_mask & ~cut
-    while True:
-        for x in iter_bits(cut):
-            if graph._is_split(alive | 1 << x):
-                cut ^= 1 << x
-                alive |= 1 << x
-                break
-        else:
-            return frozenset(iter_bits(cut))
+    whose removal leaves a cut-set, and rescan from the least, until none does.
+
+    Dropping a member x leaves a cut-set exactly when x misses some component
+    of the rest, so the rest is split into components once and each member is
+    tested against them. A dropped x merges with the components it touches.
+    Members kept before x touch every component, so they touch the merged one
+    too, and the scan goes on past x; it restarts from the least member only
+    when x touched no component and so became a component of its own.
+    """
+    cut, comps = graph._cut_components(vertices, "minimalize_cutset")
+    adj = graph.adj
+    scan = cut
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        row = adj[low.bit_length() - 1]
+        missed = [c for c in comps if not row & c]
+        if not missed:
+            continue
+        merged = low
+        for c in comps:
+            if row & c:
+                merged |= c
+        cut ^= low
+        if merged == low:
+            scan = cut
+        comps = missed + [merged]
+    return frozenset(iter_bits(cut))
 
 
 def all_minimum_cutsets(

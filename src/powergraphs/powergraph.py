@@ -125,25 +125,38 @@ class PowerGraph:
     def is_connected(self) -> bool:
         return self.vertex_count == 0 or not self._is_split(self.full_mask)
 
+    def _survivors(self, cut: int) -> int:
+        alive = self.full_mask & ~cut
+        if alive.bit_count() < 2:
+            raise ValueError("a cut-set must leave at least two vertices")
+        return alive
+
     def is_cut_set(self, vertices: Iterable[int]) -> bool:
         """True iff removing the set leaves >= 2 connected components.
 
         At least two vertices must survive the removal; smaller remainders are
         outside the definition and rejected.
         """
+        return self._is_split(self._survivors(self._vertex_mask(vertices)))
+
+    def _cut_components(self, vertices: Iterable[int], caller: str) -> tuple[int, list[int]]:
+        """The mask of a cut-set and the component masks of the graph without it."""
         cut = self._vertex_mask(vertices)
-        alive = self.full_mask & ~cut
-        if alive.bit_count() < 2:
-            raise ValueError("a cut-set must leave at least two vertices")
-        return self._is_split(alive)
+        comps = self._component_masks(self._survivors(cut))
+        if len(comps) < 2:
+            raise ValueError(f"{caller} requires a cut-set")
+        return cut, comps
 
     def is_minimal_cut_set(self, vertices: Iterable[int]) -> bool:
-        """True iff no single element can be dropped while staying a cut-set."""
-        cut = self._vertex_mask(vertices)
-        if not self.is_cut_set(iter_bits(cut)):
-            raise ValueError("is_minimal_cut_set requires a cut-set")
-        alive = self.full_mask & ~cut
-        return not any(self._is_split(alive | 1 << x) for x in iter_bits(cut))
+        """True iff no single element can be dropped while staying a cut-set.
+
+        Putting a member x back leaves the graph split exactly when x misses
+        some component of the rest, so the set is minimal iff every member
+        touches every component: one component split decides every member.
+        """
+        cut, comps = self._cut_components(vertices, "is_minimal_cut_set")
+        adj = self.adj
+        return all(adj[x] & c for x in iter_bits(cut) for c in comps)
 
     def is_separation(self, removed: Iterable[int], sep: Separation) -> bool:
         """True iff sep partitions the surviving vertices with no crossing edge."""

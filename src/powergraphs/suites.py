@@ -318,17 +318,14 @@ def check_minimal_cutsets_are_class_unions(group: Group, graph: PowerGraph) -> C
     if graph.is_complete:
         return None
     n = graph.vertex_count
-    seeds = []
-    for v in range(n):
-        nb = graph.neighbors(v)
-        if len(nb) < n - 1 and graph.is_cut_set(nb):
-            seeds.append(nb)
+    # removing N(v) isolates v, so it is a cut-set once some other vertex survives
+    seeds = {nb for nb in map(graph.neighbors, range(n)) if len(nb) < n - 1}
     rng = random.Random(f"class-union:{group.name}")
     non_adjacent = [
         (s, t) for s in range(n) for t in range(s + 1, n) if not graph.adjacent(s, t)
     ]
     for s, t in rng.sample(non_adjacent, min(10, len(non_adjacent))):
-        seeds.append(min_vertex_cut_between(graph, s, t)[0])
+        seeds.add(min_vertex_cut_between(graph, s, t)[0])
     minimal_sets = {minimalize_cutset(graph, seed) for seed in seeds}
     for cut in sorted(minimal_sets, key=sorted):
         if not graph.is_minimal_cut_set(cut):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -434,6 +435,84 @@ def test_minimalize_cutset_matches_set_based_scan():
     assert checked > 1000
     with pytest.raises(ValueError):
         minimalize_cutset(build_power_graph(make_dihedral(6)), {0, 6})
+
+
+def is_minimal_by_definition(graph, cut):
+    """Oracle: no member can be dropped while the rest stays a cut-set."""
+    return not any(graph.is_cut_set(cut - {x}) for x in cut)
+
+
+def all_but_two_seeds(graph):
+    """Every vertex but a non-adjacent pair: the longest shrinking scans."""
+    n = graph.vertex_count
+    return [
+        frozenset(range(n)) - {s, t}
+        for s in range(n)
+        for t in range(s)
+        if not graph.adjacent(s, t)
+    ]
+
+
+def test_is_minimal_cut_set_matches_definition_on_power_graphs():
+    from powergraphs.harness import corpus_groups
+
+    verdicts = []
+    for G in corpus_groups(24):
+        graph = build_power_graph(G)
+        n = graph.vertex_count
+        if graph.is_complete:
+            continue
+        seeds = [graph.neighbors(v) for v in range(n)] + all_but_two_seeds(graph)
+        cuts = {seed for seed in seeds if len(seed) < n - 1}
+        cuts |= {minimalize_cutset(graph, seed) for seed in cuts}
+        for cut in cuts:
+            minimal = graph.is_minimal_cut_set(cut)
+            assert minimal == is_minimal_by_definition(graph, cut), (G.name, sorted(cut))
+            verdicts.append(minimal)
+    assert len(verdicts) > 1000 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_cut_minimality_matches_definition_on_random_graphs():
+    rng = random.Random(0xC075E7)
+    disconnected = 0
+    for _ in range(150):
+        n = rng.randint(3, 10)
+        p = rng.choice((0.15, 0.4, 0.7))
+        edge_bits = sum(1 << k for k in range(n * (n - 1) // 2) if rng.random() < p)
+        graph = random_graph(n, edge_bits)
+        disconnected += not graph.is_connected()
+        for size in range(n + 1):
+            for cut in map(frozenset, combinations(range(n), size)):
+                if size < n - 1 and graph.is_cut_set(cut):
+                    assert graph.is_minimal_cut_set(cut) == is_minimal_by_definition(graph, cut)
+                    assert minimalize_cutset(graph, cut) == naive_minimalize(graph, cut)
+                else:
+                    with pytest.raises(ValueError):
+                        graph.is_minimal_cut_set(cut)
+                    with pytest.raises(ValueError):
+                        minimalize_cutset(graph, cut)
+    assert disconnected > 10
+
+
+def test_minimality_flood_count(monkeypatch):
+    # one component split per call, with no flood per member
+    graph = build_power_graph(parse_group_spec("abelian:2,2,3,3"))
+    seeds = all_but_two_seeds(graph)
+    seeds += [minimalize_cutset(graph, seed) for seed in seeds]
+    components = [len(graph.components_after_removal(seed)) for seed in seeds]
+    floods = []
+    real = PowerGraph._flood
+
+    def counting(self, alive, start):
+        floods.append(start)
+        return real(self, alive, start)
+
+    monkeypatch.setattr(PowerGraph, "_flood", counting)
+    for seed, most in zip(seeds, components):
+        for check in (graph.is_minimal_cut_set, lambda s: minimalize_cutset(graph, s)):
+            floods.clear()
+            check(seed)
+            assert len(floods) <= most, (sorted(seed), len(floods), most)
 
 
 def test_dihedral_connectivity_is_one():
