@@ -6,20 +6,20 @@ subgroups generated outside it, the product of all Sylow subgroups except a
 chosen one, and (in one specific abelian configuration) a layered set
 assembled from exact-order shells and divisor subgroups of M.
 
-Containment questions are mask expressions over an element's closure mask c
-and roots mask r (``Group.closure_masks``, ``Group.root_masks``): the
-generators of <g> are c & r, and <g> is maximal iff r & ~c is empty; the
+Every cyclic subgroup here is the group's own record of it, a
+``groups.CyclicSubgroup``, and containment questions are mask expressions
+over its closure, generators and roots masks: its non-generators are
+closure & ~generators, it is maximal iff roots & ~closure is empty, the
 external overlap of M is the set of its members with a root outside M, and
 the search witness for alpha is its least root outside M.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
-from .bitsets import iter_bits, mask_of
-from .groups import Group, UnsupportedStructureError
+from .bitsets import iter_bits
+from .groups import CyclicSubgroup, Group, UnsupportedStructureError
 from .numtheory import p_adic_valuation
 from .predictions import gamma_cardinality
 
@@ -28,45 +28,19 @@ class WitnessNotFoundError(LookupError):
     """No outside element generates the requested one; a Sylow subgroup is cyclic."""
 
 
-@dataclass(frozen=True)
-class CyclicSubgroup:
-    """A cyclic subgroup as an element set with a designated generator."""
-
-    elements: frozenset[int]
-    generator: int
-    order: int
-    is_maximal: bool
-
-
 def cyclic_subgroup(group: Group, g: int) -> CyclicSubgroup:
-    """The cyclic subgroup generated by g, with its maximality decided."""
-    c = group.closure_mask(g)
-    r = group.root_masks[g]
-    return CyclicSubgroup(
-        elements=frozenset(iter_bits(c)),
-        generator=next(iter_bits(c & r)),
-        order=c.bit_count(),
-        is_maximal=not r & ~c,
-    )
+    """The cyclic subgroup generated by g: the group's record of <g>."""
+    group._check_index(g)
+    return group._cyclic_places[g][0]
 
 
 def maximal_cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
     """All maximal cyclic subgroups, one entry per distinct subgroup.
 
-    One test per generator class: <g> is maximal iff no root of g lies
-    outside <g>. Ordered by generator index, the least element of each class.
+    One test per record: <h> is maximal iff no root of h lies outside <h>.
+    Ordered by least generator.
     """
-    closures, roots = group.closure_masks, group.root_masks
-    return tuple(
-        CyclicSubgroup(
-            elements=frozenset(iter_bits(closures[g])),
-            generator=g,
-            order=closures[g].bit_count(),
-            is_maximal=True,
-        )
-        for g in (min(c) for c in group.generator_classes)
-        if not roots[g] & ~closures[g]
-    )
+    return tuple(m for m in group.cyclic_subgroups if m.is_maximal)
 
 
 def min_order_maximal_cyclic(group: Group) -> CyclicSubgroup:
@@ -76,16 +50,16 @@ def min_order_maximal_cyclic(group: Group) -> CyclicSubgroup:
 
 def nongenerators(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
     """Members of the subgroup that do not generate it; |M| - phi(|M|) many."""
-    return subgroup.elements - group.generator_class(subgroup.generator)
+    return frozenset(iter_bits(subgroup.closure & ~subgroup.generators))
 
 
 def external_overlap(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
     """Union of the subgroup's intersections with closures of outside elements."""
     if group.is_cyclic:
         raise ValueError("external overlap needs a non-cyclic group")
-    outside = ~mask_of(subgroup.elements)
+    outside = ~subgroup.closure
     roots = group.root_masks
-    return frozenset(x for x in subgroup.elements if roots[x] & outside)
+    return frozenset(x for x in subgroup.powers if roots[x] & outside)
 
 
 def sylow_product(group: Group, primes: tuple[int, ...] | frozenset[int]) -> frozenset[int]:
@@ -116,7 +90,7 @@ def elements_of_exact_order(group: Group, subgroup: CyclicSubgroup, d: int) -> f
     if d < 1 or subgroup.order % d != 0:
         raise ValueError(f"{d} does not divide the subgroup order {subgroup.order}")
     orders = group.element_orders
-    return frozenset(g for g in subgroup.elements if orders[g] == d)
+    return frozenset(g for g in subgroup.powers if orders[g] == d)
 
 
 def elements_of_dividing_order(group: Group, subgroup: CyclicSubgroup, d: int) -> frozenset[int]:
@@ -124,7 +98,7 @@ def elements_of_dividing_order(group: Group, subgroup: CyclicSubgroup, d: int) -
     if d < 1 or subgroup.order % d != 0:
         raise ValueError(f"{d} does not divide the subgroup order {subgroup.order}")
     orders = group.element_orders
-    return frozenset(g for g in subgroup.elements if d % orders[g] == 0)
+    return frozenset(g for g in subgroup.powers if d % orders[g] == 0)
 
 
 def gamma_set(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
@@ -187,13 +161,13 @@ def external_generator_witness(group: Group, subgroup: CyclicSubgroup, alpha: in
         raise ValueError("witness search needs a maximal cyclic subgroup")
     if alpha not in nongenerators(group, subgroup):
         raise ValueError(f"element {alpha} is not a non-generator of the subgroup")
-    outside_roots = group.root_masks[alpha] & ~mask_of(subgroup.elements)
+    outside_roots = group.root_masks[alpha] & ~subgroup.closure
     if not outside_roots:
         raise WitnessNotFoundError(
             f"no element outside the subgroup generates {alpha}; some Sylow "
             "subgroup of the group is cyclic"
         )
     beta = next(iter_bits(outside_roots))
-    if beta in subgroup.elements or alpha not in group.cyclic_closure(beta):
+    if subgroup.closure >> beta & 1 or not group.closure_mask(beta) >> alpha & 1:
         raise RuntimeError(f"internal: produced an invalid witness {beta} for {alpha}")
     return beta

@@ -7,11 +7,12 @@ use plain residue arithmetic so that element i times element j is element
 (i + j) mod n; dihedral and generalized quaternion groups are backed by an
 explicit, validated multiplication table.
 
-Each cyclic subgroup <h> has one record, built by one walk from its least
-generator h: the powers of h, and as masks its members, its generators and its
-roots (every y with <h> inside <y>). Element orders, cyclic closures, roots
-and generator classes are read from these records, and ``power`` is one
-lookup of the element's place (record, j) with g = h**j.
+Each cyclic subgroup <h> has one record, a ``CyclicSubgroup`` built by one
+walk from its least generator h: the powers of h, and as masks its members,
+its generators and its roots (every y with <h> inside <y>). Element orders,
+cyclic closures, roots, generator classes and maximality are read from these
+records, ``Group.cyclic_subgroups`` lists them, and ``power`` is one lookup
+of the element's place (record, j) with g = h**j.
 """
 
 from __future__ import annotations
@@ -83,18 +84,36 @@ class SylowDecomposition:
 
 
 @dataclass(slots=True)
-class _CyclicRecord:
+class CyclicSubgroup:
     """One cyclic subgroup <h>, h its least generator.
 
     ``powers`` lists h**0, ..., h**(o-1). The masks are its members
     (``closure``), the elements that generate it (``generators``) and every
-    y with <h> inside <y> (``roots``).
+    y with <h> inside <y> (``roots``); <h> is maximal iff it holds all of its
+    roots.
     """
 
     powers: tuple[int, ...]
     closure: int
     generators: int
     roots: int
+
+    @property
+    def generator(self) -> int:
+        """h, the least element that generates the subgroup."""
+        return self.powers[1 % len(self.powers)]
+
+    @property
+    def order(self) -> int:
+        return len(self.powers)
+
+    @property
+    def elements(self) -> frozenset[int]:
+        return frozenset(self.powers)
+
+    @property
+    def is_maximal(self) -> bool:
+        return not self.roots & ~self.closure
 
 
 class Group:
@@ -124,7 +143,7 @@ class Group:
         return powers[j * k % len(powers)]
 
     @cached_property
-    def _cyclic_places(self) -> tuple[tuple[_CyclicRecord, int], ...]:
+    def _cyclic_places(self) -> tuple[tuple[CyclicSubgroup, int], ...]:
         """Per element g, its place (record of <g>, j) with g = h**j, h the
         least generator of <g>; each record is shared by all of its generators.
 
@@ -148,7 +167,7 @@ class Group:
                 if x == 0:
                     break
             o = len(walk)
-            sub = _CyclicRecord(tuple(walk), mask_of(walk), 0, 0)
+            sub = CyclicSubgroup(tuple(walk), mask_of(walk), 0, 0)
             gens = 0
             for j in range(o):
                 if gcd(j, o) == 1:
@@ -165,6 +184,12 @@ class Group:
             for d in divs[o]:
                 places[sub.powers[d]][0].roots |= sub.generators
         return tuple(places)
+
+    @cached_property
+    def cyclic_subgroups(self) -> tuple[CyclicSubgroup, ...]:
+        """Every cyclic subgroup once, ordered by least generator."""
+        # a record's least generator h is its h**1, and the identity is its h**0
+        return tuple(sub for sub, j in self._cyclic_places if j < 2)
 
     @cached_property
     def closure_masks(self) -> tuple[int, ...]:
@@ -200,9 +225,7 @@ class Group:
     @cached_property
     def generator_classes(self) -> tuple[frozenset[int], ...]:
         """The partition of the group into generator classes, by least element."""
-        # a record's least generator h is its h**1, and the identity is its h**0
-        places = self._cyclic_places
-        return tuple(frozenset(iter_bits(sub.generators)) for sub, j in places if j < 2)
+        return tuple(frozenset(iter_bits(sub.generators)) for sub in self.cyclic_subgroups)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -282,11 +305,11 @@ class Group:
 class CyclicGroup(Group):
     """C_n with residue arithmetic: element k is the k-th power of a generator."""
 
-    def __init__(self, n: int, name: str | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"cyclic group order must be >= 1, got {n}")
         self.size = n
-        self.name = name or f"C{n}"
+        self.name = f"C{n}"
 
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.size
@@ -310,12 +333,12 @@ class StructuredAbelianGroup(Group):
     later radices), so products and inverses are digit-wise sums.
     """
 
-    def __init__(self, spec: AbelianSpec, name: str | None = None):
+    def __init__(self, spec: AbelianSpec):
         self.spec = spec
         radices = [p**e for p, e in spec.factors]
         self._places = tuple((r, prod(radices[i + 1 :])) for i, r in enumerate(radices))
         self.size = prod(radices)
-        self.name = name or spec.label
+        self.name = spec.label
 
     def encode(self, coords: tuple[int, ...]) -> int:
         return sum(x % r * w for x, (r, w) in zip(coords, self._places))
@@ -404,8 +427,6 @@ class CayleyTableGroup(Group):
 
 def make_cyclic(n: int) -> Group:
     """The cyclic group of order n >= 1."""
-    if n < 1:
-        raise ValueError(f"cyclic group order must be >= 1, got {n}")
     return CyclicGroup(n)
 
 
@@ -463,7 +484,7 @@ def make_generalized_quaternion(order: int) -> Group:
     return CayleyTableGroup(f"Q{order}", table)
 
 
-def direct_product(g1: Group, g2: Group, name: str | None = None) -> Group:
+def direct_product(g1: Group, g2: Group) -> Group:
     """Direct product as a table group; index of (a, b) is a*|g2| + b."""
     n1, n2 = g1.size, g2.size
     n = n1 * n2
@@ -475,4 +496,4 @@ def direct_product(g1: Group, g2: Group, name: str | None = None) -> Group:
                 pa = g1.mul(a1, a2) * n2
                 for b2 in range(n2):
                     row[a2 * n2 + b2] = pa + g2.mul(b1, b2)
-    return CayleyTableGroup(name or f"{g1.name}x{g2.name}", table)
+    return CayleyTableGroup(f"{g1.name}x{g2.name}", table)

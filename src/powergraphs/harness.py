@@ -4,14 +4,18 @@ A verification runs an applicability-gated closed-form prediction next to an
 unconditional brute-force computation on the same group and compares them.
 Verdicts: "match", "mismatch", "skipped-hypothesis" (a gate failed; brute
 data may still be reported), "skipped-resource" (group too large or the
-enumeration hit its bound).
+enumeration hit its bound). A prediction matches when its kappa equals the
+observed one and the observed minimum cut-sets obey the forecast's two rules:
+their number equals its ``count`` when it has one, and every named cut-set is
+among them. A "props" verification runs every property suite instead and
+matches when at least one check ran and none failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
-from typing import Callable
+from typing import Callable, Iterable
 
 from .connectivity import (
     ResourceLimitError,
@@ -30,7 +34,6 @@ from .groups import (
 from .numtheory import factorize
 from .powergraph import build_power_graph
 from .predictions import (
-    CutsetForecast,
     Factorization,
     Prediction,
     SylowProfile,
@@ -65,6 +68,10 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         pred = self.prediction
+
+        def lists(sets):
+            return None if sets is None else [list(s) for s in sets]
+
         return {
             "group": self.group_label,
             "theorem": self.theorem_id,
@@ -74,18 +81,10 @@ class VerificationReport:
             ],
             "predicted_kappa": pred.kappa,
             "observed_kappa": self.observed_kappa,
-            "predicted_cutsets": (
-                None
-                if self.predicted_cutsets is None
-                else [list(s) for s in self.predicted_cutsets]
-            ),
+            "predicted_cutsets": lists(self.predicted_cutsets),
             "predicted_cutset_count": pred.cutsets.count,
             "case": pred.case_tag,
-            "observed_cutsets": (
-                None
-                if self.observed_cutsets is None
-                else [list(s) for s in self.observed_cutsets]
-            ),
+            "observed_cutsets": lists(self.observed_cutsets),
             "verdict": self.verdict,
             "detail": self.detail,
         }
@@ -227,148 +226,85 @@ def predict_for_group(
     for stage in stages:
         trace += tuple((cond, holds(group)) for cond, holds in stage)
         if not all(ok for _, ok in trace):
-            return (
-                Prediction(
-                    applicable=False,
-                    kappa=None,
-                    case_tag=gated_tag,
-                    cutsets=CutsetForecast(kind="unknown"),
-                    hypothesis_trace=trace,
-                ),
-                None,
-            )
+            return Prediction.gated(gated_tag, trace), None
     pred = predict(group)
     pred = replace(pred, hypothesis_trace=trace + pred.hypothesis_trace)
-    return pred, _materialize_cutsets(group, pred.cutsets)
+    products = pred.cutsets.subgroup_products
+    if products is None:
+        return pred, None
+    return pred, tuple(sylow_product(group, primes) for primes in products)
 
 
-def _materialize_cutsets(
-    group: Group, forecast: CutsetForecast
-) -> tuple[frozenset[int], ...] | None:
-    if forecast.subgroup_products is None:
-        return None
-    return tuple(sylow_product(group, primes) for primes in forecast.subgroup_products)
+def _sorted_cutsets(sets: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """Cut-sets as sorted tuples, listed in ascending order."""
+    return tuple(sorted(tuple(sorted(s)) for s in sets))
 
 
 def verify_theorem(
     theorem_id: str, group: Group, caps: ResourceCaps = ResourceCaps()
 ) -> VerificationReport:
-    """Run one prediction against brute force and report the verdict."""
+    """Run one prediction against brute force and report the verdict.
+
+    Minimum cut-sets are enumerated for every forecast kind except "none"
+    and "unknown", and checked by the forecast's two rules (see the module
+    docstring).
+    """
     if theorem_id == "props":
         return _verify_props(group, caps)
     prediction, predicted_sets = predict_for_group(theorem_id, group)
-    predicted_tuples = (
-        None
-        if predicted_sets is None
-        else tuple(sorted(tuple(sorted(s)) for s in predicted_sets))
-    )
-    label = group.name
+    predicted = None if predicted_sets is None else _sorted_cutsets(predicted_sets)
+
+    def report(verdict, detail="", observed_kappa=None, observed=None) -> VerificationReport:
+        return VerificationReport(
+            group.name, theorem_id, prediction, observed_kappa, observed, predicted,
+            verdict, detail,
+        )
 
     if group.size > caps.max_brute_vertices:
-        verdict = "skipped-resource"
-        detail = f"{group.size} vertices exceed cap {caps.max_brute_vertices}"
-        return VerificationReport(
-            label, theorem_id, prediction, None, None, predicted_tuples, verdict, detail
+        return report(
+            "skipped-resource", f"{group.size} vertices exceed cap {caps.max_brute_vertices}"
         )
-
     graph = build_power_graph(group)
-    observed_kappa = None
-    if group.size >= 2:
-        observed_kappa = vertex_connectivity(graph)
-
+    observed_kappa = vertex_connectivity(graph) if group.size >= 2 else None
     if not prediction.applicable:
-        return VerificationReport(
-            label,
-            theorem_id,
-            prediction,
-            observed_kappa,
-            None,
-            predicted_tuples,
+        return report(
             "skipped-hypothesis",
             "a hypothesis gate failed; observed connectivity reported as data",
+            observed_kappa,
         )
-
-    observed_cutsets = None
     forecast = prediction.cutsets
-    if forecast.kind in ("unique", "count", "multiple-possible"):
+    observed = None
+    if forecast.kind not in ("none", "unknown"):
         try:
-            sets = all_minimum_cutsets(
-                graph, observed_kappa, max_combinations=caps.max_combinations
+            observed = _sorted_cutsets(
+                all_minimum_cutsets(graph, observed_kappa, max_combinations=caps.max_combinations)
             )
-            observed_cutsets = tuple(tuple(sorted(s)) for s in sets)
         except ResourceLimitError as exc:
-            return VerificationReport(
-                label,
-                theorem_id,
-                prediction,
-                observed_kappa,
-                tuple(tuple(sorted(s)) for s in exc.partial),
-                predicted_tuples,
-                "skipped-resource",
-                str(exc),
+            return report(
+                "skipped-resource", str(exc), observed_kappa, _sorted_cutsets(exc.partial)
             )
-
-    ok = prediction.kappa == observed_kappa
     detail = ""
-    if not ok:
+    if prediction.kappa != observed_kappa:
         detail = f"kappa mismatch: predicted {prediction.kappa}, observed {observed_kappa}"
-    elif observed_cutsets is not None:
-        if forecast.kind == "unique":
-            if len(observed_cutsets) != 1:
-                ok, detail = False, f"expected a unique cut-set, found {len(observed_cutsets)}"
-            elif predicted_tuples is not None and observed_cutsets != predicted_tuples:
-                ok, detail = False, "unique cut-set differs from the predicted one"
-        elif forecast.kind == "count":
-            if len(observed_cutsets) != forecast.count:
-                ok, detail = (
-                    False,
-                    f"expected {forecast.count} cut-sets, found {len(observed_cutsets)}",
-                )
-        elif forecast.kind == "multiple-possible" and predicted_tuples is not None:
-            if not set(predicted_tuples) <= set(observed_cutsets):
-                ok, detail = False, "a predicted cut-set is not among the observed ones"
-    return VerificationReport(
-        label,
-        theorem_id,
-        prediction,
-        observed_kappa,
-        observed_cutsets,
-        predicted_tuples,
-        "match" if ok else "mismatch",
-        detail,
-    )
+    elif observed is not None:
+        if forecast.count is not None and len(observed) != forecast.count:
+            detail = f"expected {forecast.count} cut-sets, found {len(observed)}"
+        elif predicted is not None and not set(predicted) <= set(observed):
+            detail = "a predicted cut-set is not among the observed ones"
+    return report("mismatch" if detail else "match", detail, observed_kappa, observed)
 
 
 def _verify_props(group: Group, caps: ResourceCaps) -> VerificationReport:
     if group.size > caps.max_brute_vertices:
-        prediction = Prediction(
-            applicable=False,
-            kappa=None,
-            case_tag="property-suites",
-            cutsets=CutsetForecast(kind="unknown"),
-            hypothesis_trace=(("property suites executed", False),),
-        )
+        ran, verdict = 0, "skipped-resource"
         detail = f"{group.size} vertices exceed cap {caps.max_brute_vertices}"
-        return VerificationReport(
-            group.name, "props", prediction, None, None, None, "skipped-resource", detail
-        )
-    summary = run_property_suite("all", [group])
-    failed = sorted({r.suite_id for r in summary.results if r.status == "fail"})
-    ran = sum(1 for r in summary.results if r.status != "skipped")
-    prediction = Prediction(
-        applicable=False,
-        kappa=None,
-        case_tag="property-suites",
-        cutsets=CutsetForecast(kind="unknown"),
-        hypothesis_trace=(("property suites executed", ran > 0),),
-    )
-    if failed:
-        verdict = "mismatch"
-    elif ran:
-        verdict = "match"
     else:
-        verdict = "skipped-hypothesis"
-    detail = f"{ran} suite checks ran" + (f"; failed: {', '.join(failed)}" if failed else "")
+        summary = run_property_suite("all", [group])
+        failed = sorted({r.suite_id for r in summary.results if r.status == "fail"})
+        ran = sum(1 for r in summary.results if r.status != "skipped")
+        verdict = "mismatch" if failed else "match" if ran else "skipped-hypothesis"
+        detail = f"{ran} suite checks ran" + (f"; failed: {', '.join(failed)}" if failed else "")
+    prediction = Prediction.gated("property-suites", (("property suites executed", ran > 0),))
     return VerificationReport(group.name, "props", prediction, None, None, None, verdict, detail)
 
 

@@ -36,7 +36,6 @@ class PowerGraph:
 
     vertex_count: int
     adj: tuple[int, ...]
-    group_name: str = ""
 
     @cached_property
     def full_mask(self) -> int:
@@ -181,7 +180,7 @@ def build_power_graph(group: Group) -> PowerGraph:
         (closure | roots) & ~(1 << x)
         for x, (closure, roots) in enumerate(zip(group.closure_masks, group.root_masks))
     )
-    return PowerGraph(vertex_count=group.size, adj=adj, group_name=group.name)
+    return PowerGraph(vertex_count=group.size, adj=adj)
 
 
 def proper_power_graph_connected(group: Group) -> bool:

@@ -61,13 +61,14 @@ class CutsetForecast:
 
     kind is one of:
       "none"              complete graph, no cut-sets exist
-      "unique"            exactly one minimum cut-set
+      "unique"            exactly one minimum cut-set; always ``count=1``
       "count"             exactly ``count`` minimum cut-sets
       "multiple-possible" the named sets are minimum cut-sets, others may exist
       "unknown"           no claim
     subgroup_products names predicted cut-sets structurally: each entry is a
     tuple of primes, meaning the product of the Sylow subgroups at those
-    primes.
+    primes. A claim is checked by two rules: the number of minimum cut-sets
+    equals ``count`` when it is set, and every named set is among them.
     """
 
     kind: str
@@ -77,19 +78,31 @@ class CutsetForecast:
 
 @dataclass(frozen=True)
 class Prediction:
-    """An applicability-gated connectivity value for a power graph."""
+    """An applicability-gated connectivity value for a power graph.
 
-    applicable: bool
+    The formula applies exactly when it gives a kappa: ``applicable`` is read
+    from ``kappa``, and a failed gate is built by ``gated``.
+    """
+
     kappa: int | None
     case_tag: str
     cutsets: CutsetForecast
     hypothesis_trace: tuple[tuple[str, bool], ...]
 
     def __post_init__(self) -> None:
-        if self.applicable != (self.kappa is not None):
-            raise ValueError("kappa must be present exactly when applicable")
         if not self.hypothesis_trace:
             raise ValueError("hypothesis_trace must be non-empty")
+
+    @property
+    def applicable(self) -> bool:
+        return self.kappa is not None
+
+    @classmethod
+    def gated(
+        cls, case_tag: str, hypothesis_trace: tuple[tuple[str, bool], ...]
+    ) -> "Prediction":
+        """No kappa and no cut-set claim: a hypothesis gate failed."""
+        return cls(None, case_tag, CutsetForecast(kind="unknown"), hypothesis_trace)
 
 
 @dataclass(frozen=True)
@@ -156,7 +169,6 @@ def kappa_cyclic(n: int) -> Prediction:
     ps, es, r = f.primes, f.exponents, f.r
     if r == 1:
         return Prediction(
-            applicable=True,
             kappa=n - 1,
             case_tag="prime-power",
             cutsets=CutsetForecast(kind="none"),
@@ -171,7 +183,6 @@ def kappa_cyclic(n: int) -> Prediction:
         else:
             forecast = CutsetForecast(kind="unique", count=1)
         return Prediction(
-            applicable=True,
             kappa=kappa,
             case_tag="two-primes",
             cutsets=forecast,
@@ -186,7 +197,6 @@ def kappa_cyclic(n: int) -> Prediction:
             kappa = phi_n + deflate * (ps[0] + ps[1] - 1)
             tag = "three-primes-odd"
         return Prediction(
-            applicable=True,
             kappa=kappa,
             case_tag=tag,
             cutsets=CutsetForecast(kind="unique", count=1),
@@ -202,17 +212,10 @@ def kappa_cyclic(n: int) -> Prediction:
         (f"2*phi({'*'.join(map(str, head))}) > {'*'.join(map(str, head))}", gate),
     )
     if not gate:
-        return Prediction(
-            applicable=False,
-            kappa=None,
-            case_tag="many-primes-gated",
-            cutsets=CutsetForecast(kind="unknown"),
-            hypothesis_trace=trace,
-        )
+        return Prediction.gated("many-primes-gated", trace)
     head_prod = prod(head)
     kappa = phi_n + deflate * (head_prod - euler_phi(head_prod))
     return Prediction(
-        applicable=True,
         kappa=kappa,
         case_tag="many-primes",
         cutsets=CutsetForecast(kind="unique", count=1),
@@ -255,19 +258,12 @@ def kappa_nilpotent_one_noncyclic(
     others = tuple(p for p in ps if p != p_k)
     if quaternion_ok and (gate_rank or gate_phi):
         return Prediction(
-            applicable=True,
             kappa=f.n // p_k**n_k,
             case_tag="nilpotent-one-noncyclic",
             cutsets=CutsetForecast(kind="unique", count=1, subgroup_products=(others,)),
             hypothesis_trace=tuple(trace),
         )
-    return Prediction(
-        applicable=False,
-        kappa=None,
-        case_tag="nilpotent-one-noncyclic-gated",
-        cutsets=CutsetForecast(kind="unknown"),
-        hypothesis_trace=tuple(trace),
-    )
+    return Prediction.gated("nilpotent-one-noncyclic-gated", tuple(trace))
 
 
 def kappa_abelian_two_primes(f: Factorization, profile: SylowProfile) -> Prediction:
@@ -303,7 +299,6 @@ def kappa_abelian_two_primes(f: Factorization, profile: SylowProfile) -> Predict
             subgroup_products=((p_j,),),
         )
         return Prediction(
-            applicable=True,
             kappa=p_j**n_j,
             case_tag="two-primes-one-noncyclic",
             cutsets=forecast,
@@ -318,16 +313,9 @@ def kappa_abelian_two_primes(f: Factorization, profile: SylowProfile) -> Predict
         ("Sylow subgroup at the smallest prime is elementary abelian", gate_elem),
     )
     if not (gate_small or gate_elem):
-        return Prediction(
-            applicable=False,
-            kappa=None,
-            case_tag="two-primes-both-noncyclic-gated",
-            cutsets=CutsetForecast(kind="unknown"),
-            hypothesis_trace=trace,
-        )
+        return Prediction.gated("two-primes-both-noncyclic-gated", trace)
     kappa = min(p1**n1, p2**n2, m - euler_phi(m))
     return Prediction(
-        applicable=True,
         kappa=kappa,
         case_tag="two-primes-both-noncyclic",
         cutsets=CutsetForecast(kind="unknown"),
@@ -373,7 +361,6 @@ def kappa_abelian_three_primes(f: Factorization, profile: SylowProfile) -> Predi
             kappa = kappa_cyclic(m).kappa
             tag = "three-primes-even-noncyclic-shallow"
         return Prediction(
-            applicable=True,
             kappa=kappa,
             case_tag=tag,
             cutsets=CutsetForecast(kind="unknown"),
@@ -386,7 +373,6 @@ def kappa_abelian_three_primes(f: Factorization, profile: SylowProfile) -> Predi
         ("non-cyclic Sylow subgroup is not the even one", True),
     )
     return Prediction(
-        applicable=True,
         kappa=kappa,
         case_tag="three-primes-odd-noncyclic",
         cutsets=CutsetForecast(kind="unique", count=1, subgroup_products=(others,)),

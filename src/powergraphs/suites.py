@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
+from .bitsets import iter_bits
 from .connectivity import (
     min_vertex_cut_between,
     minimalize_cutset,
@@ -46,6 +47,17 @@ def _suite(suite_id: str) -> Callable[[SuiteCheck], SuiteCheck]:
         return fn
 
     return register
+
+
+def _non_adjacent_pairs(graph: PowerGraph) -> list[tuple[int, int]]:
+    """Every non-adjacent pair (s, t), s < t, in lexicographic order, read
+    from the rows: the t above s outside adj[s]."""
+    full = graph.full_mask
+    return [
+        (s, t)
+        for s, row in enumerate(graph.adj)
+        for t in iter_bits((full & ~row) >> (s + 1) << (s + 1))
+    ]
 
 
 @_suite("graph-basics")
@@ -249,17 +261,16 @@ def check_element_coverage(group: Group, graph: PowerGraph) -> CheckResult:
     subgroup lie in at least two."""
     maximal = maximal_cyclic_subgroups(group)
     for g in range(group.size):
-        containing = [m for m in maximal if g in m.elements]
-        if not containing:
+        if not any(m.closure >> g & 1 for m in maximal):
             return False, f"element {g} lies in no maximal cyclic subgroup"
     if group.is_abelian and not group.is_cyclic:
         dec = group.sylow_decomposition()
         if dec.noncyclic == dec.primes:
-            maximal_masks = {frozenset(m.elements) for m in maximal}
+            maximal_masks = {m.closure for m in maximal}
             for g in range(group.size):
-                if group.cyclic_closure(g) in maximal_masks:
+                if group.closure_masks[g] in maximal_masks:
                     continue
-                hits = sum(1 for m in maximal if g in m.elements)
+                hits = sum(1 for m in maximal if m.closure >> g & 1)
                 if hits < 2:
                     return False, f"non-maximal generator {g} lies in only {hits} subgroup"
     return True, ""
@@ -321,9 +332,7 @@ def check_minimal_cutsets_are_class_unions(group: Group, graph: PowerGraph) -> C
     # removing N(v) isolates v, so it is a cut-set once some other vertex survives
     seeds = {nb for nb in map(graph.neighbors, range(n)) if len(nb) < n - 1}
     rng = random.Random(f"class-union:{group.name}")
-    non_adjacent = [
-        (s, t) for s in range(n) for t in range(s + 1, n) if not graph.adjacent(s, t)
-    ]
+    non_adjacent = _non_adjacent_pairs(graph)
     for s, t in rng.sample(non_adjacent, min(10, len(non_adjacent))):
         seeds.add(min_vertex_cut_between(graph, s, t)[0])
     minimal_sets = {minimalize_cutset(graph, seed) for seed in seeds}
@@ -348,10 +357,7 @@ def check_menger_consistency(group: Group, graph: PowerGraph) -> CheckResult:
         return None
     if graph.is_complete:
         return None
-    n = graph.vertex_count
-    non_adjacent = [
-        (s, t) for s in range(n) for t in range(s + 1, n) if not graph.adjacent(s, t)
-    ]
+    non_adjacent = _non_adjacent_pairs(graph)
     rng = random.Random(f"menger:{group.name}")
     for s, t in rng.sample(non_adjacent, min(_MENGER_PAIRS_PER_GROUP, len(non_adjacent))):
         cut, paths = min_vertex_cut_between(graph, s, t)

@@ -2,10 +2,12 @@ import argparse
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from powergraphs import harness
 from powergraphs.cli import build_parser, main, parse_group_spec
 from powergraphs.harness import THEOREM_IDS
 
@@ -125,6 +127,35 @@ def test_survey_text_deterministic(capsys):
     code2, out2, _ = run(capsys, "survey", "--theorem", "thm13", "--max-order", "20")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def overstate_kappa(monkeypatch, theorem_id):
+    """Make theorem_id's predictor claim one more than the true kappa."""
+    tag, stages, predict = harness._THEOREM_GATES[theorem_id]
+
+    def wrong(group):
+        pred = predict(group)
+        return replace(pred, kappa=pred.kappa + 1)
+
+    monkeypatch.setitem(harness._THEOREM_GATES, theorem_id, (tag, stages, wrong))
+
+
+def test_verify_mismatch_exit_one(capsys, monkeypatch):
+    overstate_kappa(monkeypatch, "thm12")
+    code, out, _ = run(
+        capsys, "verify", "--theorem", "thm12", "--group", "abelian:3,3,5", "--json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "mismatch"
+    assert payload["detail"] == "kappa mismatch: predicted 6, observed 5"
+
+
+def test_survey_mismatch_exit_one(capsys, monkeypatch):
+    overstate_kappa(monkeypatch, "thm11")
+    code, out, _ = run(capsys, "survey", "--theorem", "thm11", "--max-order", "12")
+    assert code == 1
+    assert "survey thm11 max-order 12: mismatch=11" in out
 
 
 @pytest.mark.parametrize("theorem", ["thm11", "thm12"])

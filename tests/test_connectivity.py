@@ -292,7 +292,7 @@ def test_cli_reads_adjacency_once_through_the_cached_quotient(monkeypatch, capsy
         rows = CountingRows(plain.adj)
         rows.passes = rows.lookups = 0
         counted.append(rows)
-        return PowerGraph(plain.vertex_count, rows, plain.group_name)
+        return PowerGraph(plain.vertex_count, rows)
 
     monkeypatch.setattr(cli, "build_power_graph", build_counting)
     assert cli.main(list(argv)) == 0
@@ -530,7 +530,7 @@ def random_graph(n, edge_bits):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             k += 1
-    return PowerGraph(vertex_count=n, adj=tuple(adj), group_name="random")
+    return PowerGraph(vertex_count=n, adj=tuple(adj))
 
 
 def brute_st_separator_size(graph, s, t):
@@ -594,7 +594,7 @@ def blown_up_graph(n, edge_bits, twins):
         for b, v in enumerate(owner):
             if a != b and (u == v or base.adjacent(u, v)):
                 adj[a] |= 1 << b
-    return PowerGraph(vertex_count=len(owner), adj=tuple(adj), group_name="blown-up")
+    return PowerGraph(vertex_count=len(owner), adj=tuple(adj))
 
 
 @given(

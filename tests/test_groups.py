@@ -166,6 +166,19 @@ def test_generator_classes_partition():
     assert len(make_cyclic(12).generator_classes) == 6
 
 
+def test_cyclic_subgroups_one_record_each_by_least_generator():
+    for G in (make_cyclic(12), make_abelian([(2, 1), (2, 1), (3, 1)]), make_dihedral(10)):
+        closures = [G.cyclic_closure(g) for g in range(G.size)]
+        records = G.cyclic_subgroups
+        assert [m.elements for m in records] == list(dict.fromkeys(closures))
+        for m in records:
+            assert m.generator == closures.index(m.elements)
+            assert m.order == len(m.elements) == len(m.powers)
+            assert m.generators == sum(1 << g for g in G.generator_class(m.generator))
+            outside = {y for y in range(G.size) if m.elements < closures[y]}
+            assert m.is_maximal == (not outside)
+
+
 def test_generator_class_of_order_6_element():
     G = make_cyclic(6)
     assert G.generator_class(1) == {1, 5}

@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from powergraphs import harness
 from powergraphs.groups import (
     direct_product,
     make_abelian,
@@ -12,11 +14,13 @@ from powergraphs.harness import (
     ResourceCaps,
     corpus_groups,
     generate_abelian_corpus,
+    predict_for_group,
     run_property_suite,
     survey,
     sylow_profile,
     verify_theorem,
 )
+from powergraphs.predictions import CutsetForecast
 
 
 def test_corpus_small_orders():
@@ -208,3 +212,79 @@ def test_run_property_suite_single():
     assert summary.passed
     assert [r.status for r in summary.results] == ["pass", "pass"]
     assert summary.first_failure() is None
+
+
+def patch_prediction(monkeypatch, theorem_id, edit):
+    """Make theorem_id's predictor return edit(prediction) instead."""
+    tag, stages, predict = harness._THEOREM_GATES[theorem_id]
+    monkeypatch.setitem(
+        harness._THEOREM_GATES, theorem_id, (tag, stages, lambda g: edit(predict(g)))
+    )
+
+
+@pytest.mark.parametrize(
+    "theorem_id, G, edit, detail",
+    [
+        (
+            "thm12",
+            make_abelian([(3, 1), (3, 1), (5, 1)]),
+            lambda p: replace(p, kappa=p.kappa + 1),
+            "kappa mismatch: predicted 6, observed 5",
+        ),
+        (
+            # C12 has one minimum cut-set
+            "thm11",
+            make_cyclic(12),
+            lambda p: replace(p, cutsets=CutsetForecast(kind="count", count=2)),
+            "expected 2 cut-sets, found 1",
+        ),
+        (
+            # the Sylow 2-subgroup of C2xC2xC3 has 4 > kappa = 3 elements
+            "thm13",
+            make_abelian([(2, 1), (2, 1), (3, 1)]),
+            lambda p: replace(
+                p, cutsets=CutsetForecast(kind="multiple-possible", subgroup_products=((2,),))
+            ),
+            "a predicted cut-set is not among the observed ones",
+        ),
+        (
+            # C18 has two minimum cut-sets
+            "thm11",
+            make_cyclic(18),
+            lambda p: replace(p, cutsets=CutsetForecast(kind="unique", count=1)),
+            "expected 1 cut-sets, found 2",
+        ),
+        (
+            # C3xC3xC5 has one minimum cut-set, the Sylow 5-subgroup
+            "thm12",
+            make_abelian([(3, 1), (3, 1), (5, 1)]),
+            lambda p: replace(
+                p, cutsets=CutsetForecast(kind="unique", count=1, subgroup_products=((3,),))
+            ),
+            "a predicted cut-set is not among the observed ones",
+        ),
+    ],
+    ids=["kappa", "count", "named-set", "unique-two-observed", "unique-other-set"],
+)
+def test_verify_mismatch_verdicts(monkeypatch, theorem_id, G, edit, detail):
+    assert verify_theorem(theorem_id, G).verdict == "match"
+    patch_prediction(monkeypatch, theorem_id, edit)
+    report = verify_theorem(theorem_id, G)
+    assert report.verdict == "mismatch"
+    assert report.detail == detail
+    assert report.to_json_dict()["verdict"] == "mismatch"
+
+
+@pytest.mark.parametrize("theorem_id", ["thm11", "thm12", "thm13", "thm14"])
+def test_unique_forecasts_claim_count_one(theorem_id):
+    # the count rule decides a unique forecast only because it claims count=1;
+    # C2xC3xC3xC5 is the least group whose thm14 forecast is unique
+    groups = corpus_groups(64) + tuple(make_cyclic(n) for n in range(2, 121))
+    groups += (make_abelian([(2, 1), (3, 1), (3, 1), (5, 1)]),)
+    uniques = 0
+    for G in groups:
+        forecast = predict_for_group(theorem_id, G)[0].cutsets
+        if forecast.kind == "unique":
+            uniques += 1
+            assert forecast.count == 1, G.name
+    assert uniques > 0

@@ -13,6 +13,7 @@ from powergraphs.powergraph import (
     build_power_graph,
     proper_power_graph_connected,
 )
+from powergraphs.suites import _non_adjacent_pairs
 
 
 def membership_groups():
@@ -58,6 +59,16 @@ def test_adjacency_matches_membership_definition(G):
         assert not graph.adjacent(x, x)
         for y in range(G.size):
             assert graph.adjacent(x, y) == adjacency_by_definition(closures, x, y)
+
+
+def test_non_adjacent_pairs_in_lexicographic_order():
+    for G in (param.values[0] for param in MEMBERSHIP_GROUPS):
+        graph = build_power_graph(G)
+        n = graph.vertex_count
+        expected = [
+            (s, t) for s in range(n) for t in range(s + 1, n) if not graph.adjacent(s, t)
+        ]
+        assert _non_adjacent_pairs(graph) == expected, G.name
 
 
 def test_root_masks_match_definition():
