@@ -4,8 +4,10 @@ Every group lives on the index set 0..size-1 with the identity at index 0.
 Abelian groups are built structurally from prime-power cyclic factors
 (mixed-radix element encoding, most significant factor first); cyclic groups
 use plain residue arithmetic so that element i times element j is element
-(i + j) mod n; dihedral and generalized quaternion groups are backed by an
-explicit, validated multiplication table.
+(i + j) mod n; dihedral and generalized quaternion groups multiply by the
+formula of their presentation, and direct products componentwise. Only an
+explicit multiplication table (``CayleyTableGroup``) is validated on
+construction.
 
 Each cyclic subgroup <h> has one record, a ``CyclicSubgroup`` built by one
 walk from its least generator h: the powers of h, and as masks its members,
@@ -123,9 +125,6 @@ class Group:
     size: int
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inverse(self, a: int) -> int:
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -314,9 +313,6 @@ class CyclicGroup(Group):
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.size
 
-    def inverse(self, a: int) -> int:
-        return -a % self.size
-
     @cached_property
     def is_abelian(self) -> bool:
         return True
@@ -330,7 +326,7 @@ class StructuredAbelianGroup(Group):
     """Direct product of prime-power cyclic factors, mixed-radix indexed.
 
     Factor i is the digit of radix r_i at place value w_i (the product of the
-    later radices), so products and inverses are digit-wise sums.
+    later radices), so products are digit-wise sums.
     """
 
     def __init__(self, spec: AbelianSpec):
@@ -346,13 +342,48 @@ class StructuredAbelianGroup(Group):
     def mul(self, a: int, b: int) -> int:
         return sum((a // w + b // w) % r * w for r, w in self._places)
 
-    def inverse(self, a: int) -> int:
-        self._check_index(a)
-        return sum(-(a // w) % r * w for r, w in self._places)
-
     @cached_property
     def is_abelian(self) -> bool:
         return True
+
+
+class DihedralLikeGroup(Group):
+    """<a, b | b*a*b**-1 = a**-1, b*b = a**twist>, a of order ``half``.
+
+    Element e*half + i is a**i * b**e. ``mirrored`` swaps the operands of
+    ``mul``: the opposite group, on the same indices, where element
+    e*half + i is b**e * a**i.
+    """
+
+    def __init__(self, name: str, half: int, twist: int, mirrored: bool = False):
+        self.name = name
+        self.size = 2 * half
+        self._half = half
+        self._twist = twist
+        self._mirrored = mirrored
+
+    def mul(self, x: int, y: int) -> int:
+        if self._mirrored:
+            x, y = y, x
+        h = self._half
+        if x < h:  # a**i * a**j b**e = a**(i+j) b**e
+            return y - y % h + (x + y) % h
+        i = (x - y) % h  # a**i b * a**j b**e = a**(i-j) b**(1+e)
+        return h + i if y < h else (i + self._twist) % h
+
+
+class ProductGroup(Group):
+    """Direct product g1 x g2, multiplied componentwise; (a, b) is a*|g2| + b."""
+
+    def __init__(self, g1: Group, g2: Group):
+        self.factors = (g1, g2)
+        self.size = g1.size * g2.size
+        self.name = f"{g1.name}x{g2.name}"
+
+    def mul(self, a: int, b: int) -> int:
+        g1, g2 = self.factors
+        n2 = g2.size
+        return g1.mul(a // n2, b // n2) * n2 + g2.mul(a % n2, b % n2)
 
 
 class CayleyTableGroup(Group):
@@ -384,15 +415,13 @@ class CayleyTableGroup(Group):
         tab = self._table
         if tab[0] != tuple(range(n)) or any(tab[a][0] != a for a in range(n)):
             raise ValueError(f"{self.name}: index 0 is not a two-sided identity")
-        inverses = []
         for a in range(n):
             try:
-                inverses.append(tab[a].index(0))
+                inverse = tab[a].index(0)
             except ValueError:
                 raise ValueError(f"{self.name}: element {a} has no right inverse") from None
-            if tab[inverses[a]][a] != 0:
+            if tab[inverse][a] != 0:
                 raise ValueError(f"{self.name}: element {a} has no two-sided inverse")
-        self._inverses = tuple(inverses)
         # Light's test: the s with (x*s)*y == x*(s*y) for all x, y include 0
         # and are closed under products, so it suffices to check generators s
         # whose left-normed products (((0*s1)*s2)...) reach every element.
@@ -420,10 +449,6 @@ class CayleyTableGroup(Group):
     def mul(self, a: int, b: int) -> int:
         return self._table[a][b]
 
-    def inverse(self, a: int) -> int:
-        self._check_index(a)
-        return self._inverses[a]
-
 
 def make_cyclic(n: int) -> Group:
     """The cyclic group of order n >= 1."""
@@ -445,16 +470,9 @@ def make_dihedral(order: int) -> Group:
     """
     if order % 2 != 0 or order < 6:
         raise ValueError(f"dihedral order must be even and >= 6, got {order}")
-    n = order // 2
-    table = [[0] * order for _ in range(order)]
-    for e1 in (0, 1):
-        for i1 in range(n):
-            for e2 in (0, 1):
-                for i2 in range(n):
-                    e = (e1 + e2) % 2
-                    i = (i2 + i1) % n if e2 == 0 else (i2 - i1) % n
-                    table[e1 * n + i1][e2 * n + i2] = e * n + i
-    return CayleyTableGroup(f"D{order}", table)
+    # s**e * r**i is the mirror image of a**i * b**e, so this layout is the
+    # opposite group of <a, b | b*a*b**-1 = a**-1, b*b = 1>
+    return DihedralLikeGroup(f"D{order}", order // 2, 0, mirrored=True)
 
 
 def make_generalized_quaternion(order: int) -> Group:
@@ -467,33 +485,9 @@ def make_generalized_quaternion(order: int) -> Group:
     f = factorize(order) if order >= 2 else ()
     if len(f) != 1 or f[0][0] != 2 or order < 8:
         raise ValueError(f"generalized quaternion order must be 2**m with m >= 3, got {order}")
-    half = order // 2
-    twist = order // 4  # b*b = a**twist
-    table = [[0] * order for _ in range(order)]
-    for i1 in range(half):
-        for e1 in (0, 1):
-            for i2 in range(half):
-                for e2 in (0, 1):
-                    if e1 == 0:
-                        i, e = (i1 + i2) % half, e2
-                    elif e2 == 0:
-                        i, e = (i1 - i2) % half, 1
-                    else:
-                        i, e = (i1 - i2 + twist) % half, 0
-                    table[e1 * half + i1][e2 * half + i2] = e * half + i
-    return CayleyTableGroup(f"Q{order}", table)
+    return DihedralLikeGroup(f"Q{order}", order // 2, order // 4)
 
 
 def direct_product(g1: Group, g2: Group) -> Group:
-    """Direct product as a table group; index of (a, b) is a*|g2| + b."""
-    n1, n2 = g1.size, g2.size
-    n = n1 * n2
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(n1):
-        for b1 in range(n2):
-            row = table[a1 * n2 + b1]
-            for a2 in range(n1):
-                pa = g1.mul(a1, a2) * n2
-                for b2 in range(n2):
-                    row[a2 * n2 + b2] = pa + g2.mul(b1, b2)
-    return CayleyTableGroup(f"{g1.name}x{g2.name}", table)
+    """Direct product, multiplied componentwise; index of (a, b) is a*|g2| + b."""
+    return ProductGroup(g1, g2)

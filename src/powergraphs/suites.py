@@ -70,12 +70,13 @@ def check_graph_basics(group: Group, graph: PowerGraph) -> CheckResult:
         return False, "power graph is disconnected"
     if graph.degree(0) != n - 1:
         return False, "identity is not adjacent to every other vertex"
-    for v in range(n):
-        if (graph.adj[v] >> v) & 1:
+    adj = graph.adj
+    for v, row in enumerate(adj):
+        if (row >> v) & 1:
             return False, f"self-loop at {v}"
-        for u in range(v):
-            if graph.adjacent(u, v) != graph.adjacent(v, u):
-                return False, f"asymmetric adjacency at ({u}, {v})"
+        for u in iter_bits(row):
+            if not (adj[u] >> v) & 1:
+                return False, f"asymmetric adjacency at ({min(u, v)}, {max(u, v)})"
     expect_complete = group.is_cyclic and prime_power_base(group.size) is not None
     if graph.is_complete != expect_complete:
         return False, (

@@ -192,10 +192,10 @@ def test_export_dot_brute_cap_exit_three(capsys):
 
 @pytest.mark.parametrize("command", ["kappa", "cutsets", "export-dot"])
 def test_brute_cap_applies_before_the_group_is_built(capsys, monkeypatch, command):
-    def no_table(order):
-        raise AssertionError(f"built the {order}x{order} table of an oversized group")
+    def no_build(order):
+        raise AssertionError(f"built the oversized group D{order}")
 
-    monkeypatch.setattr("powergraphs.cli.make_dihedral", no_table)
+    monkeypatch.setattr("powergraphs.cli.make_dihedral", no_build)
     code, out, err = run(
         capsys, command, "--group", "dihedral:2000", "--max-brute-vertices", "10"
     )

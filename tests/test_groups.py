@@ -23,7 +23,7 @@ def check_group_axioms(G):
     n = G.size
     assert all(G.mul(0, a) == a and G.mul(a, 0) == a for a in range(n))
     for a in range(n):
-        inv = G.inverse(a)
+        inv = G.power(a, -1)
         assert G.mul(a, inv) == 0 and G.mul(inv, a) == 0
     if n <= 24:
         for a in range(n):
@@ -286,11 +286,15 @@ LOOP5 = [
 ]
 
 
+def tabulate(G):
+    """G's multiplication written out as a table."""
+    return [[G.mul(a, b) for b in range(G.size)] for a in range(G.size)]
+
+
 def _d100_with_swapped_row_2():
     # r**2 * r and r**2 * r**2 exchanged: row 2 stays a permutation, every
     # inverse stays two-sided, and only associativity fails
-    G = make_dihedral(100)
-    table = [[G.mul(a, b) for b in range(G.size)] for a in range(G.size)]
+    table = tabulate(make_dihedral(100))
     table[2][1], table[2][2] = table[2][2], table[2][1]
     return table
 
@@ -317,6 +321,106 @@ def test_table_validation_names_a_failing_triple(table):
         CayleyTableGroup("bad", table)
     x, s, y = map(int, info.value.args[0].split("at (")[1].rstrip(")").split(", "))
     assert table[table[x][s]][y] != table[x][table[s][y]]
+
+
+# Reference tables, written out entry by entry on the built-in index layouts:
+# the oracle for the formula groups.
+
+
+def reference_cyclic(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def reference_dihedral(order):
+    # element e*n + i is s**e * r**i
+    n = order // 2
+    table = [[0] * order for _ in range(order)]
+    for e1 in (0, 1):
+        for i1 in range(n):
+            for e2 in (0, 1):
+                for i2 in range(n):
+                    e = (e1 + e2) % 2
+                    i = (i2 + i1) % n if e2 == 0 else (i2 - i1) % n
+                    table[e1 * n + i1][e2 * n + i2] = e * n + i
+    return table
+
+
+def reference_quaternion(order):
+    # element e*half + i is a**i * b**e, with b*b = a**(order/4)
+    half = order // 2
+    twist = order // 4
+    table = [[0] * order for _ in range(order)]
+    for i1 in range(half):
+        for e1 in (0, 1):
+            for i2 in range(half):
+                for e2 in (0, 1):
+                    if e1 == 0:
+                        i, e = (i1 + i2) % half, e2
+                    elif e2 == 0:
+                        i, e = (i1 - i2) % half, 1
+                    else:
+                        i, e = (i1 - i2 + twist) % half, 0
+                    table[e1 * half + i1][e2 * half + i2] = e * half + i
+    return table
+
+
+def reference_product(t1, t2):
+    # (a, b) is a*|g2| + b
+    n1, n2 = len(t1), len(t2)
+    return [
+        [t1[a1][a2] * n2 + t2[b1][b2] for a2 in range(n1) for b2 in range(n2)]
+        for a1 in range(n1)
+        for b1 in range(n2)
+    ]
+
+
+def assert_matches_reference(G, reference):
+    table = CayleyTableGroup(G.name, tabulate(G))  # validates the group axioms
+    assert [list(row) for row in table._table] == reference, G.name
+    assert G.closure_masks == table.closure_masks, G.name
+    assert G.root_masks == table.root_masks, G.name
+
+
+@pytest.mark.parametrize("order", range(6, 201, 2))
+def test_dihedral_formula_matches_reference_table(order):
+    assert_matches_reference(make_dihedral(order), reference_dihedral(order))
+
+
+@pytest.mark.parametrize("order", [2**m for m in range(3, 9)])
+def test_quaternion_formula_matches_reference_table(order):
+    assert_matches_reference(make_generalized_quaternion(order), reference_quaternion(order))
+
+
+PRODUCT_CASES = {
+    "Q8xC3": (
+        lambda: direct_product(make_generalized_quaternion(8), make_cyclic(3)),
+        lambda: reference_product(reference_quaternion(8), reference_cyclic(3)),
+    ),
+    "D8xC5": (
+        lambda: direct_product(make_dihedral(8), make_cyclic(5)),
+        lambda: reference_product(reference_dihedral(8), reference_cyclic(5)),
+    ),
+    "Q16xC3": (
+        lambda: direct_product(make_generalized_quaternion(16), make_cyclic(3)),
+        lambda: reference_product(reference_quaternion(16), reference_cyclic(3)),
+    ),
+    "Q8xC3xC3": (
+        lambda: direct_product(
+            make_generalized_quaternion(8), direct_product(make_cyclic(3), make_cyclic(3))
+        ),
+        lambda: reference_product(
+            reference_quaternion(8), reference_product(reference_cyclic(3), reference_cyclic(3))
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_CASES)
+def test_direct_product_matches_reference_table(name):
+    build, reference = PRODUCT_CASES[name]
+    G = build()
+    assert G.name == name
+    assert_matches_reference(G, reference())
 
 
 class CountingMul:
@@ -369,9 +473,7 @@ def counting_groups():
     return [
         CountingCyclic(360),
         CountingAbelian(AbelianSpec(((2, 1), (2, 2), (3, 2)))),
-        CountingTable(
-            "Q16xC3", direct_product(make_generalized_quaternion(16), make_cyclic(3))._table
-        ),
+        CountingTable("Q16xC3", tabulate(direct_product(make_generalized_quaternion(16), make_cyclic(3)))),
     ]
 
 
@@ -401,7 +503,7 @@ def naive_closure(G, g):
 
 
 def naive_power(G, g, k):
-    base = g if k >= 0 else G.inverse(g)
+    base = g if k >= 0 else next(b for b in range(G.size) if G.mul(g, b) == 0)
     acc = 0
     for _ in range(abs(k)):
         acc = G.mul(acc, base)

@@ -21,7 +21,8 @@ from powergraphs.groups import (
 )
 from powergraphs.harness import corpus_groups, run_property_suite
 from powergraphs.numtheory import euler_phi
-from powergraphs.powergraph import build_power_graph
+from powergraphs.powergraph import PowerGraph, build_power_graph
+from powergraphs.suites import check_graph_basics
 
 CORPUS = corpus_groups(60)
 NILPOTENT_EXTRAS = [
@@ -51,11 +52,11 @@ def test_random_abelian_group_axioms(factors):
     coords = list(product(*(range(p**e) for p, e in G.spec.factors)))
     assert [G.encode(x) for x in coords] == list(range(G.size))
     for x in coords:
-        assert G.inverse(G.encode(x)) == G.encode(tuple(-a for a in x))
+        assert G.power(G.encode(x), -1) == G.encode(tuple(-a for a in x))
         for y in coords:
             assert G.mul(G.encode(x), G.encode(y)) == G.encode(tuple(map(sum, zip(x, y))))
     for g in range(G.size):
-        assert G.mul(g, G.inverse(g)) == 0
+        assert G.mul(g, G.power(g, -1)) == 0
         assert G.size % G.element_order(g) == 0
     classes = G.generator_classes
     assert sum(len(c) for c in classes) == G.size
@@ -72,6 +73,24 @@ def _suite_over(suite_id, groups):
 
 def test_graph_basics_suite():
     _suite_over("graph-basics", CORPUS)
+
+
+@pytest.mark.parametrize(
+    "vertex, bit, detail",
+    [
+        (2, 2, "self-loop at 2"),
+        (1, 2, "asymmetric adjacency at (1, 2)"),
+        (2, 1, "asymmetric adjacency at (1, 2)"),
+    ],
+    ids=["self-loop", "one-way-up", "one-way-down"],
+)
+def test_graph_basics_rejects_broken_adjacency(vertex, bit, detail):
+    # C2xC2: the three involutions are pairwise non-adjacent
+    G = make_abelian([(2, 1), (2, 1)])
+    rows = list(build_power_graph(G).adj)
+    assert check_graph_basics(G, PowerGraph(G.size, tuple(rows))) == (True, "")
+    rows[vertex] |= 1 << bit
+    assert check_graph_basics(G, PowerGraph(G.size, tuple(rows))) == (False, detail)
 
 
 def test_nongenerator_cutset_suite():
