@@ -9,9 +9,10 @@ assembled from exact-order shells and divisor subgroups of M.
 Every cyclic subgroup here is the group's own record of it, a
 ``groups.CyclicSubgroup``, and containment questions are mask expressions
 over its closure, generators and roots masks: its non-generators are
-closure & ~generators, it is maximal iff roots & ~closure is empty, the
-external overlap of M is the set of its members with a root outside M, and
-the search witness for alpha is its least root outside M.
+closure & ~generators, it is maximal iff roots & ~closure is empty, and the
+external overlap of M is the set of its members with a root outside M. The
+Sylow products and the exact-order and divisor shells of M are ORs of
+record masks too.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ from .bitsets import iter_bits
 from .groups import CyclicSubgroup, Group, UnsupportedStructureError
 from .numtheory import p_adic_valuation
 from .predictions import gamma_cardinality
-
-
-class WitnessNotFoundError(LookupError):
-    """No outside element generates the requested one; a Sylow subgroup is cyclic."""
 
 
 def cyclic_subgroup(group: Group, g: int) -> CyclicSubgroup:
@@ -74,7 +71,9 @@ def sylow_product(group: Group, primes: tuple[int, ...] | frozenset[int]) -> fro
     if unknown:
         raise ValueError(f"primes {sorted(unknown)} do not divide the group order")
     m = prod(p ** p_adic_valuation(group.size, p) for p in chosen)
-    return frozenset(g for g, order in enumerate(group.element_orders) if m % order == 0)
+    # generator masks of distinct records are disjoint: their sum is their OR
+    masks = (sub.generators for sub in group.cyclic_subgroups if m % sub.order == 0)
+    return frozenset(iter_bits(sum(masks)))
 
 
 def sylow_complement_product(group: Group, k_prime: int) -> frozenset[int]:
@@ -85,20 +84,22 @@ def sylow_complement_product(group: Group, k_prime: int) -> frozenset[int]:
     return sylow_product(group, tuple(p for p in dec.primes if p != k_prime))
 
 
-def elements_of_exact_order(group: Group, subgroup: CyclicSubgroup, d: int) -> frozenset[int]:
-    """Members of the cyclic subgroup of order exactly d (d must divide |M|)."""
+def _order_d_subgroup(group: Group, subgroup: CyclicSubgroup, d: int) -> CyclicSubgroup:
+    """The record of the subgroup of order d inside the cyclic subgroup M,
+    generated by h**(|M|/d), where d = 1 wraps to h**0, the identity."""
     if d < 1 or subgroup.order % d != 0:
         raise ValueError(f"{d} does not divide the subgroup order {subgroup.order}")
-    orders = group.element_orders
-    return frozenset(g for g in subgroup.powers if orders[g] == d)
+    return cyclic_subgroup(group, subgroup.powers[subgroup.order // d % subgroup.order])
+
+
+def elements_of_exact_order(group: Group, subgroup: CyclicSubgroup, d: int) -> frozenset[int]:
+    """Members of the cyclic subgroup of order exactly d (d must divide |M|)."""
+    return frozenset(iter_bits(_order_d_subgroup(group, subgroup, d).generators))
 
 
 def elements_of_dividing_order(group: Group, subgroup: CyclicSubgroup, d: int) -> frozenset[int]:
     """The unique subgroup of order d inside the cyclic subgroup."""
-    if d < 1 or subgroup.order % d != 0:
-        raise ValueError(f"{d} does not divide the subgroup order {subgroup.order}")
-    orders = group.element_orders
-    return frozenset(g for g in subgroup.powers if d % orders[g] == 0)
+    return frozenset(iter_bits(_order_d_subgroup(group, subgroup, d).closure))
 
 
 def gamma_set(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
@@ -145,29 +146,3 @@ def gamma_set(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
             f"layered cut-set size self-check failed: built {len(acc)}, formula {expected}"
         )
     return frozenset(acc)
-
-
-def external_generator_witness(group: Group, subgroup: CyclicSubgroup, alpha: int) -> int:
-    """The least element outside the maximal cyclic subgroup whose closure
-    contains alpha, i.e. the least root of alpha outside it.
-
-    alpha must be a non-generator of the subgroup. A WitnessNotFoundError
-    signals that alpha has no root outside it, so some Sylow subgroup is
-    cyclic.
-    """
-    if not group.is_abelian:
-        raise ValueError("witness search is defined for abelian groups")
-    if not subgroup.is_maximal:
-        raise ValueError("witness search needs a maximal cyclic subgroup")
-    if alpha not in nongenerators(group, subgroup):
-        raise ValueError(f"element {alpha} is not a non-generator of the subgroup")
-    outside_roots = group.root_masks[alpha] & ~subgroup.closure
-    if not outside_roots:
-        raise WitnessNotFoundError(
-            f"no element outside the subgroup generates {alpha}; some Sylow "
-            "subgroup of the group is cyclic"
-        )
-    beta = next(iter_bits(outside_roots))
-    if subgroup.closure >> beta & 1 or not group.closure_mask(beta) >> alpha & 1:
-        raise RuntimeError(f"internal: produced an invalid witness {beta} for {alpha}")
-    return beta

@@ -12,9 +12,9 @@ construction.
 Each cyclic subgroup <h> has one record, a ``CyclicSubgroup`` built by one
 walk from its least generator h: the powers of h, and as masks its members,
 its generators and its roots (every y with <h> inside <y>). Element orders,
-cyclic closures, roots, generator classes and maximality are read from these
-records, ``Group.cyclic_subgroups`` lists them, and ``power`` is one lookup
-of the element's place (record, j) with g = h**j.
+cyclic closures, roots, generator classes, maximality and the Sylow data are
+read from these records, ``Group.cyclic_subgroups`` lists them, and
+``power`` is one lookup of the element's place (record, j) with g = h**j.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 from math import gcd, prod
 
 from .bitsets import iter_bits, mask_of
-from .numtheory import divisors, factorize, is_prime, p_adic_valuation
+from .numtheory import divisors, factorize, is_prime
 
 
 class UnsupportedStructureError(ValueError):
@@ -239,6 +239,18 @@ class Group:
         return self.size == 1 or max(self.element_orders) == self.size
 
     @cached_property
+    def _sylow_parts(self) -> tuple[tuple[int, int, tuple[CyclicSubgroup, ...], int], ...]:
+        """Per prime power q = p**e exactly dividing the order, ascending:
+        (p, q, the records of p-power order with the identity's, the mask of
+        the p-elements, which is the OR of those records' generators)."""
+        parts = []
+        for p, e in factorize(self.size):
+            records = tuple(sub for sub in self.cyclic_subgroups if p**e % sub.order == 0)
+            # generator masks of distinct records are disjoint: their sum is their OR
+            parts.append((p, p**e, records, sum(sub.generators for sub in records)))
+        return tuple(parts)
+
+    @cached_property
     def is_nilpotent(self) -> bool:
         """True iff for every prime p the p-elements number exactly |Sylow_p|.
 
@@ -247,21 +259,12 @@ class Group:
         normal (unique), i.e. to nilpotency for finite groups. Abelian groups
         are nilpotent, so they skip the count and build no closures.
         """
-        if self.is_abelian:
-            return True
-        return all(
-            len(members) == p**e
-            for (p, e), members in zip(factorize(self.size), self._p_elements)
-        )
+        return self.is_abelian or self._non_normal_sylow is None
 
     @cached_property
-    def _p_elements(self) -> tuple[frozenset[int], ...]:
-        """Per prime divisor p of the order, ascending, the elements of p-power order."""
-        orders = self.element_orders
-        return tuple(
-            frozenset(g for g, o in enumerate(orders) if o == p ** p_adic_valuation(o, p))
-            for p, _ in factorize(self.size)
-        )
+    def _non_normal_sylow(self) -> tuple[int, int, tuple[CyclicSubgroup, ...], int] | None:
+        """The first Sylow part whose p-elements do not number q, or None."""
+        return next((part for part in self._sylow_parts if part[3].bit_count() != part[1]), None)
 
     def sylow_decomposition(self) -> SylowDecomposition:
         """Sylow subgroups and their facts; the group must be nilpotent.
@@ -272,29 +275,27 @@ class Group:
 
     @cached_property
     def _sylow_decomposition(self) -> SylowDecomposition:
-        orders = self.element_orders
-        factors = factorize(self.size)
-        primes = tuple(p for p, _ in factors)
-        subgroups = []
+        if self._non_normal_sylow is not None:
+            p, q, _, members = self._non_normal_sylow
+            raise UnsupportedStructureError(
+                f"{self.name}: Sylow {p}-subgroup is not normal "
+                f"({members.bit_count()} {p}-elements, expected {q})"
+            )
         noncyclic = []
         elementary = []
         quaternion = False
-        for (p, e), members in zip(factors, self._p_elements):
-            if len(members) != p**e:
-                raise UnsupportedStructureError(
-                    f"{self.name}: Sylow {p}-subgroup is not normal "
-                    f"({len(members)} {p}-elements, expected {p**e})"
-                )
-            subgroups.append(members)
-            if max(orders[g] for g in members) != len(members):
+        for p, q, records, _ in self._sylow_parts:
+            orders = [sub.order for sub in records]
+            if q not in orders:
                 noncyclic.append(p)
                 if p == 2:
-                    quaternion = sum(1 for g in members if orders[g] == 2) == 1
-            if all(orders[g] in (1, p) for g in members):
+                    # one involution per record of order 2
+                    quaternion = orders.count(2) == 1
+            if max(orders) <= p:
                 elementary.append(p)
         return SylowDecomposition(
-            primes,
-            tuple(subgroups),
+            tuple(p for p, *_ in self._sylow_parts),
+            tuple(frozenset(iter_bits(members)) for *_, members in self._sylow_parts),
             tuple(noncyclic),
             tuple(elementary),
             quaternion,

@@ -13,12 +13,7 @@ def is_prime(n: int) -> bool:
         return True
     if n % 2 == 0:
         return False
-    d = 3
-    while d <= isqrt(n):
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
 def primes_upto(n: int) -> list[int]:

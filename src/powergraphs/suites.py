@@ -19,8 +19,6 @@ from .connectivity import (
     vertex_connectivity,
 )
 from .cyclic import (
-    WitnessNotFoundError,
-    external_generator_witness,
     external_overlap,
     maximal_cyclic_subgroups,
     min_order_maximal_cyclic,
@@ -280,24 +278,23 @@ def check_element_coverage(group: Group, graph: PowerGraph) -> CheckResult:
 @_suite("witness-equivalence")
 def check_witness_equivalence(group: Group, graph: PowerGraph) -> CheckResult:
     """For abelian groups: every non-generator of every maximal cyclic
-    subgroup has an outside generator exactly when all Sylow subgroups are
-    non-cyclic; the witness is the least root of alpha outside the subgroup,
-    and ``external_generator_witness`` checks that it is valid."""
+    subgroup M lies in the closure of some element outside M exactly when
+    all Sylow subgroups are non-cyclic. Read from the closures of the
+    outside elements, not from roots, so this checks ``external_overlap``
+    independently."""
     if group.is_cyclic or not group.is_abelian:
         return None
     dec = group.sylow_decomposition()
     expected = dec.noncyclic == dec.primes
+    closures = group.closure_masks
     for m in maximal_cyclic_subgroups(group):
-        missing = None
-        for alpha in sorted(nongenerators(group, m)):
-            try:
-                external_generator_witness(group, m, alpha)
-            except WitnessNotFoundError:
-                missing = alpha
-                break
-        if (missing is None) != expected:
+        reached = 0
+        for y in iter_bits(graph.full_mask & ~m.closure):
+            reached |= closures[y]
+        covered = not m.closure & ~m.generators & ~reached
+        if covered != expected:
             return False, (
-                f"<{m.generator}>: witness coverage {missing is None}, "
+                f"<{m.generator}>: witness coverage {covered}, "
                 f"all-Sylow-non-cyclic {expected}"
             )
     return True, ""

@@ -2,12 +2,11 @@ from collections import Counter
 
 import pytest
 
+import powergraphs
 from powergraphs.cyclic import (
-    WitnessNotFoundError,
     cyclic_subgroup,
     elements_of_dividing_order,
     elements_of_exact_order,
-    external_generator_witness,
     external_overlap,
     gamma_set,
     maximal_cyclic_subgroups,
@@ -204,49 +203,9 @@ def test_min_order_maximal_cyclic():
     assert min_order_maximal_cyclic(G3).order == 20
 
 
-def test_witness_for_identity():
-    G = make_abelian([(2, 1), (2, 1), (3, 1), (3, 1)])
-    M = maximal_cyclic_subgroups(G)[0]
-    beta = external_generator_witness(G, M, 0)
-    assert beta not in M.elements
-
-
-def test_witness_strategies_agree_on_validity():
-    G = make_abelian([(2, 1), (2, 1), (3, 1), (3, 1)])
-    for M in maximal_cyclic_subgroups(G):
-        for alpha in sorted(nongenerators(G, M)):
-            beta = external_generator_witness(G, M, alpha)
-            assert beta not in M.elements
-            assert alpha in G.cyclic_closure(beta)
-
-    # definition: the search witness is the least y outside M with alpha in
-    # <y>, and WitnessNotFoundError means there is none (the witness search
-    # is defined for abelian groups only)
-    for G in (G for G in NONCYCLIC_CORPUS if G.is_abelian):
-        closures = [G.cyclic_closure(y) for y in range(G.size)]
-        for M in maximal_cyclic_subgroups(G):
-            for alpha in sorted(nongenerators(G, M)):
-                expected = next(
-                    (y for y in range(G.size) if y not in M.elements and alpha in closures[y]),
-                    None,
-                )
-                if expected is None:
-                    with pytest.raises(WitnessNotFoundError):
-                        external_generator_witness(G, M, alpha)
-                else:
-                    assert external_generator_witness(G, M, alpha) == expected, (G.name, alpha)
-
-
-def test_witness_not_found_with_cyclic_sylow():
-    G = make_abelian([(2, 1), (2, 1), (3, 1)])
-    M = next(m for m in maximal_cyclic_subgroups(G) if m.order == 6)
-    alpha = next(a for a in sorted(nongenerators(G, M)) if G.element_order(a) == 2)
-    with pytest.raises(WitnessNotFoundError):
-        external_generator_witness(G, M, alpha)
-
-
-def test_witness_rejects_generator():
-    G = make_abelian([(2, 1), (2, 1), (3, 1)])
-    M = next(m for m in maximal_cyclic_subgroups(G) if m.order == 6)
-    with pytest.raises(ValueError):
-        external_generator_witness(G, M, M.generator)
+def test_package_exports_resolve_sorted_and_unique():
+    names = powergraphs.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert getattr(powergraphs, name) is not None, name

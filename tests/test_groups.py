@@ -1,12 +1,21 @@
 from collections import Counter
+from itertools import combinations
+from math import prod
 
 import pytest
 
+from powergraphs.cyclic import (
+    elements_of_dividing_order,
+    elements_of_exact_order,
+    maximal_cyclic_subgroups,
+    sylow_product,
+)
 from powergraphs.groups import (
     AbelianSpec,
     CayleyTableGroup,
     CyclicGroup,
     StructuredAbelianGroup,
+    SylowDecomposition,
     UnsupportedStructureError,
     direct_product,
     make_abelian,
@@ -15,7 +24,7 @@ from powergraphs.groups import (
     make_generalized_quaternion,
 )
 from powergraphs.harness import corpus_groups
-from powergraphs.numtheory import divisors, euler_phi
+from powergraphs.numtheory import divisors, euler_phi, factorize, p_adic_valuation
 from powergraphs.powergraph import build_power_graph
 
 
@@ -241,6 +250,107 @@ def test_sylow_decomposition_facts_match_definitions():
         if quaternion:
             quaternion_names.add(G.name)
     assert quaternion_names == {"Q8", "Q16", "Q32", "Q8xC3"}
+
+
+def reference_p_elements(G):
+    """Per prime divisor p of the order, ascending, the elements of p-power
+    order, read off every element's order."""
+    orders = G.element_orders
+    return tuple(
+        frozenset(g for g, o in enumerate(orders) if o == p ** p_adic_valuation(o, p))
+        for p, _ in factorize(G.size)
+    )
+
+
+def reference_is_nilpotent(G):
+    return all(
+        len(members) == p**e
+        for (p, e), members in zip(factorize(G.size), reference_p_elements(G))
+    )
+
+
+def reference_sylow_decomposition(G):
+    orders = G.element_orders
+    factors = factorize(G.size)
+    subgroups, noncyclic, elementary = [], [], []
+    quaternion = False
+    for (p, e), members in zip(factors, reference_p_elements(G)):
+        if len(members) != p**e:
+            raise UnsupportedStructureError(
+                f"{G.name}: Sylow {p}-subgroup is not normal "
+                f"({len(members)} {p}-elements, expected {p**e})"
+            )
+        subgroups.append(members)
+        if max(orders[g] for g in members) != len(members):
+            noncyclic.append(p)
+            if p == 2:
+                quaternion = sum(1 for g in members if orders[g] == 2) == 1
+        if all(orders[g] in (1, p) for g in members):
+            elementary.append(p)
+    return SylowDecomposition(
+        tuple(p for p, _ in factors),
+        tuple(subgroups),
+        tuple(noncyclic),
+        tuple(elementary),
+        quaternion,
+    )
+
+
+def reference_sylow_product(G, primes):
+    m = prod(p ** p_adic_valuation(G.size, p) for p in primes)
+    return frozenset(g for g, o in enumerate(G.element_orders) if m % o == 0)
+
+
+def sylow_oracle_groups():
+    C3 = make_cyclic(3)
+    Q8 = make_generalized_quaternion(8)
+    return (
+        list(corpus_groups(120))
+        + [make_dihedral(n) for n in range(6, 65, 2)]
+        + [make_generalized_quaternion(n) for n in (8, 16, 32, 64)]
+        + [
+            direct_product(Q8, C3),
+            direct_product(Q8, make_cyclic(5)),
+            direct_product(make_generalized_quaternion(16), C3),
+            direct_product(make_dihedral(8), make_cyclic(5)),
+            direct_product(Q8, make_abelian([(3, 1), (3, 1)])),
+        ]
+    )
+
+
+def test_sylow_data_and_order_shells_match_per_element_reference():
+    quaternion = {}
+    messages = {}
+    for G in sylow_oracle_groups():
+        assert G.is_nilpotent == reference_is_nilpotent(G), G.name
+        try:
+            expected = reference_sylow_decomposition(G)
+        except UnsupportedStructureError as exc:
+            with pytest.raises(UnsupportedStructureError) as raised:
+                G.sylow_decomposition()
+            assert str(raised.value) == str(exc), G.name
+            messages[G.name] = str(exc)
+        else:
+            dec = G.sylow_decomposition()
+            assert dec == expected, G.name
+            quaternion[G.name] = dec.quaternion
+            for r in range(1, len(dec.primes) + 1):
+                for primes in combinations(dec.primes, r):
+                    assert sylow_product(G, primes) == reference_sylow_product(G, primes), (
+                        G.name,
+                        primes,
+                    )
+        orders = G.element_orders
+        for M in maximal_cyclic_subgroups(G):
+            for d in divisors(M.order):
+                exact = frozenset(g for g in M.powers if orders[g] == d)
+                dividing = frozenset(g for g in M.powers if d % orders[g] == 0)
+                assert elements_of_exact_order(G, M, d) == exact, (G.name, M.generator, d)
+                assert elements_of_dividing_order(G, M, d) == dividing, (G.name, M.generator, d)
+    assert quaternion["Q8xC3"] and not quaternion["D8xC5"]
+    assert messages["D6"] == "D6: Sylow 2-subgroup is not normal (4 2-elements, expected 2)"
+    assert messages["D10"] == "D10: Sylow 2-subgroup is not normal (6 2-elements, expected 2)"
+    assert messages["D12"] == "D12: Sylow 2-subgroup is not normal (8 2-elements, expected 4)"
 
 
 def test_abelian_is_nilpotent_without_closures():
