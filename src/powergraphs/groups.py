@@ -9,19 +9,23 @@ formula of their presentation, and direct products componentwise. Only an
 explicit multiplication table (``CayleyTableGroup``) is validated on
 construction.
 
-Each cyclic subgroup <h> has one record, a ``CyclicSubgroup`` built by one
-walk from its least generator h: the powers of h, and as masks its members,
-its generators and its roots (every y with <h> inside <y>). Element orders,
-cyclic closures, roots, generator classes, maximality and the Sylow data are
-read from these records, ``Group.cyclic_subgroups`` lists them, and
-``power`` is one lookup of the element's place (record, j) with g = h**j.
+Each cyclic subgroup <h> has one record, a ``CyclicSubgroup`` built from
+the power list of its least generator h (``Group.power_list``): the powers
+of h, and as masks its members, its generators and its roots (every y with
+<h> inside <y>). Cyclic and abelian groups list powers from residues,
+with no multiplication; the other groups multiply once per listed power.
+Element orders, cyclic closures, roots, generator classes, maximality and
+the Sylow data are read from these records, ``Group.cyclic_subgroups``
+lists them, and ``power`` is one lookup of the element's place (record, j)
+with g = h**j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, lcm, prod
+from operator import add
 
 from .bitsets import iter_bits, mask_of
 from .numtheory import divisors, factorize, is_prime
@@ -141,37 +145,43 @@ class Group:
         powers = sub.powers
         return powers[j * k % len(powers)]
 
+    def power_list(self, h: int) -> list[int]:
+        """h**0, ..., h**(o-1), o the order of h: one multiplication per power."""
+        walk = []
+        x = 0
+        while True:
+            walk.append(x)
+            x = self.mul(x, h)
+            if x == 0:
+                return walk
+
     @cached_property
     def _cyclic_places(self) -> tuple[tuple[CyclicSubgroup, int], ...]:
         """Per element g, its place (record of <g>, j) with g = h**j, h the
         least generator of <g>; each record is shared by all of its generators.
 
-        Each cyclic subgroup is walked once, from its least generator h, with
-        one multiplication per listed power, and every generator h**j,
-        gcd(j, o) = 1, gets the place (record, j). The generators of <h>, of
-        order o, lie in <h**d> exactly for the divisors d of o, so a second
-        pass ORs them into the roots of each such subgroup (d = 1 is <h>
-        itself, and d = o the identity's, which holds every element).
+        Each cyclic subgroup is listed once, by ``power_list`` of its least
+        generator h, and every generator h**j, gcd(j, o) = 1, gets the place
+        (record, j). The generators of <h>, of order o, lie in <h**d> exactly
+        for the divisors d of o, so a second pass ORs them into the roots of
+        each such subgroup (d = 1 is <h> itself, and d = o the identity's,
+        which holds every element).
         """
         places: list = [None] * self.size
         subgroups = []
+        units: dict[int, list[int]] = {}  # order o -> the exponents j < o prime to o
         for h in range(self.size):
             if places[h] is not None:
                 continue
-            walk = []
-            x = 0
-            while True:
-                walk.append(x)
-                x = self.mul(x, h)
-                if x == 0:
-                    break
+            walk = self.power_list(h)
             o = len(walk)
+            if o not in units:
+                units[o] = [j for j in range(o) if gcd(j, o) == 1]
             sub = CyclicSubgroup(tuple(walk), mask_of(walk), 0, 0)
             gens = 0
-            for j in range(o):
-                if gcd(j, o) == 1:
-                    places[walk[j]] = (sub, j)
-                    gens |= 1 << walk[j]
+            for j in units[o]:
+                places[walk[j]] = (sub, j)
+                gens |= 1 << walk[j]
             sub.generators = sub.roots = gens
             subgroups.append(sub)
         subgroups[0].roots = (1 << self.size) - 1
@@ -314,6 +324,10 @@ class CyclicGroup(Group):
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.size
 
+    def power_list(self, h: int) -> list[int]:
+        n = self.size
+        return [j * h % n for j in range(n // gcd(h, n))]
+
     @cached_property
     def is_abelian(self) -> bool:
         return True
@@ -342,6 +356,20 @@ class StructuredAbelianGroup(Group):
 
     def mul(self, a: int, b: int) -> int:
         return sum((a // w + b // w) % r * w for r, w in self._places)
+
+    def power_list(self, h: int) -> list[int]:
+        """The digit of h**j at radix r is j*d mod r, d that of h, of period
+        r/gcd(d, r): each digit's list is repeated out to the lcm of the
+        periods, the order of h, and the lists are summed elementwise."""
+        lists = []
+        for r, w in self._places:
+            d = h // w % r
+            lists.append([j * d % r * w for j in range(r // gcd(d, r))])
+        o = lcm(*map(len, lists))
+        powers = lists[0] * (o // len(lists[0]))
+        for digits in lists[1:]:
+            powers = list(map(add, powers, digits * (o // len(digits))))
+        return powers
 
     @cached_property
     def is_abelian(self) -> bool:

@@ -1,4 +1,6 @@
+import copy
 from collections import Counter
+from functools import partial
 from itertools import combinations
 from math import prod
 
@@ -14,6 +16,7 @@ from powergraphs.groups import (
     AbelianSpec,
     CayleyTableGroup,
     CyclicGroup,
+    Group,
     StructuredAbelianGroup,
     SylowDecomposition,
     UnsupportedStructureError,
@@ -551,29 +554,6 @@ class CountingAbelian(CountingMul, StructuredAbelianGroup):
     pass
 
 
-@pytest.mark.parametrize(
-    "G, expected",
-    [
-        (CountingCyclic(360), sum(divisors(360))),
-        (CountingAbelian(AbelianSpec(((2, 1), (2, 2), (3, 2)))), None),
-    ],
-    ids=["C360", "C2xC4xC9"],
-)
-def test_closures_walk_each_cyclic_subgroup_once(G, expected):
-    G.closure_masks
-    walked = G.muls
-    # one multiplication per listed power of each class's least element
-    assert walked == sum(G.element_orders[min(c)] for c in G.generator_classes)
-    if expected is not None:
-        assert walked == expected
-    assert walked < sum(G.element_orders)  # the per-element walk's count
-    G.muls = 0
-    for g in range(G.size):
-        for k in (-7, -1, 0, 1, 2, 5, G.size + 1):
-            G.power(g, k)
-    assert G.muls == 0
-
-
 class CountingTable(CountingMul, CayleyTableGroup):
     pass
 
@@ -585,6 +565,43 @@ def counting_groups():
         CountingAbelian(AbelianSpec(((2, 1), (2, 2), (3, 2)))),
         CountingTable("Q16xC3", tabulate(direct_product(make_generalized_quaternion(16), make_cyclic(3)))),
     ]
+
+
+@pytest.mark.parametrize("G", counting_groups(), ids=lambda g: g.name)
+def test_closures_walk_each_cyclic_subgroup_once(G):
+    G.closure_masks
+    walked = G.muls
+    if isinstance(G, CayleyTableGroup):
+        # the base walk: one multiplication per listed power of each class's least element
+        assert walked == sum(G.element_orders[min(c)] for c in G.generator_classes)
+        assert walked < sum(G.element_orders)  # the per-element walk's count
+    else:
+        # cyclic and abelian groups list powers by residue arithmetic
+        assert walked == 0
+    G.muls = 0
+    for g in range(G.size):
+        for k in (-7, -1, 0, 1, 2, 5, G.size + 1):
+            G.power(g, k)
+    assert G.muls == 0
+
+
+def walked_by_multiplication(G):
+    """A fresh copy of G whose power lists come from the base multiplication walk."""
+    ref = copy.copy(G)
+    ref.power_list = partial(Group.power_list, ref)
+    return ref
+
+
+def test_power_lists_and_records_match_the_multiplication_walk():
+    cyclic = [make_cyclic(n) for n in [*range(1, 65), 210, 360, 400]]
+    abelian = [make_abelian([(2, 1), (2, 2), (3, 2), (5, 1)]), make_abelian([(2, 1), (2, 1), (3, 1), (5, 2)])]
+    groups = list(corpus_groups(120)) + cyclic + abelian
+    for G in groups:
+        ref = walked_by_multiplication(G)
+        for h in range(G.size):
+            assert G.power_list(h) == ref.power_list(h), (G.name, h)
+        assert G._cyclic_places == ref._cyclic_places, G.name
+        assert G.cyclic_subgroups == ref.cyclic_subgroups, G.name
 
 
 @pytest.mark.parametrize("G", counting_groups(), ids=lambda g: g.name)
