@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .connectivity import (
@@ -249,7 +249,9 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process at the first call."""
     parser = argparse.ArgumentParser(
         prog="powergraphs",
         description="Power graphs of finite groups: connectivity, cut-sets, "

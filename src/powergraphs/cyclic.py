@@ -7,7 +7,8 @@ chosen one, and (in one specific abelian configuration) a layered set
 assembled from exact-order shells and divisor subgroups of M.
 
 Every cyclic subgroup here is the group's own record of it, a
-``groups.CyclicSubgroup``, and containment questions are mask expressions
+``groups.CyclicSubgroup`` reached through ``Group.cyclic_subgroups`` or
+``Group.cyclic_subgroup(g)``, and containment questions are mask expressions
 over its closure, generators and roots masks: its non-generators are
 closure & ~generators, it is maximal iff roots & ~closure is empty, and the
 external overlap of M is the set of its members with a root outside M. The
@@ -23,12 +24,6 @@ from .bitsets import iter_bits
 from .groups import CyclicSubgroup, Group, UnsupportedStructureError
 from .numtheory import p_adic_valuation
 from .predictions import gamma_cardinality
-
-
-def cyclic_subgroup(group: Group, g: int) -> CyclicSubgroup:
-    """The cyclic subgroup generated by g: the group's record of <g>."""
-    group._check_index(g)
-    return group._cyclic_places[g][0]
 
 
 def maximal_cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
@@ -89,7 +84,7 @@ def _order_d_subgroup(group: Group, subgroup: CyclicSubgroup, d: int) -> CyclicS
     generated by h**(|M|/d), where d = 1 wraps to h**0, the identity."""
     if d < 1 or subgroup.order % d != 0:
         raise ValueError(f"{d} does not divide the subgroup order {subgroup.order}")
-    return cyclic_subgroup(group, subgroup.powers[subgroup.order // d % subgroup.order])
+    return group.cyclic_subgroup(subgroup.powers[subgroup.order // d % subgroup.order])
 
 
 def elements_of_exact_order(group: Group, subgroup: CyclicSubgroup, d: int) -> frozenset[int]:

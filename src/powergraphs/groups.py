@@ -15,9 +15,10 @@ of h, and as masks its members, its generators and its roots (every y with
 <h> inside <y>). Cyclic and abelian groups list powers from residues,
 with no multiplication; the other groups multiply once per listed power.
 Element orders, cyclic closures, roots, generator classes, maximality and
-the Sylow data are read from these records, ``Group.cyclic_subgroups``
-lists them, and ``power`` is one lookup of the element's place (record, j)
-with g = h**j.
+the Sylow data are read from these records. ``Group.cyclic_subgroups`` lists
+them, ``Group.cyclic_subgroup(g)`` returns the record of <g> (the only way
+other modules reach a record from an element), and ``power`` is one lookup
+of the element's place (record, j) with g = h**j.
 """
 
 from __future__ import annotations
@@ -214,27 +215,21 @@ class Group:
     def element_orders(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.closure_masks)
 
-    def element_order(self, g: int) -> int:
+    def cyclic_subgroup(self, g: int) -> CyclicSubgroup:
+        """The record of <g>, shared by every generator of <g>."""
         self._check_index(g)
-        return self.element_orders[g]
+        return self._cyclic_places[g][0]
 
-    def closure_mask(self, g: int) -> int:
-        self._check_index(g)
-        return self.closure_masks[g]
+    def element_order(self, g: int) -> int:
+        return self.cyclic_subgroup(g).order
 
     def cyclic_closure(self, g: int) -> frozenset[int]:
         """The set {g**k : k >= 0}; its size is the order of g."""
-        return frozenset(iter_bits(self.closure_mask(g)))
+        return self.cyclic_subgroup(g).elements
 
     def generator_class(self, g: int) -> frozenset[int]:
         """All elements generating the same cyclic subgroup as g."""
-        self._check_index(g)
-        return frozenset(iter_bits(self._cyclic_places[g][0].generators))
-
-    @cached_property
-    def generator_classes(self) -> tuple[frozenset[int], ...]:
-        """The partition of the group into generator classes, by least element."""
-        return tuple(frozenset(iter_bits(sub.generators)) for sub in self.cyclic_subgroups)
+        return frozenset(iter_bits(self.cyclic_subgroup(g).generators))
 
     @cached_property
     def is_abelian(self) -> bool:

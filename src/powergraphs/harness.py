@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .connectivity import (
     ResourceLimitError,
@@ -124,21 +124,24 @@ def exceptional_groups(max_order: int | None = None) -> tuple[Group, ...]:
     return tuple(groups)
 
 
+def _corpus(max_order: int) -> Iterator[Group]:
+    """Abelian corpus plus the exceptional families, built one at a time."""
+    yield from map(make_abelian, generate_abelian_corpus(max_order))
+    yield from exceptional_groups(max_order)
+
+
 def corpus_groups(max_order: int) -> tuple[Group, ...]:
     """Abelian corpus plus the exceptional families, in deterministic order."""
-    abelian = [make_abelian(spec) for spec in generate_abelian_corpus(max_order)]
-    return tuple(abelian) + exceptional_groups(max_order)
+    return tuple(_corpus(max_order))
 
 
 def sylow_profile(group: Group) -> SylowProfile:
     """Structural facts consumed by the arithmetic predictors."""
     dec = group.sylow_decomposition()
-    maximal = maximal_cyclic_subgroups(group)
     return SylowProfile(
         noncyclic=dec.noncyclic,
         elementary=dec.elementary,
-        min_maximal_cyclic_order=min(m.order for m in maximal),
-        maximal_cyclic_orders=tuple(sorted({m.order for m in maximal})),
+        maximal_cyclic_orders=tuple(sorted({m.order for m in maximal_cyclic_subgroups(group)})),
     )
 
 
@@ -245,9 +248,8 @@ def verify_theorem(
 ) -> VerificationReport:
     """Run one prediction against brute force and report the verdict.
 
-    Minimum cut-sets are enumerated for every forecast kind except "none"
-    and "unknown", and checked by the forecast's two rules (see the module
-    docstring).
+    Minimum cut-sets are enumerated only when the forecast claims something
+    about them, and checked by its two rules (see the module docstring).
     """
     if theorem_id == "props":
         return _verify_props(group, caps)
@@ -274,7 +276,7 @@ def verify_theorem(
         )
     forecast = prediction.cutsets
     observed = None
-    if forecast.kind not in ("none", "unknown"):
+    if forecast.claims:
         try:
             observed = _sorted_cutsets(
                 all_minimum_cutsets(graph, observed_kappa, max_combinations=caps.max_combinations)
@@ -314,10 +316,11 @@ def survey(
     """Verify one theorem across the corpus up to max_order."""
     if max_order < 2:
         raise ValueError(f"max_order must be >= 2, got {max_order}")
+    # one group at a time, so each group's records are freed after its report
     if theorem_id == "thm11":
-        groups: tuple[Group, ...] = tuple(make_cyclic(n) for n in range(2, max_order + 1))
+        groups: Iterable[Group] = map(make_cyclic, range(2, max_order + 1))
     else:
-        groups = corpus_groups(max_order)
+        groups = _corpus(max_order)
     return [verify_theorem(theorem_id, g, caps) for g in groups]
 
 

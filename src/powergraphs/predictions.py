@@ -59,21 +59,22 @@ class Factorization:
 class CutsetForecast:
     """What a theorem claims about the minimum cut-sets, if anything.
 
-    kind is one of:
-      "none"              complete graph, no cut-sets exist
-      "unique"            exactly one minimum cut-set; always ``count=1``
-      "count"             exactly ``count`` minimum cut-sets
-      "multiple-possible" the named sets are minimum cut-sets, others may exist
-      "unknown"           no claim
+    ``count`` is the exact number of minimum cut-sets (1 for a unique one).
     subgroup_products names predicted cut-sets structurally: each entry is a
     tuple of primes, meaning the product of the Sylow subgroups at those
-    primes. A claim is checked by two rules: the number of minimum cut-sets
-    equals ``count`` when it is set, and every named set is among them.
+    primes; a named set with no count leaves room for others. A claim is
+    checked by two rules: the number of minimum cut-sets equals ``count``
+    when it is set, and every named set is among them. A forecast with
+    neither makes no claim, as for a complete graph or an open case.
     """
 
-    kind: str
     count: int | None = None
     subgroup_products: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def claims(self) -> bool:
+        """Whether there is anything to check against the minimum cut-sets."""
+        return self.count is not None or self.subgroup_products is not None
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class Prediction:
         cls, case_tag: str, hypothesis_trace: tuple[tuple[str, bool], ...]
     ) -> "Prediction":
         """No kappa and no cut-set claim: a hypothesis gate failed."""
-        return cls(None, case_tag, CutsetForecast(kind="unknown"), hypothesis_trace)
+        return cls(None, case_tag, CutsetForecast(), hypothesis_trace)
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,11 @@ class SylowProfile:
 
     noncyclic: tuple[int, ...]
     elementary: tuple[int, ...]
-    min_maximal_cyclic_order: int
     maximal_cyclic_orders: tuple[int, ...]
+
+    @property
+    def min_maximal_cyclic_order(self) -> int:
+        return min(self.maximal_cyclic_orders)
 
 
 def condition_two_phi(primes: tuple[int, ...] | list[int]) -> bool:
@@ -171,7 +175,7 @@ def kappa_cyclic(n: int) -> Prediction:
         return Prediction(
             kappa=n - 1,
             case_tag="prime-power",
-            cutsets=CutsetForecast(kind="none"),
+            cutsets=CutsetForecast(),
             hypothesis_trace=(("order is a prime power (complete graph)", True),),
         )
     phi_n = euler_phi(n)
@@ -179,9 +183,9 @@ def kappa_cyclic(n: int) -> Prediction:
     if r == 2:
         kappa = phi_n + deflate
         if ps[0] == 2:
-            forecast = CutsetForecast(kind="count", count=es[1])
+            forecast = CutsetForecast(count=es[1])
         else:
-            forecast = CutsetForecast(kind="unique", count=1)
+            forecast = CutsetForecast(count=1)
         return Prediction(
             kappa=kappa,
             case_tag="two-primes",
@@ -199,7 +203,7 @@ def kappa_cyclic(n: int) -> Prediction:
         return Prediction(
             kappa=kappa,
             case_tag=tag,
-            cutsets=CutsetForecast(kind="unique", count=1),
+            cutsets=CutsetForecast(count=1),
             hypothesis_trace=(
                 ("order has exactly three prime divisors", True),
                 ("smallest prime is 2", ps[0] == 2),
@@ -218,7 +222,7 @@ def kappa_cyclic(n: int) -> Prediction:
     return Prediction(
         kappa=kappa,
         case_tag="many-primes",
-        cutsets=CutsetForecast(kind="unique", count=1),
+        cutsets=CutsetForecast(count=1),
         hypothesis_trace=trace,
     )
 
@@ -260,7 +264,7 @@ def kappa_nilpotent_one_noncyclic(
         return Prediction(
             kappa=f.n // p_k**n_k,
             case_tag="nilpotent-one-noncyclic",
-            cutsets=CutsetForecast(kind="unique", count=1, subgroup_products=(others,)),
+            cutsets=CutsetForecast(count=1, subgroup_products=(others,)),
             hypothesis_trace=tuple(trace),
         )
     return Prediction.gated("nilpotent-one-noncyclic-gated", tuple(trace))
@@ -293,11 +297,7 @@ def kappa_abelian_two_primes(f: Factorization, profile: SylowProfile) -> Predict
             ("exactly one non-cyclic Sylow subgroup", True),
             ("smallest prime >= 3, or the odd Sylow subgroup is the non-cyclic one", unique),
         )
-        forecast = CutsetForecast(
-            kind="unique" if unique else "multiple-possible",
-            count=1 if unique else None,
-            subgroup_products=((p_j,),),
-        )
+        forecast = CutsetForecast(count=1 if unique else None, subgroup_products=((p_j,),))
         return Prediction(
             kappa=p_j**n_j,
             case_tag="two-primes-one-noncyclic",
@@ -318,7 +318,7 @@ def kappa_abelian_two_primes(f: Factorization, profile: SylowProfile) -> Predict
     return Prediction(
         kappa=kappa,
         case_tag="two-primes-both-noncyclic",
-        cutsets=CutsetForecast(kind="unknown"),
+        cutsets=CutsetForecast(),
         hypothesis_trace=trace,
     )
 
@@ -363,7 +363,7 @@ def kappa_abelian_three_primes(f: Factorization, profile: SylowProfile) -> Predi
         return Prediction(
             kappa=kappa,
             case_tag=tag,
-            cutsets=CutsetForecast(kind="unknown"),
+            cutsets=CutsetForecast(),
             hypothesis_trace=trace,
         )
     others = tuple(p for p in ps if p != p_k)
@@ -375,7 +375,7 @@ def kappa_abelian_three_primes(f: Factorization, profile: SylowProfile) -> Predi
     return Prediction(
         kappa=kappa,
         case_tag="three-primes-odd-noncyclic",
-        cutsets=CutsetForecast(kind="unique", count=1, subgroup_products=(others,)),
+        cutsets=CutsetForecast(count=1, subgroup_products=(others,)),
         hypothesis_trace=trace,
     )
 

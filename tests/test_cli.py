@@ -311,3 +311,18 @@ def test_theorem_choices_are_the_harness_ids():
     for command in ("verify", "survey"):
         theorem = next(a for a in sub.choices[command]._actions if a.dest == "theorem")
         assert tuple(theorem.choices) == THEOREM_IDS
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_call_after_an_exit_two_prints_what_a_fresh_call_prints(capsys):
+    argv = ("kappa", "--group", "abelian:2,2,3", "--json")
+    build_parser.cache_clear()
+    fresh = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--group", "cyclic:12"])  # no --theorem
+    assert exc.value.code == 2
+    assert run(capsys, "kappa", "--group", "cyclic:0")[0] == 2
+    assert run(capsys, *argv) == fresh

@@ -4,7 +4,6 @@ import pytest
 
 import powergraphs
 from powergraphs.cyclic import (
-    cyclic_subgroup,
     elements_of_dividing_order,
     elements_of_exact_order,
     external_overlap,
@@ -50,7 +49,7 @@ def test_maximal_cyclic_against_oracle(G):
     assert covered == set(range(G.size))
     closures = [G.cyclic_closure(g) for g in range(G.size)]
     for g, c in enumerate(closures):
-        sub = cyclic_subgroup(G, g)
+        sub = G.cyclic_subgroup(g)
         assert sub.elements == c and sub.order == len(c)
         assert sub.generator == min(h for h, d in enumerate(closures) if d == c)
         assert sub.is_maximal == (c in maximal)
@@ -84,7 +83,7 @@ def test_quaternion_16_maximal_cyclic_counts():
 def test_cyclic_subgroup_flags():
     G = make_generalized_quaternion(8)
     involution = next(g for g, o in enumerate(G.element_orders) if o == 2)
-    sub = cyclic_subgroup(G, involution)
+    sub = G.cyclic_subgroup(involution)
     assert sub.order == 2 and not sub.is_maximal
 
 

@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 
+from powergraphs.bitsets import iter_bits
 from powergraphs.cyclic import (
     elements_of_dividing_order,
     elements_of_exact_order,
@@ -166,7 +167,7 @@ def test_cyclic_closure():
 
 def test_generator_classes_partition():
     for G in (make_cyclic(12), make_abelian([(2, 1), (2, 1), (3, 1)]), make_dihedral(10)):
-        classes = G.generator_classes
+        classes = [frozenset(iter_bits(m.generators)) for m in G.cyclic_subgroups]
         assert sum(len(c) for c in classes) == G.size
         seen = set()
         for c in classes:
@@ -175,7 +176,7 @@ def test_generator_classes_partition():
             g = min(c)
             assert len(c) == euler_phi(G.element_order(g))
     # C12: one class per divisor of 12
-    assert len(make_cyclic(12).generator_classes) == 6
+    assert len(make_cyclic(12).cyclic_subgroups) == 6
 
 
 def test_cyclic_subgroups_one_record_each_by_least_generator():
@@ -189,6 +190,23 @@ def test_cyclic_subgroups_one_record_each_by_least_generator():
             assert m.generators == sum(1 << g for g in G.generator_class(m.generator))
             outside = {y for y in range(G.size) if m.elements < closures[y]}
             assert m.is_maximal == (not outside)
+
+
+def test_cyclic_subgroup_is_the_record_of_each_generator():
+    # corpus_groups(60) holds D6-D20 and Q8-Q32 besides the abelian groups
+    groups = [*corpus_groups(60), direct_product(make_generalized_quaternion(8), make_cyclic(3))]
+    for G in groups:
+        for g in range(G.size):
+            sub = G.cyclic_subgroup(g)
+            assert sub.generators >> g & 1, (G.name, g)
+            assert all(G.cyclic_subgroup(h) is sub for h in iter_bits(sub.generators))
+            assert G.element_order(g) == sub.order
+            assert G.cyclic_closure(g) == sub.elements
+            assert G.generator_class(g) == frozenset(iter_bits(sub.generators))
+        for bad in (-1, G.size):
+            for read in (G.cyclic_subgroup, G.element_order, G.cyclic_closure, G.generator_class):
+                with pytest.raises(ValueError, match=rf"element index {bad} out of range"):
+                    read(bad)
 
 
 def test_generator_class_of_order_6_element():
@@ -573,7 +591,7 @@ def test_closures_walk_each_cyclic_subgroup_once(G):
     walked = G.muls
     if isinstance(G, CayleyTableGroup):
         # the base walk: one multiplication per listed power of each class's least element
-        assert walked == sum(G.element_orders[min(c)] for c in G.generator_classes)
+        assert walked == sum(m.order for m in G.cyclic_subgroups)
         assert walked < sum(G.element_orders)  # the per-element walk's count
     else:
         # cyclic and abelian groups list powers by residue arithmetic
@@ -657,7 +675,7 @@ def test_closures_and_powers_match_naive_reference():
         for g, m in enumerate(masks):
             by_mask.setdefault(m, set()).add(g)
         classes = sorted(by_mask.values(), key=min)
-        assert [set(c) for c in G.generator_classes] == classes, G.name
+        assert [set(iter_bits(m.generators)) for m in G.cyclic_subgroups] == classes, G.name
         for g, c in enumerate(closures):
             assert G.generator_class(g) == by_mask[masks[g]], (G.name, g)
             o = len(c)

@@ -14,7 +14,6 @@ from powergraphs.harness import (
     ResourceCaps,
     corpus_groups,
     generate_abelian_corpus,
-    predict_for_group,
     run_property_suite,
     survey,
     sylow_profile,
@@ -235,7 +234,7 @@ def patch_prediction(monkeypatch, theorem_id, edit):
             # C12 has one minimum cut-set
             "thm11",
             make_cyclic(12),
-            lambda p: replace(p, cutsets=CutsetForecast(kind="count", count=2)),
+            lambda p: replace(p, cutsets=CutsetForecast(count=2)),
             "expected 2 cut-sets, found 1",
         ),
         (
@@ -243,7 +242,7 @@ def patch_prediction(monkeypatch, theorem_id, edit):
             "thm13",
             make_abelian([(2, 1), (2, 1), (3, 1)]),
             lambda p: replace(
-                p, cutsets=CutsetForecast(kind="multiple-possible", subgroup_products=((2,),))
+                p, cutsets=CutsetForecast(subgroup_products=((2,),))
             ),
             "a predicted cut-set is not among the observed ones",
         ),
@@ -251,7 +250,7 @@ def patch_prediction(monkeypatch, theorem_id, edit):
             # C18 has two minimum cut-sets
             "thm11",
             make_cyclic(18),
-            lambda p: replace(p, cutsets=CutsetForecast(kind="unique", count=1)),
+            lambda p: replace(p, cutsets=CutsetForecast(count=1)),
             "expected 1 cut-sets, found 2",
         ),
         (
@@ -259,7 +258,7 @@ def patch_prediction(monkeypatch, theorem_id, edit):
             "thm12",
             make_abelian([(3, 1), (3, 1), (5, 1)]),
             lambda p: replace(
-                p, cutsets=CutsetForecast(kind="unique", count=1, subgroup_products=((3,),))
+                p, cutsets=CutsetForecast(count=1, subgroup_products=((3,),))
             ),
             "a predicted cut-set is not among the observed ones",
         ),
@@ -273,18 +272,3 @@ def test_verify_mismatch_verdicts(monkeypatch, theorem_id, G, edit, detail):
     assert report.verdict == "mismatch"
     assert report.detail == detail
     assert report.to_json_dict()["verdict"] == "mismatch"
-
-
-@pytest.mark.parametrize("theorem_id", ["thm11", "thm12", "thm13", "thm14"])
-def test_unique_forecasts_claim_count_one(theorem_id):
-    # the count rule decides a unique forecast only because it claims count=1;
-    # C2xC3xC3xC5 is the least group whose thm14 forecast is unique
-    groups = corpus_groups(64) + tuple(make_cyclic(n) for n in range(2, 121))
-    groups += (make_abelian([(2, 1), (3, 1), (3, 1), (5, 1)]),)
-    uniques = 0
-    for G in groups:
-        forecast = predict_for_group(theorem_id, G)[0].cutsets
-        if forecast.kind == "unique":
-            uniques += 1
-            assert forecast.count == 1, G.name
-    assert uniques > 0

@@ -34,19 +34,19 @@ def test_factorization_validation():
 def test_kappa_cyclic_prime_power():
     pred = kappa_cyclic(8)
     assert pred.applicable and pred.kappa == 7
-    assert pred.cutsets.kind == "none"
+    assert not pred.cutsets.claims
 
 
 def test_kappa_cyclic_two_primes():
     pred = kappa_cyclic(12)
     assert pred.kappa == 6
-    assert pred.cutsets.kind == "count" and pred.cutsets.count == 1
+    assert pred.cutsets.count == 1 and pred.cutsets.subgroup_products is None
     pred18 = kappa_cyclic(18)
     assert pred18.kappa == 9
     assert pred18.cutsets.count == 2
     pred15 = kappa_cyclic(15)
     assert pred15.kappa == 9
-    assert pred15.cutsets.kind == "unique"
+    assert pred15.cutsets.count == 1
 
 
 def test_kappa_cyclic_three_primes():
@@ -93,7 +93,7 @@ def test_inequality_t_plus_1():
 def test_nilpotent_one_noncyclic():
     pred = kappa_nilpotent_one_noncyclic(Factorization(((3, 2), (5, 1))), 3)
     assert pred.applicable and pred.kappa == 5
-    assert pred.cutsets.kind == "unique"
+    assert pred.cutsets.count == 1
     assert pred.cutsets.subgroup_products == ((5,),)
 
     gated = kappa_nilpotent_one_noncyclic(Factorization(((2, 2), (3, 1))), 2)
@@ -121,18 +121,18 @@ def test_nilpotent_one_noncyclic_quaternion_gate():
 
 def test_abelian_two_primes_one_noncyclic():
     f = Factorization(((2, 2), (3, 1)))
-    profile = SylowProfile((2,), (3,), 6, (6,))
+    profile = SylowProfile((2,), (3,), (6,))
     pred = kappa_abelian_two_primes(f, profile)
     assert pred.applicable and pred.kappa == 3
-    assert pred.cutsets.kind == "multiple-possible"
+    assert pred.cutsets.count is None and pred.cutsets.claims
     assert pred.cutsets.subgroup_products == ((3,),)
 
     # odd Sylow subgroup non-cyclic: unique claim
     f2 = Factorization(((2, 2), (3, 2)))
-    profile2 = SylowProfile((3,), (), 12, (12,))
+    profile2 = SylowProfile((3,), (), (12,))
     pred2 = kappa_abelian_two_primes(f2, profile2)
     assert pred2.applicable and pred2.kappa == 4
-    assert pred2.cutsets.kind == "unique"
+    assert pred2.cutsets.count == 1
 
 
 def test_abelian_two_primes_both_noncyclic():
@@ -154,7 +154,7 @@ def test_abelian_two_primes_both_noncyclic():
 def test_abelian_two_primes_rejects_wrong_r():
     with pytest.raises(ValueError):
         kappa_abelian_two_primes(
-            Factorization.from_int(30), SylowProfile((2,), (), 30, (30,))
+            Factorization.from_int(30), SylowProfile((2,), (), (30,))
         )
 
 
@@ -172,7 +172,7 @@ def test_abelian_three_primes_cases():
     G3 = make_abelian([(2, 1), (3, 1), (3, 1), (5, 1)])
     pred3 = kappa_abelian_three_primes(Factorization.from_int(90), sylow_profile(G3))
     assert pred3.applicable and pred3.kappa == 10
-    assert pred3.cutsets.kind == "unique"
+    assert pred3.cutsets.count == 1
     assert pred3.cutsets.subgroup_products == ((2, 5),)
 
     G4 = make_abelian([(3, 1), (3, 1), (5, 1), (7, 1)])
@@ -183,11 +183,11 @@ def test_abelian_three_primes_cases():
 def test_abelian_three_primes_rejects_wrong_structure():
     with pytest.raises(ValueError):
         kappa_abelian_three_primes(
-            Factorization.from_int(30), SylowProfile((2, 3), (2, 3), 30, (30,))
+            Factorization.from_int(30), SylowProfile((2, 3), (2, 3), (30,))
         )
     with pytest.raises(ValueError):
         kappa_abelian_three_primes(
-            Factorization.from_int(6), SylowProfile((2,), (2,), 6, (6,))
+            Factorization.from_int(6), SylowProfile((2,), (2,), (6,))
         )
 
 
