@@ -1,19 +1,20 @@
 """Finite group construction with 0-based element indices.
 
 Every group lives on the index set 0..size-1 with the identity at index 0.
-Abelian groups are built structurally from prime-power cyclic factors
-(mixed-radix element encoding, most significant factor first); cyclic groups
-use plain residue arithmetic so that element i times element j is element
-(i + j) mod n; dihedral and generalized quaternion groups multiply by the
-formula of their presentation, and direct products componentwise. Only an
-explicit multiplication table (``CayleyTableGroup``) is validated on
-construction.
+Cyclic groups use plain residue arithmetic so that element i times element j
+is element (i + j) mod n; dihedral and generalized quaternion groups multiply
+by the formula of their presentation. Direct products (``ProductGroup``)
+encode elements in mixed radix, most significant factor first, and multiply
+digit by digit; abelian groups are the products of prime-power cyclic
+groups. Only an explicit multiplication table (``CayleyTableGroup``) is
+validated on construction.
 
 Each cyclic subgroup <h> has one record, a ``CyclicSubgroup`` built from
 the power list of its least generator h (``Group.power_list``): the powers
 of h, and as masks its members, its generators and its roots (every y with
-<h> inside <y>). Cyclic and abelian groups list powers from residues,
-with no multiplication; the other groups multiply once per listed power.
+<h> inside <y>). Power lists come from residues for cyclic groups, from the
+factors' lists for products; dihedral, quaternion and table groups multiply
+once per listed power.
 Element orders, cyclic closures, roots, generator classes, maximality and
 the Sylow data are read from these records. ``Group.cyclic_subgroups`` lists
 them, ``Group.cyclic_subgroup(g)`` returns the record of <g> (the only way
@@ -60,10 +61,6 @@ class AbelianSpec:
     @property
     def order(self) -> int:
         return prod(p**e for p, e in self.factors)
-
-    @property
-    def label(self) -> str:
-        return "x".join(f"C{p**e}" for p, e in self.factors)
 
 
 @dataclass(frozen=True)
@@ -332,45 +329,6 @@ class CyclicGroup(Group):
         return True
 
 
-class StructuredAbelianGroup(Group):
-    """Direct product of prime-power cyclic factors, mixed-radix indexed.
-
-    Factor i is the digit of radix r_i at place value w_i (the product of the
-    later radices), so products are digit-wise sums.
-    """
-
-    def __init__(self, spec: AbelianSpec):
-        self.spec = spec
-        radices = [p**e for p, e in spec.factors]
-        self._places = tuple((r, prod(radices[i + 1 :])) for i, r in enumerate(radices))
-        self.size = prod(radices)
-        self.name = spec.label
-
-    def encode(self, coords: tuple[int, ...]) -> int:
-        return sum(x % r * w for x, (r, w) in zip(coords, self._places))
-
-    def mul(self, a: int, b: int) -> int:
-        return sum((a // w + b // w) % r * w for r, w in self._places)
-
-    def power_list(self, h: int) -> list[int]:
-        """The digit of h**j at radix r is j*d mod r, d that of h, of period
-        r/gcd(d, r): each digit's list is repeated out to the lcm of the
-        periods, the order of h, and the lists are summed elementwise."""
-        lists = []
-        for r, w in self._places:
-            d = h // w % r
-            lists.append([j * d % r * w for j in range(r // gcd(d, r))])
-        o = lcm(*map(len, lists))
-        powers = lists[0] * (o // len(lists[0]))
-        for digits in lists[1:]:
-            powers = list(map(add, powers, digits * (o // len(digits))))
-        return powers
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        return True
-
-
 class DihedralLikeGroup(Group):
     """<a, b | b*a*b**-1 = a**-1, b*b = a**twist>, a of order ``half``.
 
@@ -397,17 +355,48 @@ class DihedralLikeGroup(Group):
 
 
 class ProductGroup(Group):
-    """Direct product g1 x g2, multiplied componentwise; (a, b) is a*|g2| + b."""
+    """Direct product g_1 x ... x g_k of the factor groups, mixed-radix indexed.
 
-    def __init__(self, g1: Group, g2: Group):
-        self.factors = (g1, g2)
-        self.size = g1.size * g2.size
-        self.name = f"{g1.name}x{g2.name}"
+    Factor i is the digit of radix |g_i| at place value w_i, the product of
+    the later sizes, so (a, b) in g1 x g2 is a*|g2| + b. Products multiply
+    digit by digit through each factor's ``mul``; powers are listed from the
+    factors' power lists, and the product is abelian iff every factor is.
+    """
+
+    def __init__(self, factors: tuple[Group, ...]):
+        self.factors = factors
+        sizes = [g.size for g in factors]
+        self._places = tuple((g, prod(sizes[i + 1 :])) for i, g in enumerate(factors))
+        self.size = prod(sizes)
+        self.name = "x".join(g.name for g in factors)
+
+    def encode(self, coords: tuple[int, ...]) -> int:
+        return sum(x % g.size * w for x, (g, w) in zip(coords, self._places))
 
     def mul(self, a: int, b: int) -> int:
-        g1, g2 = self.factors
-        n2 = g2.size
-        return g1.mul(a // n2, b // n2) * n2 + g2.mul(a % n2, b % n2)
+        return sum(g.mul(a // w % g.size, b // w % g.size) * w for g, w in self._places)
+
+    def power_list(self, h: int) -> list[int]:
+        """The digit of h**j at factor g is d**j, d that of h: each nonzero
+        digit's power list in g, scaled by its place value, is repeated out to
+        the lcm of the lists' lengths, the order of h, and the lists are
+        summed elementwise. A zero digit is 0 in every power, so it is skipped."""
+        lists = []
+        for g, w in self._places:
+            d = h // w % g.size
+            if d:
+                lists.append([x * w for x in g.power_list(d)])
+        if not lists:
+            return [0]
+        o = lcm(*map(len, lists))
+        powers = lists[0] * (o // len(lists[0]))
+        for digits in lists[1:]:
+            powers = list(map(add, powers, digits * (o // len(digits))))
+        return powers
+
+    @cached_property
+    def is_abelian(self) -> bool:
+        return all(g.is_abelian for g in self.factors)
 
 
 class CayleyTableGroup(Group):
@@ -480,10 +469,11 @@ def make_cyclic(n: int) -> Group:
 
 
 def make_abelian(spec: AbelianSpec | list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Group:
-    """Abelian group as a direct product of prime-power cyclic factors."""
+    """Abelian group as the direct product of the cyclic groups C_{p**e}
+    over the spec's factors, in canonical order; named like C2xC4xC3."""
     if not isinstance(spec, AbelianSpec):
         spec = AbelianSpec(tuple(spec))
-    return StructuredAbelianGroup(spec)
+    return ProductGroup(tuple(CyclicGroup(p**e) for p, e in spec.factors))
 
 
 def make_dihedral(order: int) -> Group:
@@ -513,5 +503,5 @@ def make_generalized_quaternion(order: int) -> Group:
 
 
 def direct_product(g1: Group, g2: Group) -> Group:
-    """Direct product, multiplied componentwise; index of (a, b) is a*|g2| + b."""
-    return ProductGroup(g1, g2)
+    """The two-factor product g1 x g2; the index of (a, b) is a*|g2| + b."""
+    return ProductGroup((g1, g2))

@@ -34,7 +34,6 @@ from .groups import (
 from .numtheory import factorize
 from .powergraph import build_power_graph
 from .predictions import (
-    Factorization,
     Prediction,
     SylowProfile,
     kappa_abelian_three_primes,
@@ -150,15 +149,15 @@ def _prime_count(group: Group) -> int:
 
 
 def _with_profile(
-    predictor: Callable[[Factorization, SylowProfile], Prediction],
+    predictor: Callable[[int, SylowProfile], Prediction],
 ) -> Callable[[Group], Prediction]:
-    return lambda g: predictor(Factorization.from_int(g.size), sylow_profile(g))
+    return lambda g: predictor(g.size, sylow_profile(g))
 
 
 def _predict_thm12(group: Group) -> Prediction:
     dec = group.sylow_decomposition()
     return kappa_nilpotent_one_noncyclic(
-        Factorization.from_int(group.size),
+        group.size,
         dec.noncyclic[0],
         sylow_is_generalized_quaternion=dec.quaternion,
     )

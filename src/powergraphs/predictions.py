@@ -14,48 +14,6 @@ from .numtheory import euler_phi, factorize, is_prime, p_adic_valuation
 
 
 @dataclass(frozen=True)
-class Factorization:
-    """Prime factorization ((p1, n1), ..., (pr, nr)) with p1 < p2 < ... < pr."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        pairs = tuple((int(p), int(e)) for p, e in self.pairs)
-        if not pairs:
-            raise ValueError("factorization needs at least one prime")
-        for p, e in pairs:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if e < 1:
-                raise ValueError(f"exponent must be >= 1, got {e}")
-        if any(pairs[i][0] >= pairs[i + 1][0] for i in range(len(pairs) - 1)):
-            raise ValueError("primes must be strictly increasing")
-        object.__setattr__(self, "pairs", pairs)
-
-    @classmethod
-    def from_int(cls, n: int) -> "Factorization":
-        if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
-        return cls(factorize(n))
-
-    @property
-    def n(self) -> int:
-        return prod(p**e for p, e in self.pairs)
-
-    @property
-    def r(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.pairs)
-
-
-@dataclass(frozen=True)
 class CutsetForecast:
     """What a theorem claims about the minimum cut-sets, if anything.
 
@@ -155,7 +113,7 @@ def kappa_cyclic_lower_bound(n: int) -> tuple[int, bool]:
     """(phi(n)+1, equality), equality iff n is prime or a product of two primes."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    exps = Factorization.from_int(n).exponents
+    exps = tuple(e for _, e in factorize(n))
     equality = exps in ((1,), (1, 1))
     return euler_phi(n) + 1, equality
 
@@ -169,8 +127,9 @@ def kappa_cyclic(n: int) -> Prediction:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    f = Factorization.from_int(n)
-    ps, es, r = f.primes, f.exponents, f.r
+    pairs = factorize(n)
+    ps, es = zip(*pairs)
+    r = len(ps)
     if r == 1:
         return Prediction(
             kappa=n - 1,
@@ -179,7 +138,7 @@ def kappa_cyclic(n: int) -> Prediction:
             hypothesis_trace=(("order is a prime power (complete graph)", True),),
         )
     phi_n = euler_phi(n)
-    deflate = prod(p ** (e - 1) for p, e in f.pairs)
+    deflate = prod(p ** (e - 1) for p, e in pairs)
     if r == 2:
         kappa = phi_n + deflate
         if ps[0] == 2:
@@ -228,41 +187,43 @@ def kappa_cyclic(n: int) -> Prediction:
 
 
 def kappa_nilpotent_one_noncyclic(
-    f: Factorization,
+    n: int,
     noncyclic_prime: int,
     *,
     sylow_is_generalized_quaternion: bool = False,
 ) -> Prediction:
-    """Connectivity for a non-cyclic nilpotent group whose only non-cyclic
-    Sylow subgroup sits at ``noncyclic_prime``.
+    """Connectivity for a non-cyclic nilpotent group of order n whose only
+    non-cyclic Sylow subgroup sits at ``noncyclic_prime``.
 
     Applicable when p_k >= r+1 or 2*phi(p1...p_{r-1}) > p1...p_{r-1}, and the
     non-cyclic Sylow subgroup is not a generalized quaternion 2-group; then
     the product of all other Sylow subgroups is the unique minimum cut-set.
     """
-    if f.r < 2:
+    pairs = factorize(n)
+    if len(pairs) < 2:
         raise ValueError("need at least two distinct primes")
-    if noncyclic_prime not in f.primes:
+    ps, es = zip(*pairs)
+    if noncyclic_prime not in ps:
         raise ValueError(f"{noncyclic_prime} does not divide the order")
-    ps = f.primes
+    r = len(ps)
     p_k = noncyclic_prime
-    n_k = f.exponents[ps.index(p_k)]
+    n_k = es[ps.index(p_k)]
     trace: list[tuple[str, bool]] = []
     quaternion_ok = True
     if p_k == 2:
         quaternion_ok = not sylow_is_generalized_quaternion
         trace.append(("non-cyclic Sylow 2-subgroup is not generalized quaternion", quaternion_ok))
     head = ps[:-1]
-    gate_rank = p_k >= f.r + 1
+    gate_rank = p_k >= r + 1
     gate_phi = condition_two_phi(head)
-    trace.append((f"p_k >= r+1 ({p_k} >= {f.r + 1})", gate_rank))
+    trace.append((f"p_k >= r+1 ({p_k} >= {r + 1})", gate_rank))
     trace.append(
         (f"2*phi({'*'.join(map(str, head))}) > {'*'.join(map(str, head))}", gate_phi)
     )
     others = tuple(p for p in ps if p != p_k)
     if quaternion_ok and (gate_rank or gate_phi):
         return Prediction(
-            kappa=f.n // p_k**n_k,
+            kappa=n // p_k**n_k,
             case_tag="nilpotent-one-noncyclic",
             cutsets=CutsetForecast(count=1, subgroup_products=(others,)),
             hypothesis_trace=tuple(trace),
@@ -270,8 +231,9 @@ def kappa_nilpotent_one_noncyclic(
     return Prediction.gated("nilpotent-one-noncyclic-gated", tuple(trace))
 
 
-def kappa_abelian_two_primes(f: Factorization, profile: SylowProfile) -> Prediction:
-    """Connectivity for a non-cyclic abelian group with two prime divisors.
+def kappa_abelian_two_primes(n: int, profile: SylowProfile) -> Prediction:
+    """Connectivity for a non-cyclic abelian group of order n with two prime
+    divisors.
 
     One non-cyclic Sylow subgroup: the other Sylow subgroup is a minimum
     cut-set (unique except possibly when it is odd and the non-cyclic one is
@@ -280,10 +242,10 @@ def kappa_abelian_two_primes(f: Factorization, profile: SylowProfile) -> Predict
     either p1 >= 3 with a maximal cyclic subgroup of order p1*p2 present, or
     the smaller Sylow subgroup is elementary abelian.
     """
-    if f.r != 2:
+    pairs = factorize(n)
+    if len(pairs) != 2:
         raise ValueError("need exactly two distinct primes")
-    p1, p2 = f.primes
-    n1, n2 = f.exponents
+    (p1, n1), (p2, n2) = pairs
     non = tuple(sorted(set(profile.noncyclic)))
     if not set(non) <= {p1, p2}:
         raise ValueError("profile names primes outside the factorization")
@@ -323,9 +285,9 @@ def kappa_abelian_two_primes(f: Factorization, profile: SylowProfile) -> Predict
     )
 
 
-def kappa_abelian_three_primes(f: Factorization, profile: SylowProfile) -> Prediction:
-    """Connectivity for a non-cyclic abelian group with three prime divisors
-    and exactly one non-cyclic Sylow subgroup.
+def kappa_abelian_three_primes(n: int, profile: SylowProfile) -> Prediction:
+    """Connectivity for a non-cyclic abelian group of order n with three prime
+    divisors and exactly one non-cyclic Sylow subgroup.
 
     When the non-cyclic Sylow subgroup is odd, or is not at the smallest
     prime, the product of the other two Sylow subgroups is the unique minimum
@@ -333,12 +295,13 @@ def kappa_abelian_three_primes(f: Factorization, profile: SylowProfile) -> Predi
     a minimum-order maximal cyclic subgroup, resolved by the power of 2 in
     |C|.
     """
-    if f.r != 3:
+    pairs = factorize(n)
+    if len(pairs) != 3:
         raise ValueError("need exactly three distinct primes")
+    ps, es = zip(*pairs)
     non = tuple(sorted(set(profile.noncyclic)))
-    if len(non) != 1 or non[0] not in f.primes:
+    if len(non) != 1 or non[0] not in ps:
         raise ValueError("need exactly one non-cyclic Sylow subgroup at a dividing prime")
-    ps, es = f.primes, f.exponents
     p_k = non[0]
     k = ps.index(p_k)
     if ps[0] == 2 and k == 0:

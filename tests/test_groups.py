@@ -1,6 +1,6 @@
 import copy
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 from math import prod
 
@@ -18,7 +18,7 @@ from powergraphs.groups import (
     CayleyTableGroup,
     CyclicGroup,
     Group,
-    StructuredAbelianGroup,
+    ProductGroup,
     SylowDecomposition,
     UnsupportedStructureError,
     direct_product,
@@ -27,7 +27,7 @@ from powergraphs.groups import (
     make_dihedral,
     make_generalized_quaternion,
 )
-from powergraphs.harness import corpus_groups
+from powergraphs.harness import corpus_groups, generate_abelian_corpus
 from powergraphs.numtheory import divisors, euler_phi, factorize, p_adic_valuation
 from powergraphs.powergraph import build_power_graph
 
@@ -51,7 +51,7 @@ def test_abelian_spec_canonical_order():
     assert a == b
     assert a.factors == ((2, 1), (2, 2), (3, 1))
     assert a.order == 24
-    assert a.label == "C2xC4xC3"
+    assert make_abelian(a).name == "C2xC4xC3"
 
 
 def test_abelian_spec_rejects_bad_factors():
@@ -568,7 +568,7 @@ class CountingCyclic(CountingMul, CyclicGroup):
     pass
 
 
-class CountingAbelian(CountingMul, StructuredAbelianGroup):
+class CountingProduct(CountingMul, ProductGroup):
     pass
 
 
@@ -577,11 +577,13 @@ class CountingTable(CountingMul, CayleyTableGroup):
 
 
 def counting_groups():
-    """Fresh counting instances of C360, C2xC4xC9 and Q16xC3."""
+    """Fresh counting instances of C360, C2xC4xC9, Q16xC3 (a table) and Q8xC75
+    (a product of counting factors, Q8 a table)."""
     return [
         CountingCyclic(360),
-        CountingAbelian(AbelianSpec(((2, 1), (2, 2), (3, 2)))),
+        CountingProduct((CountingCyclic(2), CountingCyclic(4), CountingCyclic(9))),
         CountingTable("Q16xC3", tabulate(direct_product(make_generalized_quaternion(16), make_cyclic(3)))),
+        CountingProduct((CountingTable("Q8", tabulate(make_generalized_quaternion(8))), CountingCyclic(75))),
     ]
 
 
@@ -594,8 +596,14 @@ def test_closures_walk_each_cyclic_subgroup_once(G):
         assert walked == sum(m.order for m in G.cyclic_subgroups)
         assert walked < sum(G.element_orders)  # the per-element walk's count
     else:
-        # cyclic and abelian groups list powers by residue arithmetic
+        # cyclic groups list powers by residue arithmetic, products from
+        # their factors' lists, and neither multiplies to find is_abelian
         assert walked == 0
+        assert G.is_abelian == ("Q8" not in G.name)
+        assert G.muls == 0
+    for factor in getattr(G, "factors", ()):
+        # only a non-abelian factor multiplies, walking its own power lists
+        assert (factor.muls > 0) == (factor.name == "Q8"), factor.name
     G.muls = 0
     for g in range(G.size):
         for k in (-7, -1, 0, 1, 2, 5, G.size + 1):
@@ -613,13 +621,31 @@ def walked_by_multiplication(G):
 def test_power_lists_and_records_match_the_multiplication_walk():
     cyclic = [make_cyclic(n) for n in [*range(1, 65), 210, 360, 400]]
     abelian = [make_abelian([(2, 1), (2, 2), (3, 2), (5, 1)]), make_abelian([(2, 1), (2, 1), (3, 1), (5, 2)])]
-    groups = list(corpus_groups(120)) + cyclic + abelian
+    C = make_cyclic
+    products = [
+        direct_product(make_dihedral(20), C(9)),
+        direct_product(make_generalized_quaternion(8), C(75)),
+        direct_product(make_generalized_quaternion(16), C(3)),
+        direct_product(make_dihedral(6), direct_product(C(4), C(3))),
+        direct_product(C(2), direct_product(C(2), direct_product(C(3), C(25)))),
+    ]
+    groups = list(corpus_groups(120)) + cyclic + abelian + products
     for G in groups:
         ref = walked_by_multiplication(G)
         for h in range(G.size):
             assert G.power_list(h) == ref.power_list(h), (G.name, h)
         assert G._cyclic_places == ref._cyclic_places, G.name
         assert G.cyclic_subgroups == ref.cyclic_subgroups, G.name
+
+
+def test_abelian_group_is_the_right_fold_of_cyclic_direct_products():
+    for spec in generate_abelian_corpus(64):
+        G = make_abelian(spec)
+        *head, last = [make_cyclic(p**e) for p, e in spec.factors]
+        F = reduce(lambda acc, g: direct_product(g, acc), reversed(head), last)
+        assert (G.name, G.size) == (F.name, F.size)
+        assert G._cyclic_places == F._cyclic_places, G.name
+        assert G.cyclic_subgroups == F.cyclic_subgroups, G.name
 
 
 @pytest.mark.parametrize("G", counting_groups(), ids=lambda g: g.name)

@@ -24,12 +24,12 @@ from powergraphs.predictions import CutsetForecast
 
 def test_corpus_small_orders():
     specs = generate_abelian_corpus(4)
-    assert [s.label for s in specs] == ["C2", "C3", "C4", "C2xC2"]
+    assert [make_abelian(s).name for s in specs] == ["C2", "C3", "C4", "C2xC2"]
 
 
 def test_corpus_order_8_slice():
     specs = [s for s in generate_abelian_corpus(8) if s.order == 8]
-    assert {s.label for s in specs} == {"C8", "C2xC4", "C2xC2xC2"}
+    assert {make_abelian(s).name for s in specs} == {"C8", "C2xC4", "C2xC2xC2"}
 
 
 def test_corpus_order_36_slice():

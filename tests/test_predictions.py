@@ -6,7 +6,6 @@ from powergraphs.harness import sylow_profile
 from powergraphs.numtheory import euler_phi
 from powergraphs.powergraph import build_power_graph
 from powergraphs.predictions import (
-    Factorization,
     SylowProfile,
     condition_two_phi,
     gamma_cardinality,
@@ -20,15 +19,19 @@ from powergraphs.predictions import (
 
 
 def test_factorization_validation():
-    f = Factorization.from_int(360)
-    assert f.pairs == ((2, 3), (3, 2), (5, 1))
-    assert f.n == 360 and f.r == 3
+    # the predictors factor the order they are given
+    with pytest.raises(ValueError, match="need at least two distinct primes"):
+        kappa_nilpotent_one_noncyclic(1, 2)
+    with pytest.raises(ValueError, match="need at least two distinct primes"):
+        kappa_nilpotent_one_noncyclic(27, 3)
+    with pytest.raises(ValueError, match="7 does not divide the order"):
+        kappa_nilpotent_one_noncyclic(360, 7)
+    with pytest.raises(ValueError, match="need exactly two distinct primes"):
+        kappa_abelian_two_primes(1, SylowProfile((2,), (), (2,)))
+    with pytest.raises(ValueError, match="need exactly three distinct primes"):
+        kappa_abelian_three_primes(1, SylowProfile((2,), (), (2,)))
     with pytest.raises(ValueError):
-        Factorization(((3, 1), (2, 1)))
-    with pytest.raises(ValueError):
-        Factorization(((4, 1),))
-    with pytest.raises(ValueError):
-        Factorization.from_int(1)
+        kappa_cyclic(1)
 
 
 def test_kappa_cyclic_prime_power():
@@ -91,28 +94,28 @@ def test_inequality_t_plus_1():
 
 
 def test_nilpotent_one_noncyclic():
-    pred = kappa_nilpotent_one_noncyclic(Factorization(((3, 2), (5, 1))), 3)
+    pred = kappa_nilpotent_one_noncyclic(45, 3)
     assert pred.applicable and pred.kappa == 5
     assert pred.cutsets.count == 1
     assert pred.cutsets.subgroup_products == ((5,),)
 
-    gated = kappa_nilpotent_one_noncyclic(Factorization(((2, 2), (3, 1))), 2)
+    gated = kappa_nilpotent_one_noncyclic(12, 2)
     assert not gated.applicable
 
-    pred2 = kappa_nilpotent_one_noncyclic(Factorization(((3, 1), (5, 2), (7, 1))), 5)
+    pred2 = kappa_nilpotent_one_noncyclic(525, 5)
     assert pred2.applicable and pred2.kappa == 21
 
 
 def test_nilpotent_one_noncyclic_quaternion_gate():
     # with the 2-Sylow subgroup non-cyclic both numeric gates fail anyway;
     # the quaternion exclusion must still show up in the trace
-    f = Factorization(((2, 3), (3, 2)))
-    pred = kappa_nilpotent_one_noncyclic(f, 2, sylow_is_generalized_quaternion=True)
+    n = 72
+    pred = kappa_nilpotent_one_noncyclic(n, 2, sylow_is_generalized_quaternion=True)
     assert not pred.applicable
     assert ("non-cyclic Sylow 2-subgroup is not generalized quaternion", False) in (
         pred.hypothesis_trace
     )
-    ok = kappa_nilpotent_one_noncyclic(f, 2, sylow_is_generalized_quaternion=False)
+    ok = kappa_nilpotent_one_noncyclic(n, 2, sylow_is_generalized_quaternion=False)
     assert not ok.applicable
     assert ("non-cyclic Sylow 2-subgroup is not generalized quaternion", True) in (
         ok.hypothesis_trace
@@ -120,75 +123,69 @@ def test_nilpotent_one_noncyclic_quaternion_gate():
 
 
 def test_abelian_two_primes_one_noncyclic():
-    f = Factorization(((2, 2), (3, 1)))
+    n = 12
     profile = SylowProfile((2,), (3,), (6,))
-    pred = kappa_abelian_two_primes(f, profile)
+    pred = kappa_abelian_two_primes(n, profile)
     assert pred.applicable and pred.kappa == 3
     assert pred.cutsets.count is None and pred.cutsets.claims
     assert pred.cutsets.subgroup_products == ((3,),)
 
     # odd Sylow subgroup non-cyclic: unique claim
-    f2 = Factorization(((2, 2), (3, 2)))
+    n2 = 36
     profile2 = SylowProfile((3,), (), (12,))
-    pred2 = kappa_abelian_two_primes(f2, profile2)
+    pred2 = kappa_abelian_two_primes(n2, profile2)
     assert pred2.applicable and pred2.kappa == 4
     assert pred2.cutsets.count == 1
 
 
 def test_abelian_two_primes_both_noncyclic():
     G = make_abelian([(3, 1), (3, 1), (5, 1), (5, 1)])
-    pred = kappa_abelian_two_primes(Factorization.from_int(225), sylow_profile(G))
+    pred = kappa_abelian_two_primes(225, sylow_profile(G))
     assert pred.applicable and pred.kappa == min(9, 25, 15 - euler_phi(15))
     assert pred.kappa == 7
 
     G2 = make_abelian([(2, 1), (2, 1), (3, 1), (3, 1)])
-    pred2 = kappa_abelian_two_primes(Factorization.from_int(36), sylow_profile(G2))
+    pred2 = kappa_abelian_two_primes(36, sylow_profile(G2))
     assert pred2.applicable and pred2.kappa == 4
 
     # neither gate: p1=2 with a non-elementary 2-Sylow subgroup
     G3 = make_abelian([(2, 2), (2, 1), (3, 1), (3, 1)])
-    pred3 = kappa_abelian_two_primes(Factorization.from_int(72), sylow_profile(G3))
+    pred3 = kappa_abelian_two_primes(72, sylow_profile(G3))
     assert not pred3.applicable
 
 
 def test_abelian_two_primes_rejects_wrong_r():
     with pytest.raises(ValueError):
-        kappa_abelian_two_primes(
-            Factorization.from_int(30), SylowProfile((2,), (), (30,))
-        )
+        kappa_abelian_two_primes(30, SylowProfile((2,), (), (30,)))
 
 
 def test_abelian_three_primes_cases():
     G = make_abelian([(2, 1), (2, 1), (3, 1), (5, 1)])
-    pred = kappa_abelian_three_primes(Factorization.from_int(60), sylow_profile(G))
+    pred = kappa_abelian_three_primes(60, sylow_profile(G))
     assert pred.applicable and pred.kappa == 12
     assert pred.case_tag.endswith("shallow")
 
     G2 = make_abelian([(2, 2), (2, 2), (3, 1), (5, 1)])
-    pred2 = kappa_abelian_three_primes(Factorization.from_int(240), sylow_profile(G2))
+    pred2 = kappa_abelian_three_primes(240, sylow_profile(G2))
     assert pred2.applicable and pred2.kappa == 15
     assert pred2.case_tag.endswith("deep")
 
     G3 = make_abelian([(2, 1), (3, 1), (3, 1), (5, 1)])
-    pred3 = kappa_abelian_three_primes(Factorization.from_int(90), sylow_profile(G3))
+    pred3 = kappa_abelian_three_primes(90, sylow_profile(G3))
     assert pred3.applicable and pred3.kappa == 10
     assert pred3.cutsets.count == 1
     assert pred3.cutsets.subgroup_products == ((2, 5),)
 
     G4 = make_abelian([(3, 1), (3, 1), (5, 1), (7, 1)])
-    pred4 = kappa_abelian_three_primes(Factorization.from_int(315), sylow_profile(G4))
+    pred4 = kappa_abelian_three_primes(315, sylow_profile(G4))
     assert pred4.applicable and pred4.kappa == 35
 
 
 def test_abelian_three_primes_rejects_wrong_structure():
     with pytest.raises(ValueError):
-        kappa_abelian_three_primes(
-            Factorization.from_int(30), SylowProfile((2, 3), (2, 3), (30,))
-        )
+        kappa_abelian_three_primes(30, SylowProfile((2, 3), (2, 3), (30,)))
     with pytest.raises(ValueError):
-        kappa_abelian_three_primes(
-            Factorization.from_int(6), SylowProfile((2,), (2,), (6,))
-        )
+        kappa_abelian_three_primes(6, SylowProfile((2,), (2,), (6,)))
 
 
 def test_gamma_cardinality_values():

@@ -50,7 +50,7 @@ def test_random_abelian_group_axioms(factors):
     G = make_abelian(factors)
     assert G.mul(0, 0) == 0
     # mixed radix, most significant factor first, against coordinate sums
-    coords = list(product(*(range(p**e) for p, e in G.spec.factors)))
+    coords = list(product(*(range(g.size) for g in G.factors)))
     assert [G.encode(x) for x in coords] == list(range(G.size))
     for x in coords:
         assert G.power(G.encode(x), -1) == G.encode(tuple(-a for a in x))
