@@ -7,13 +7,15 @@ chosen one, and (in one specific abelian configuration) a layered set
 assembled from exact-order shells and divisor subgroups of M.
 
 Every cyclic subgroup here is the group's own record of it, a
-``groups.CyclicSubgroup`` reached through ``Group.cyclic_subgroups`` or
-``Group.cyclic_subgroup(g)``, and containment questions are mask expressions
-over its closure, generators and roots masks: its non-generators are
-closure & ~generators, it is maximal iff roots & ~closure is empty, and the
-external overlap of M is the set of its members with a root outside M. The
-Sylow products and the exact-order and divisor shells of M are ORs of
-record masks too.
+``groups.CyclicSubgroup`` reached through ``Group.maximal_cyclics``,
+``Group.cyclic_subgroups`` or ``Group.cyclic_subgroup(g)``, and containment
+questions are mask expressions over its closure, generators and roots
+masks: its non-generators are closure & ~generators, and the external
+overlap of a maximal M is closure & ``Group.overlap_mask``. The maximal
+subgroups, their overlaps and the Sylow products come from the group's
+structural facts, which a cyclic group or a product of coprime blocks
+answers without its n-element records; the exact-order and divisor shells
+of M are records reached by ``Group.cyclic_subgroup``, so they need them.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from .predictions import gamma_cardinality
 def maximal_cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
     """All maximal cyclic subgroups, one entry per distinct subgroup.
 
-    One test per record: <h> is maximal iff no root of h lies outside <h>.
-    Ordered by least generator.
+    Ordered by least generator (``Group.maximal_cyclics``).
     """
-    return tuple(m for m in group.cyclic_subgroups if m.is_maximal)
+    return group.maximal_cyclics
 
 
 def min_order_maximal_cyclic(group: Group) -> CyclicSubgroup:
@@ -46,12 +47,18 @@ def nongenerators(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
 
 
 def external_overlap(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
-    """Union of the subgroup's intersections with closures of outside elements."""
+    """Union of the maximal subgroup M's intersections with closures of
+    outside elements.
+
+    An outside y lies in a maximal cyclic subgroup other than M, and any
+    other maximal one is generated outside M; so this is the members of M
+    that lie in two maximal cyclic subgroups or more.
+    """
     if group.is_cyclic:
         raise ValueError("external overlap needs a non-cyclic group")
-    outside = ~subgroup.closure
-    roots = group.root_masks
-    return frozenset(x for x in subgroup.powers if roots[x] & outside)
+    if not subgroup.is_maximal:
+        raise ValueError("external overlap is defined for maximal cyclic subgroups")
+    return frozenset(iter_bits(subgroup.closure & group.overlap_mask))
 
 
 def sylow_product(group: Group, primes: tuple[int, ...] | frozenset[int]) -> frozenset[int]:
@@ -66,9 +73,7 @@ def sylow_product(group: Group, primes: tuple[int, ...] | frozenset[int]) -> fro
     if unknown:
         raise ValueError(f"primes {sorted(unknown)} do not divide the group order")
     m = prod(p ** p_adic_valuation(group.size, p) for p in chosen)
-    # generator masks of distinct records are disjoint: their sum is their OR
-    masks = (sub.generators for sub in group.cyclic_subgroups if m % sub.order == 0)
-    return frozenset(iter_bits(sum(masks)))
+    return group.elements_of_order_dividing(m)
 
 
 def sylow_complement_product(group: Group, k_prime: int) -> frozenset[int]:

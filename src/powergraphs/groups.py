@@ -10,22 +10,36 @@ groups. Only an explicit multiplication table (``CayleyTableGroup``) is
 validated on construction.
 
 Each cyclic subgroup <h> has one record, a ``CyclicSubgroup`` built from
-the power list of its least generator h (``Group.power_list``): the powers
-of h, and as masks its members, its generators and its roots (every y with
-<h> inside <y>). Power lists come from residues for cyclic groups, from the
-factors' lists for products; dihedral, quaternion and table groups multiply
-once per listed power.
-Element orders, cyclic closures, roots, generator classes, maximality and
-the Sylow data are read from these records. ``Group.cyclic_subgroups`` lists
-them, ``Group.cyclic_subgroup(g)`` returns the record of <g> (the only way
-other modules reach a record from an element), and ``power`` is one lookup
-of the element's place (record, j) with g = h**j.
+the power list of its least generator h: the powers of h, and as masks its
+members, its generators and its roots (every y with <h> inside <y>). Power
+lists come from residues for cyclic groups and from the factors' lists for
+products; dihedral, quaternion and table groups multiply once per listed
+power (``Group._power_walk``) and then read their lists from their records.
+
+The n-element records (``Group._cyclic_places``, one place per element)
+give element orders, cyclic closures, roots, generator classes and
+``power``; ``Group.cyclic_subgroups`` lists them and
+``Group.cyclic_subgroup(g)`` returns the record of <g> (the only way other
+modules reach a record from an element). Graphs and suites need them.
+
+The structural facts need no n-element records for most groups:
+``is_cyclic``, ``is_nilpotent``, ``sylow_decomposition()``,
+``maximal_cyclics``, ``overlap_mask`` and ``elements_of_order_dividing``.
+``CyclicGroup`` answers them by arithmetic. A ``ProductGroup`` cuts its
+factors into blocks of pairwise coprime order (``make_abelian``'s factors
+give one block per prime) and answers from the blocks: each cyclic subgroup
+of the product is a tuple of cyclic subgroups of the blocks, so the Sylow
+subgroups are the blocks' ones at their place values and the maximal
+cyclic subgroups are the tuples of maximal ones, each built as one record.
+Any other group, a product of one block, or a product whose own records
+already exist reads the facts from its records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import gcd, lcm, prod
 from operator import add
 
@@ -144,7 +158,15 @@ class Group:
         return powers[j * k % len(powers)]
 
     def power_list(self, h: int) -> list[int]:
-        """h**0, ..., h**(o-1), o the order of h: one multiplication per power."""
+        """h**0, ..., h**(o-1), o the order of h, read from the record of <h>."""
+        sub, j = self._cyclic_places[h]
+        powers = sub.powers
+        o = len(powers)
+        return [powers[j * k % o] for k in range(o)]
+
+    def _power_walk(self, h: int) -> list[int]:
+        """h**0, ..., h**(o-1) with no record: one multiplication per power.
+        The records are built from these lists."""
         walk = []
         x = 0
         while True:
@@ -158,7 +180,7 @@ class Group:
         """Per element g, its place (record of <g>, j) with g = h**j, h the
         least generator of <g>; each record is shared by all of its generators.
 
-        Each cyclic subgroup is listed once, by ``power_list`` of its least
+        Each cyclic subgroup is listed once, by ``_power_walk`` of its least
         generator h, and every generator h**j, gcd(j, o) = 1, gets the place
         (record, j). The generators of <h>, of order o, lie in <h**d> exactly
         for the divisors d of o, so a second pass ORs them into the roots of
@@ -171,16 +193,13 @@ class Group:
         for h in range(self.size):
             if places[h] is not None:
                 continue
-            walk = self.power_list(h)
+            walk = self._power_walk(h)
             o = len(walk)
             if o not in units:
-                units[o] = [j for j in range(o) if gcd(j, o) == 1]
-            sub = CyclicSubgroup(tuple(walk), mask_of(walk), 0, 0)
-            gens = 0
+                units[o] = _unit_exponents(o)
+            sub = _record(walk, units[o], self.size)
             for j in units[o]:
                 places[walk[j]] = (sub, j)
-                gens |= 1 << walk[j]
-            sub.generators = sub.roots = gens
             subgroups.append(sub)
         subgroups[0].roots = (1 << self.size) - 1
         divs: dict[int, list[int]] = {}  # order -> its divisors other than 1 and itself
@@ -238,7 +257,29 @@ class Group:
 
     @cached_property
     def is_cyclic(self) -> bool:
-        return self.size == 1 or max(self.element_orders) == self.size
+        # a non-cyclic group has two maximal cyclic subgroups at least, since
+        # each element lies in one
+        return len(self.maximal_cyclics) == 1
+
+    @cached_property
+    def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
+        """The maximal cyclic subgroups' records, ordered by least generator."""
+        return tuple(sub for sub in self.cyclic_subgroups if sub.is_maximal)
+
+    @cached_property
+    def overlap_mask(self) -> int:
+        """The elements that lie in two or more maximal cyclic subgroups."""
+        seen = shared = 0
+        for sub in self.maximal_cyclics:
+            shared |= seen & sub.closure
+            seen |= sub.closure
+        return shared
+
+    def elements_of_order_dividing(self, m: int) -> frozenset[int]:
+        """The elements g with g**m the identity."""
+        # generator masks of distinct records are disjoint: their sum is their OR
+        masks = (sub.generators for sub in self.cyclic_subgroups if m % sub.order == 0)
+        return frozenset(iter_bits(sum(masks)))
 
     @cached_property
     def _sylow_parts(self) -> tuple[tuple[int, int, tuple[CyclicSubgroup, ...], int], ...]:
@@ -259,14 +300,18 @@ class Group:
         The p-elements of a group are the union of its Sylow p-subgroups, so
         this count criterion is equivalent to every Sylow subgroup being
         normal (unique), i.e. to nilpotency for finite groups. Abelian groups
-        are nilpotent, so they skip the count and build no closures.
+        are nilpotent, so they skip the count and build no records.
         """
         return self.is_abelian or self._non_normal_sylow is None
 
     @cached_property
-    def _non_normal_sylow(self) -> tuple[int, int, tuple[CyclicSubgroup, ...], int] | None:
-        """The first Sylow part whose p-elements do not number q, or None."""
-        return next((part for part in self._sylow_parts if part[3].bit_count() != part[1]), None)
+    def _non_normal_sylow(self) -> tuple[int, int, int] | None:
+        """(p, the number of p-elements, |Sylow_p|) at the least prime p whose
+        p-elements are not one subgroup, or None."""
+        for p, q, _, members in self._sylow_parts:
+            if members.bit_count() != q:
+                return p, members.bit_count(), q
+        return None
 
     def sylow_decomposition(self) -> SylowDecomposition:
         """Sylow subgroups and their facts; the group must be nilpotent.
@@ -275,14 +320,17 @@ class Group:
         """
         return self._sylow_decomposition
 
-    @cached_property
-    def _sylow_decomposition(self) -> SylowDecomposition:
+    def _require_nilpotent(self) -> None:
         if self._non_normal_sylow is not None:
-            p, q, _, members = self._non_normal_sylow
+            p, count, q = self._non_normal_sylow
             raise UnsupportedStructureError(
                 f"{self.name}: Sylow {p}-subgroup is not normal "
-                f"({members.bit_count()} {p}-elements, expected {q})"
+                f"({count} {p}-elements, expected {q})"
             )
+
+    @cached_property
+    def _sylow_decomposition(self) -> SylowDecomposition:
+        self._require_nilpotent()
         noncyclic = []
         elementary = []
         quaternion = False
@@ -304,6 +352,21 @@ class Group:
         )
 
 
+def _unit_exponents(o: int) -> list[int]:
+    """The exponents 0 <= j < o prime to o, which give the generators h**j of
+    a cyclic group <h> of order o (j = 0 only for o = 1)."""
+    return [j for j in range(o) if gcd(j, o) == 1]
+
+
+def _record(walk: list[int], units: list[int], size: int) -> CyclicSubgroup:
+    """The record of the cyclic subgroup that ``walk`` lists as h**0, ...,
+    h**(o-1), ``units`` the exponents prime to o, in a group of ``size``
+    elements. Its roots start as its generators, which is all of them for a
+    maximal subgroup (``Group._cyclic_places`` adds the rest)."""
+    generators = mask_of(map(walk.__getitem__, units), size)
+    return CyclicSubgroup(tuple(walk), mask_of(walk, size), generators, generators)
+
+
 class CyclicGroup(Group):
     """C_n with residue arithmetic: element k is the k-th power of a generator."""
 
@@ -320,6 +383,8 @@ class CyclicGroup(Group):
         n = self.size
         return [j * h % n for j in range(n // gcd(h, n))]
 
+    _power_walk = power_list
+
     @cached_property
     def is_abelian(self) -> bool:
         return True
@@ -327,6 +392,28 @@ class CyclicGroup(Group):
     @cached_property
     def is_cyclic(self) -> bool:
         return True
+
+    @cached_property
+    def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
+        n = self.size
+        return (_record(self.power_list(1 % n), _unit_exponents(n), n),)
+
+    def elements_of_order_dividing(self, m: int) -> frozenset[int]:
+        n = self.size
+        return frozenset(range(0, n, n // gcd(n, m)))
+
+    @cached_property
+    def _sylow_decomposition(self) -> SylowDecomposition:
+        # the Sylow p-subgroup is the multiples of n / p**e, cyclic
+        n = self.size
+        pairs = factorize(n)
+        return SylowDecomposition(
+            tuple(p for p, _ in pairs),
+            tuple(frozenset(range(0, n, n // p**e)) for p, e in pairs),
+            (),
+            tuple(p for p, e in pairs if e == 1),
+            False,
+        )
 
 
 class DihedralLikeGroup(Group):
@@ -361,6 +448,8 @@ class ProductGroup(Group):
     the later sizes, so (a, b) in g1 x g2 is a*|g2| + b. Products multiply
     digit by digit through each factor's ``mul``; powers are listed from the
     factors' power lists, and the product is abelian iff every factor is.
+    The structural facts are read from ``_coprime_blocks`` when there are
+    two or more, until the product's own records are built.
     """
 
     def __init__(self, factors: tuple[Group, ...]):
@@ -394,9 +483,106 @@ class ProductGroup(Group):
             powers = list(map(add, powers, digits * (o // len(digits))))
         return powers
 
+    _power_walk = power_list
+
     @cached_property
     def is_abelian(self) -> bool:
         return all(g.is_abelian for g in self.factors)
+
+    @cached_property
+    def _coprime_blocks(self) -> tuple[tuple[Group, int], ...]:
+        """The factors cut into the most runs of consecutive factors whose
+        orders are pairwise coprime between runs: (block, place value) per
+        run, the block being its one factor or the product of its factors,
+        and the place value that of its last factor. Empty for a single run.
+
+        A block's element b is b * w in the product. Since the blocks' orders
+        are coprime, each cyclic subgroup is one tuple of cyclic subgroups of
+        the blocks, and each prime divides one block.
+        """
+        runs: list[tuple[set[int], list[tuple[Group, int]]]] = []  # (primes, factors)
+        for place in self._places:
+            primes = {p for p, _ in factorize(place[0].size)}
+            # a factor sharing a prime with a run joins it and every later run
+            k = next((i for i, (seen, _) in enumerate(runs) if seen & primes), len(runs))
+            joined = [x for _, run in runs[k:] for x in run]
+            runs[k:] = [(primes.union(*(seen for seen, _ in runs[k:])), [*joined, place])]
+        if len(runs) < 2:
+            return ()
+        return tuple(
+            run[0] if len(run) == 1 else (ProductGroup(tuple(g for g, _ in run)), run[-1][1])
+            for _, run in runs
+        )
+
+    @property
+    def _blocks(self) -> tuple[tuple[Group, int], ...]:
+        """The coprime blocks to read a fact from: none once the product's
+        own records exist, since those answer it as cheaply."""
+        return () if "_cyclic_places" in vars(self) else self._coprime_blocks
+
+    @cached_property
+    def is_cyclic(self) -> bool:
+        if not self._blocks:
+            return Group.is_cyclic.func(self)
+        return all(block.is_cyclic for block, _ in self._blocks)
+
+    @cached_property
+    def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
+        """Each tuple of maximal cyclic subgroups of the blocks is one of the
+        product. Its least generator is the sum of theirs at the blocks'
+        place values, so the tuples come in that generator's order."""
+        blocks = self._blocks
+        if not blocks:
+            return Group.maximal_cyclics.func(self)
+        units: dict[int, list[int]] = {}
+        records = []
+        for parts in product(*(block.maximal_cyclics for block, _ in blocks)):
+            h = sum(sub.generator * w for sub, (_, w) in zip(parts, blocks))
+            walk = self.power_list(h)
+            o = len(walk)
+            if o not in units:
+                units[o] = _unit_exponents(o)
+            records.append(_record(walk, units[o], self.size))
+        return tuple(records)
+
+    def elements_of_order_dividing(self, m: int) -> frozenset[int]:
+        # g**m is the identity exactly when each digit's m-th power is
+        elements = [0]
+        for g, w in self._places:
+            digits = g.elements_of_order_dividing(m)
+            if len(digits) > 1:
+                elements = [x + d * w for x in elements for d in digits]
+        return frozenset(elements)
+
+    @cached_property
+    def _non_normal_sylow(self) -> tuple[int, int, int] | None:
+        if not self._blocks:
+            return Group._non_normal_sylow.func(self)
+        # the p-elements of the product are those of the one block at p
+        found = (block._non_normal_sylow for block, _ in self._blocks if not block.is_nilpotent)
+        return min(found, default=None)
+
+    @cached_property
+    def _sylow_decomposition(self) -> SylowDecomposition:
+        """The blocks' Sylow subgroups at their place values, and their facts."""
+        if not self._blocks:
+            return Group._sylow_decomposition.func(self)
+        self._require_nilpotent()
+        decs = [(block._sylow_decomposition, w) for block, w in self._blocks]
+        subgroups = dict(
+            sorted(
+                (p, frozenset(x * w for x in members))
+                for dec, w in decs
+                for p, members in zip(dec.primes, dec.subgroups)
+            )
+        )
+        return SylowDecomposition(
+            tuple(subgroups),
+            tuple(subgroups.values()),
+            tuple(sorted(p for dec, _ in decs for p in dec.noncyclic)),
+            tuple(sorted(p for dec, _ in decs for p in dec.elementary)),
+            any(dec.quaternion for dec, _ in decs),
+        )
 
 
 class CayleyTableGroup(Group):
@@ -470,7 +656,8 @@ def make_cyclic(n: int) -> Group:
 
 def make_abelian(spec: AbelianSpec | list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Group:
     """Abelian group as the direct product of the cyclic groups C_{p**e}
-    over the spec's factors, in canonical order; named like C2xC4xC3."""
+    over the spec's factors, in canonical order; named like C2xC4xC3. The
+    factors of one prime are adjacent, so they form that prime's block."""
     if not isinstance(spec, AbelianSpec):
         spec = AbelianSpec(tuple(spec))
     return ProductGroup(tuple(CyclicGroup(p**e) for p, e in spec.factors))

@@ -3,13 +3,18 @@ import json
 import re
 import shlex
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from powergraphs import harness
-from powergraphs.cli import build_parser, main, parse_group_spec
+from powergraphs.cli import build_parser, main, maximal_cyclic_rows, parse_group_spec
+from powergraphs.cyclic import nongenerators
+from powergraphs.groups import Group, make_abelian
 from powergraphs.harness import THEOREM_IDS
+from powergraphs.numtheory import euler_phi
+from test_groups import PREDICT_OVERSIZE_REQUESTS
 
 
 def run(capsys, *argv):
@@ -220,7 +225,7 @@ def test_verify_thm12_cyclic_skips_without_closures(capsys):
 
 
 def test_verify_thm12_oversized_abelian_skips_resource(capsys):
-    # 26244 elements: closures and Sylow data for the prediction, no graph
+    # 26244 elements: Sylow data read from the blocks C2xC2 and C6561, no graph
     code, out, _ = run(
         capsys,
         "verify",
@@ -234,6 +239,90 @@ def test_verify_thm12_oversized_abelian_skips_resource(capsys):
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "skipped-resource"
+
+
+def refuse_record_walks(monkeypatch):
+    """Make any walk of a group's cyclic-subgroup records fail."""
+
+    def refuse(group):
+        raise AssertionError(f"walked the records of {group.name}")
+
+    prop = cached_property(refuse)
+    prop.__set_name__(Group, "_cyclic_places")
+    monkeypatch.setattr(Group, "_cyclic_places", prop)
+
+
+def test_verify_oversized_cyclic_product_reads_its_factors(capsys, monkeypatch):
+    # C4 x C59049 is cyclic because both factors are: no record is walked
+    refuse_record_walks(monkeypatch)
+    code, out, _ = run(
+        capsys, "verify", "--theorem", "thm12", "--group", "abelian:2^2,3^10",
+        "--max-brute-vertices", "10", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "skipped-resource"
+    assert payload["hypothesis_trace"] == [
+        {"cond": "group is non-cyclic", "holds": False},
+        {"cond": "group is nilpotent", "holds": True},
+    ]
+
+
+def test_maximal_cyclics_of_an_oversized_cyclic_product(capsys, monkeypatch):
+    # the one maximal record is built from C4's and C59049's, with no walk
+    refuse_record_walks(monkeypatch)
+    code, out, _ = run(capsys, "maximal-cyclics", "--group", "abelian:2^2,3^10", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    n = 4 * 3**10
+    assert payload["group"] == "C4xC59049"
+    assert payload["maximal_cyclic_subgroups"] == [
+        {
+            "generator": 3**10 + 1,
+            "order": n,
+            "nongenerators": n - euler_phi(n),
+            "external_overlap": None,
+            "elements": list(range(n)),
+        }
+    ]
+
+
+def reference_rows(spec):
+    """The maximal-cyclics rows read from every record of a fresh copy of
+    the group, the external overlap from its root masks."""
+    G = make_abelian(spec)
+    cyclic = max(G.element_orders) == G.size
+    roots = G.root_masks
+    return [
+        {
+            "generator": m.generator,
+            "order": m.order,
+            "nongenerators": len(nongenerators(G, m)),
+            "external_overlap": None if cyclic else sum(1 for x in m.powers if roots[x] & ~m.closure),
+            "elements": sorted(m.elements),
+        }
+        for m in G.cyclic_subgroups
+        if m.is_maximal
+    ]
+
+
+@pytest.mark.parametrize(
+    "theorem, spec",
+    PREDICT_OVERSIZE_REQUESTS,
+    ids=[f"{theorem or 'maximal-cyclics'}-{make_abelian(spec).name}" for theorem, spec in PREDICT_OVERSIZE_REQUESTS],
+)
+def test_predict_oversize_requests_walk_only_their_blocks(theorem, spec):
+    # the answer comes from the blocks (C2xC2, C4xC4, C3xC3: at most 16
+    # elements), never from the product's own records
+    G = make_abelian(spec)
+    if theorem is None:
+        assert maximal_cyclic_rows(G) == reference_rows(spec)
+    else:
+        prediction, _ = harness.predict_for_group(theorem, G)
+        assert prediction.hypothesis_trace
+    assert "_cyclic_places" not in vars(G)
+    walked = [block.size for block, _ in G._coprime_blocks if "_cyclic_places" in vars(block)]
+    assert max(walked, default=0) <= 16
 
 
 def test_verify_enumerates_many_small_classes(capsys):

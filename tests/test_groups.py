@@ -10,6 +10,7 @@ from powergraphs.bitsets import iter_bits
 from powergraphs.cyclic import (
     elements_of_dividing_order,
     elements_of_exact_order,
+    external_overlap,
     maximal_cyclic_subgroups,
     sylow_product,
 )
@@ -322,6 +323,37 @@ def reference_sylow_product(G, primes):
     return frozenset(g for g, o in enumerate(G.element_orders) if m % o == 0)
 
 
+# (theorem or None for maximal-cyclics, abelian spec) of each request of the
+# predict-oversize benchmark workload: groups above the brute-force cap
+PREDICT_OVERSIZE_REQUESTS = (
+    ("thm12", ((2, 1), (3, 1), (3, 1), (5, 1), (7, 1))),
+    ("thm12", ((2, 1), (2, 1), (2, 1), (3, 1), (5, 1), (7, 1))),
+    ("thm12", ((2, 2), (2, 2), (3, 1), (5, 1), (7, 1))),
+    ("thm13", ((2, 1), (2, 1), (3, 5))),
+    ("thm14", ((2, 1), (2, 1), (3, 2), (5, 2))),
+    (None, ((2, 1), (2, 1), (3, 2), (5, 2))),
+    (None, ((2, 1), (2, 1), (2, 1), (3, 1), (5, 1), (7, 1))),
+)
+
+
+def sylow_factored_groups():
+    """Products whose factors split into blocks of coprime order, so their
+    structure is read from the blocks: non-abelian and nested factors, a
+    non-nilpotent block (D20), a block of non-adjacent factors that share a
+    prime (C3xC4xC3), and the predict-oversize groups."""
+    C = make_cyclic
+    Q8 = make_generalized_quaternion(8)
+    return [
+        ProductGroup((C(3), C(4), C(3), C(5))),
+        direct_product(Q8, C(3)),
+        direct_product(Q8, C(75)),
+        direct_product(make_dihedral(8), C(5)),
+        direct_product(make_dihedral(20), C(9)),
+        direct_product(make_generalized_quaternion(16), make_abelian([(3, 1), (3, 1), (5, 1)])),
+        *map(make_abelian, dict.fromkeys(spec for _, spec in PREDICT_OVERSIZE_REQUESTS)),
+    ]
+
+
 def sylow_oracle_groups():
     C3 = make_cyclic(3)
     Q8 = make_generalized_quaternion(8)
@@ -330,37 +362,68 @@ def sylow_oracle_groups():
         + [make_dihedral(n) for n in range(6, 65, 2)]
         + [make_generalized_quaternion(n) for n in (8, 16, 32, 64)]
         + [
-            direct_product(Q8, C3),
             direct_product(Q8, make_cyclic(5)),
             direct_product(make_generalized_quaternion(16), C3),
-            direct_product(make_dihedral(8), make_cyclic(5)),
             direct_product(Q8, make_abelian([(3, 1), (3, 1)])),
         ]
+        + sylow_factored_groups()
     )
+
+
+def structure_facts(G):
+    """is_cyclic, is_nilpotent, the Sylow decomposition or its error text,
+    the maximal records, the Sylow products by prime set and the external
+    overlaps, as the group answers them."""
+    try:
+        dec = G.sylow_decomposition()
+    except UnsupportedStructureError as exc:
+        dec = str(exc)
+    maximal = maximal_cyclic_subgroups(G)
+    products = {}
+    if not isinstance(dec, str):
+        for r in range(1, len(dec.primes) + 1):
+            for primes in combinations(dec.primes, r):
+                products[primes] = sylow_product(G, primes)
+    overlaps = None if G.is_cyclic else [external_overlap(G, m) for m in maximal]
+    return G.is_cyclic, G.is_nilpotent, dec, maximal, products, overlaps
+
+
+def reference_structure_facts(G):
+    """The same facts read off every element's order and root mask."""
+    try:
+        dec = reference_sylow_decomposition(G)
+    except UnsupportedStructureError as exc:
+        dec = str(exc)
+    maximal = tuple(m for m in G.cyclic_subgroups if m.is_maximal)
+    products = {}
+    if not isinstance(dec, str):
+        for r in range(1, len(dec.primes) + 1):
+            for primes in combinations(dec.primes, r):
+                products[primes] = reference_sylow_product(G, primes)
+    is_cyclic = max(G.element_orders) == G.size
+    roots = G.root_masks
+    overlaps = None
+    if not is_cyclic:
+        overlaps = [frozenset(x for x in m.powers if roots[x] & ~m.closure) for m in maximal]
+    return is_cyclic, reference_is_nilpotent(G), dec, maximal, products, overlaps
 
 
 def test_sylow_data_and_order_shells_match_per_element_reference():
     quaternion = {}
     messages = {}
     for G in sylow_oracle_groups():
-        assert G.is_nilpotent == reference_is_nilpotent(G), G.name
-        try:
-            expected = reference_sylow_decomposition(G)
-        except UnsupportedStructureError as exc:
-            with pytest.raises(UnsupportedStructureError) as raised:
-                G.sylow_decomposition()
-            assert str(raised.value) == str(exc), G.name
-            messages[G.name] = str(exc)
+        walked_first = copy.copy(G)
+        # the group's own answers first, before the reference walks every element
+        facts = structure_facts(G)
+        assert facts == reference_structure_facts(G), G.name
+        # a product answers from its own records once they exist
+        walked_first.closure_masks
+        assert structure_facts(walked_first) == facts, G.name
+        dec = facts[2]
+        if isinstance(dec, str):
+            messages[G.name] = dec
         else:
-            dec = G.sylow_decomposition()
-            assert dec == expected, G.name
             quaternion[G.name] = dec.quaternion
-            for r in range(1, len(dec.primes) + 1):
-                for primes in combinations(dec.primes, r):
-                    assert sylow_product(G, primes) == reference_sylow_product(G, primes), (
-                        G.name,
-                        primes,
-                    )
         orders = G.element_orders
         for M in maximal_cyclic_subgroups(G):
             for d in divisors(M.order):
@@ -368,7 +431,8 @@ def test_sylow_data_and_order_shells_match_per_element_reference():
                 dividing = frozenset(g for g in M.powers if d % orders[g] == 0)
                 assert elements_of_exact_order(G, M, d) == exact, (G.name, M.generator, d)
                 assert elements_of_dividing_order(G, M, d) == dividing, (G.name, M.generator, d)
-    assert quaternion["Q8xC3"] and not quaternion["D8xC5"]
+    assert quaternion["Q8xC3"] and quaternion["Q16xC3xC3xC5"] and not quaternion["D8xC5"]
+    assert messages["D20xC9"] == "D20xC9: Sylow 2-subgroup is not normal (12 2-elements, expected 4)"
     assert messages["D6"] == "D6: Sylow 2-subgroup is not normal (4 2-elements, expected 2)"
     assert messages["D10"] == "D10: Sylow 2-subgroup is not normal (6 2-elements, expected 2)"
     assert messages["D12"] == "D12: Sylow 2-subgroup is not normal (8 2-elements, expected 4)"
@@ -577,20 +641,29 @@ class CountingTable(CountingMul, CayleyTableGroup):
 
 
 def counting_groups():
-    """Fresh counting instances of C360, C2xC4xC9, Q16xC3 (a table) and Q8xC75
-    (a product of counting factors, Q8 a table)."""
+    """Fresh counting instances of C360, C2xC4xC9, Q16xC3 (a table), and Q8xC75
+    and D20xC75 (products of counting factors, Q8 and D20 tables)."""
     return [
         CountingCyclic(360),
         CountingProduct((CountingCyclic(2), CountingCyclic(4), CountingCyclic(9))),
         CountingTable("Q16xC3", tabulate(direct_product(make_generalized_quaternion(16), make_cyclic(3)))),
         CountingProduct((CountingTable("Q8", tabulate(make_generalized_quaternion(8))), CountingCyclic(75))),
+        CountingProduct((CountingTable("D20", tabulate(make_dihedral(20))), CountingCyclic(75))),
     ]
+
+
+# mul calls of a table factor's own record walk: the sum of its records' orders
+FACTOR_WALKS = {"Q8": 15, "D20": 38}
 
 
 @pytest.mark.parametrize("G", counting_groups(), ids=lambda g: g.name)
 def test_closures_walk_each_cyclic_subgroup_once(G):
     G.closure_masks
     walked = G.muls
+    factors = getattr(G, "factors", ())
+    # only a non-abelian factor multiplies, walking its own records once; the
+    # product reads that factor's power lists from its records
+    assert {f.name: f.muls for f in factors} == {f.name: FACTOR_WALKS.get(f.name, 0) for f in factors}
     if isinstance(G, CayleyTableGroup):
         # the base walk: one multiplication per listed power of each class's least element
         assert walked == sum(m.order for m in G.cyclic_subgroups)
@@ -599,11 +672,8 @@ def test_closures_walk_each_cyclic_subgroup_once(G):
         # cyclic groups list powers by residue arithmetic, products from
         # their factors' lists, and neither multiplies to find is_abelian
         assert walked == 0
-        assert G.is_abelian == ("Q8" not in G.name)
+        assert G.is_abelian == all(f.name not in FACTOR_WALKS for f in factors)
         assert G.muls == 0
-    for factor in getattr(G, "factors", ()):
-        # only a non-abelian factor multiplies, walking its own power lists
-        assert (factor.muls > 0) == (factor.name == "Q8"), factor.name
     G.muls = 0
     for g in range(G.size):
         for k in (-7, -1, 0, 1, 2, 5, G.size + 1):
@@ -612,9 +682,9 @@ def test_closures_walk_each_cyclic_subgroup_once(G):
 
 
 def walked_by_multiplication(G):
-    """A fresh copy of G whose power lists come from the base multiplication walk."""
+    """A fresh copy of G whose records come from the base multiplication walk."""
     ref = copy.copy(G)
-    ref.power_list = partial(Group.power_list, ref)
+    ref._power_walk = partial(Group._power_walk, ref)
     return ref
 
 
@@ -623,19 +693,23 @@ def test_power_lists_and_records_match_the_multiplication_walk():
     abelian = [make_abelian([(2, 1), (2, 2), (3, 2), (5, 1)]), make_abelian([(2, 1), (2, 1), (3, 1), (5, 2)])]
     C = make_cyclic
     products = [
-        direct_product(make_dihedral(20), C(9)),
-        direct_product(make_generalized_quaternion(8), C(75)),
         direct_product(make_generalized_quaternion(16), C(3)),
         direct_product(make_dihedral(6), direct_product(C(4), C(3))),
         direct_product(C(2), direct_product(C(2), direct_product(C(3), C(25)))),
     ]
-    groups = list(corpus_groups(120)) + cyclic + abelian + products
+    groups = list(corpus_groups(120)) + cyclic + abelian + products + sylow_factored_groups()
     for G in groups:
         ref = walked_by_multiplication(G)
-        for h in range(G.size):
-            assert G.power_list(h) == ref.power_list(h), (G.name, h)
+        # the maximal records built from the blocks, before the product's own walk
+        maximal = maximal_cyclic_subgroups(G)
+        assert maximal == tuple(m for m in ref.cyclic_subgroups if m.is_maximal), G.name
+        if G.size <= 400:
+            for h in range(G.size):
+                assert G.power_list(h) == ref._power_walk(h), (G.name, h)
         assert G._cyclic_places == ref._cyclic_places, G.name
         assert G.cyclic_subgroups == ref.cyclic_subgroups, G.name
+        for h in range(G.size):
+            assert G.power_list(h) == ref.power_list(h), (G.name, h)
 
 
 def test_abelian_group_is_the_right_fold_of_cyclic_direct_products():
@@ -660,7 +734,10 @@ def test_power_graph_build_multiplies_nothing_after_the_closure_walk(G):
 def test_sylow_decomposition_multiplies_nothing_after_the_closure_walk(G):
     G.closure_masks
     G.muls = 0
-    G.sylow_decomposition()
+    try:
+        G.sylow_decomposition()
+    except UnsupportedStructureError:
+        assert G.name == "D20xC75"
     assert G.muls == 0
 
 
