@@ -4,17 +4,15 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-_BYTE_BUFFER_BITS = 8192  # from here on, setting bits in a byte buffer is faster
-
 
 def mask_of(vertices: Iterable[int], size: int = 0) -> int:
     """The mask with the bit of each vertex set.
 
-    ``size``, when given, bounds every vertex. Each ``|= 1 << v`` copies the
-    whole mask, so above ``_BYTE_BUFFER_BITS`` the bits are set in a byte
-    buffer instead, linear in the number of vertices.
+    Each ``|= 1 << v`` copies the whole mask, which is cheapest for few or
+    small masks. Given ``size``, a bound on the vertices, the bits are set in
+    a byte buffer instead, linear in their number, for large masks.
     """
-    if size > _BYTE_BUFFER_BITS:
+    if size:
         buffer = bytearray((size + 7) >> 3)
         for v in vertices:
             buffer[v >> 3] |= 1 << (v & 7)

@@ -20,7 +20,7 @@ from .connectivity import (
     minimum_cutset,
     vertex_connectivity,
 )
-from .cyclic import maximal_cyclic_subgroups
+from .cyclic import external_overlap, maximal_cyclic_subgroups, nongenerators
 from .groups import (
     AbelianSpec,
     Group,
@@ -147,19 +147,20 @@ def _cmd_cutsets(args: argparse.Namespace) -> int:
 def maximal_cyclic_rows(group: Group) -> list[dict]:
     """One row per maximal cyclic subgroup M: its least generator, order,
     number of non-generators and of external-overlap elements (None for a
-    cyclic group), and sorted members. The counts are popcounts of M's masks
-    (see ``cyclic.nongenerators`` and ``cyclic.external_overlap``)."""
-    shared = None if group.is_cyclic else group.overlap_mask
-    return [
-        {
-            "generator": m.generator,
-            "order": m.order,
-            "nongenerators": m.order - m.generators.bit_count(),
-            "external_overlap": None if shared is None else (m.closure & shared).bit_count(),
-            "elements": sorted(m.powers),
-        }
-        for m in maximal_cyclic_subgroups(group)
-    ]
+    cyclic group), and sorted members."""
+    rows = []
+    for m in maximal_cyclic_subgroups(group):
+        overlap = None if group.is_cyclic else len(external_overlap(group, m))
+        rows.append(
+            {
+                "generator": m.generator,
+                "order": m.order,
+                "nongenerators": len(nongenerators(group, m)),
+                "external_overlap": overlap,
+                "elements": sorted(m.elements),
+            }
+        )
+    return rows
 
 
 def _cmd_maximal_cyclics(args: argparse.Namespace) -> int:

@@ -8,19 +8,19 @@ assembled from exact-order shells and divisor subgroups of M.
 
 Every cyclic subgroup here is the group's own record of it, a
 ``groups.CyclicSubgroup`` reached through ``Group.maximal_cyclics``,
-``Group.cyclic_subgroups`` or ``Group.cyclic_subgroup(g)``, and containment
-questions are mask expressions over its closure, generators and roots
-masks: its non-generators are closure & ~generators, and the external
-overlap of a maximal M is closure & ``Group.overlap_mask``. The maximal
-subgroups, their overlaps and the Sylow products come from the group's
-structural facts, which a cyclic group or a product of coprime blocks
-answers without its n-element records; the exact-order and divisor shells
-of M are records reached by ``Group.cyclic_subgroup``, so they need them.
+``Group.cyclic_subgroups`` or ``Group.cyclic_subgroup(g)``. Its
+non-generators are the h**j with gcd(j, |M|) > 1 in its power list, and
+containment questions are mask expressions over its closure, generators
+and roots masks: the external overlap of a maximal M is closure &
+``Group.overlap_mask``. The maximal subgroups, their overlaps and the
+Sylow products need no n-element records for a cyclic group or a product
+of coprime factors (see ``groups``); the exact-order and divisor shells of
+M are records reached by ``Group.cyclic_subgroup``, so they do.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 
 from .bitsets import iter_bits
 from .groups import CyclicSubgroup, Group, UnsupportedStructureError
@@ -42,8 +42,12 @@ def min_order_maximal_cyclic(group: Group) -> CyclicSubgroup:
 
 
 def nongenerators(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
-    """Members of the subgroup that do not generate it; |M| - phi(|M|) many."""
-    return frozenset(iter_bits(subgroup.closure & ~subgroup.generators))
+    """Members of the subgroup that do not generate it; |M| - phi(|M|) many.
+
+    They are the h**j with gcd(j, |M|) > 1, read from the power list.
+    """
+    o = subgroup.order
+    return frozenset(x for j, x in enumerate(subgroup.powers) if gcd(j, o) > 1)
 
 
 def external_overlap(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:

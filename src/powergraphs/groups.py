@@ -22,17 +22,15 @@ give element orders, cyclic closures, roots, generator classes and
 ``Group.cyclic_subgroup(g)`` returns the record of <g> (the only way other
 modules reach a record from an element). Graphs and suites need them.
 
-The structural facts need no n-element records for most groups:
-``is_cyclic``, ``is_nilpotent``, ``sylow_decomposition()``,
-``maximal_cyclics``, ``overlap_mask`` and ``elements_of_order_dividing``.
-``CyclicGroup`` answers them by arithmetic. A ``ProductGroup`` cuts its
-factors into blocks of pairwise coprime order (``make_abelian``'s factors
-give one block per prime) and answers from the blocks: each cyclic subgroup
-of the product is a tuple of cyclic subgroups of the blocks, so the Sylow
-subgroups are the blocks' ones at their place values and the maximal
-cyclic subgroups are the tuples of maximal ones, each built as one record.
-Any other group, a product of one block, or a product whose own records
-already exist reads the facts from its records.
+The structural facts need no n-element records for cyclic groups and
+most products. ``is_nilpotent`` and ``sylow_decomposition()`` count
+``elements_of_order_dividing(m)``, which ``CyclicGroup`` answers by
+arithmetic and ``ProductGroup`` digit by digit; a product is cyclic iff its
+factors are, of pairwise coprime orders. A product cut into parts of
+pairwise coprime orders has as maximal cyclic subgroups the tuples of the
+parts' ones, each built as one record (``maximal_cyclics``, and
+``overlap_mask`` from them). Any other group reads these facts from its
+records.
 """
 
 from __future__ import annotations
@@ -197,7 +195,7 @@ class Group:
             o = len(walk)
             if o not in units:
                 units[o] = _unit_exponents(o)
-            sub = _record(walk, units[o], self.size)
+            sub = _record(walk, units[o])
             for j in units[o]:
                 places[walk[j]] = (sub, j)
             subgroups.append(sub)
@@ -257,9 +255,7 @@ class Group:
 
     @cached_property
     def is_cyclic(self) -> bool:
-        # a non-cyclic group has two maximal cyclic subgroups at least, since
-        # each element lies in one
-        return len(self.maximal_cyclics) == 1
+        return self.size == 1 or max(self.element_orders) == self.size
 
     @cached_property
     def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
@@ -282,16 +278,10 @@ class Group:
         return frozenset(iter_bits(sum(masks)))
 
     @cached_property
-    def _sylow_parts(self) -> tuple[tuple[int, int, tuple[CyclicSubgroup, ...], int], ...]:
+    def _p_elements(self) -> tuple[tuple[int, int, frozenset[int]], ...]:
         """Per prime power q = p**e exactly dividing the order, ascending:
-        (p, q, the records of p-power order with the identity's, the mask of
-        the p-elements, which is the OR of those records' generators)."""
-        parts = []
-        for p, e in factorize(self.size):
-            records = tuple(sub for sub in self.cyclic_subgroups if p**e % sub.order == 0)
-            # generator masks of distinct records are disjoint: their sum is their OR
-            parts.append((p, p**e, records, sum(sub.generators for sub in records)))
-        return tuple(parts)
+        (p, q, the p-elements, those g with g**q the identity)."""
+        return tuple((p, p**e, self.elements_of_order_dividing(p**e)) for p, e in factorize(self.size))
 
     @cached_property
     def is_nilpotent(self) -> bool:
@@ -300,7 +290,7 @@ class Group:
         The p-elements of a group are the union of its Sylow p-subgroups, so
         this count criterion is equivalent to every Sylow subgroup being
         normal (unique), i.e. to nilpotency for finite groups. Abelian groups
-        are nilpotent, so they skip the count and build no records.
+        are nilpotent, so they skip the count.
         """
         return self.is_abelian or self._non_normal_sylow is None
 
@@ -308,9 +298,9 @@ class Group:
     def _non_normal_sylow(self) -> tuple[int, int, int] | None:
         """(p, the number of p-elements, |Sylow_p|) at the least prime p whose
         p-elements are not one subgroup, or None."""
-        for p, q, _, members in self._sylow_parts:
-            if members.bit_count() != q:
-                return p, members.bit_count(), q
+        for p, q, members in self._p_elements:
+            if len(members) != q:
+                return p, len(members), q
         return None
 
     def sylow_decomposition(self) -> SylowDecomposition:
@@ -320,32 +310,30 @@ class Group:
         """
         return self._sylow_decomposition
 
-    def _require_nilpotent(self) -> None:
+    @cached_property
+    def _sylow_decomposition(self) -> SylowDecomposition:
         if self._non_normal_sylow is not None:
             p, count, q = self._non_normal_sylow
             raise UnsupportedStructureError(
                 f"{self.name}: Sylow {p}-subgroup is not normal "
                 f"({count} {p}-elements, expected {q})"
             )
-
-    @cached_property
-    def _sylow_decomposition(self) -> SylowDecomposition:
-        self._require_nilpotent()
         noncyclic = []
         elementary = []
         quaternion = False
-        for p, q, records, _ in self._sylow_parts:
-            orders = [sub.order for sub in records]
-            if q not in orders:
+        # the p-elements are the Sylow p-subgroup, of order q, and hold every
+        # g with g**(p**k) the identity
+        for p, q, _ in self._p_elements:
+            count = [len(self.elements_of_order_dividing(m)) for m in (p, q // p)]
+            if count[1] == q:  # no element of order q
                 noncyclic.append(p)
                 if p == 2:
-                    # one involution per record of order 2
-                    quaternion = orders.count(2) == 1
-            if max(orders) <= p:
+                    quaternion = count[0] == 2  # a unique involution
+            if count[0] == q:
                 elementary.append(p)
         return SylowDecomposition(
-            tuple(p for p, *_ in self._sylow_parts),
-            tuple(frozenset(iter_bits(members)) for *_, members in self._sylow_parts),
+            tuple(p for p, *_ in self._p_elements),
+            tuple(members for *_, members in self._p_elements),
             tuple(noncyclic),
             tuple(elementary),
             quaternion,
@@ -358,11 +346,17 @@ def _unit_exponents(o: int) -> list[int]:
     return [j for j in range(o) if gcd(j, o) == 1]
 
 
-def _record(walk: list[int], units: list[int], size: int) -> CyclicSubgroup:
+def _record(walk: list[int], units: list[int], size: int = 0) -> CyclicSubgroup:
     """The record of the cyclic subgroup that ``walk`` lists as h**0, ...,
-    h**(o-1), ``units`` the exponents prime to o, in a group of ``size``
-    elements. Its roots start as its generators, which is all of them for a
-    maximal subgroup (``Group._cyclic_places`` adds the rest)."""
+    h**(o-1), ``units`` the exponents prime to o. Its roots start as its
+    generators, which is all of them for a maximal subgroup
+    (``Group._cyclic_places`` adds the rest).
+
+    The record walk builds one record per cyclic subgroup, most of them of
+    small order, and sets their mask bits one at a time. The maximal records
+    built without the walk pass the group's ``size``, so that their masks,
+    up to n bits each, are built in linear time (``bitsets.mask_of``).
+    """
     generators = mask_of(map(walk.__getitem__, units), size)
     return CyclicSubgroup(tuple(walk), mask_of(walk, size), generators, generators)
 
@@ -402,19 +396,6 @@ class CyclicGroup(Group):
         n = self.size
         return frozenset(range(0, n, n // gcd(n, m)))
 
-    @cached_property
-    def _sylow_decomposition(self) -> SylowDecomposition:
-        # the Sylow p-subgroup is the multiples of n / p**e, cyclic
-        n = self.size
-        pairs = factorize(n)
-        return SylowDecomposition(
-            tuple(p for p, _ in pairs),
-            tuple(frozenset(range(0, n, n // p**e)) for p, e in pairs),
-            (),
-            tuple(p for p, e in pairs if e == 1),
-            False,
-        )
-
 
 class DihedralLikeGroup(Group):
     """<a, b | b*a*b**-1 = a**-1, b*b = a**twist>, a of order ``half``.
@@ -448,8 +429,9 @@ class ProductGroup(Group):
     the later sizes, so (a, b) in g1 x g2 is a*|g2| + b. Products multiply
     digit by digit through each factor's ``mul``; powers are listed from the
     factors' power lists, and the product is abelian iff every factor is.
-    The structural facts are read from ``_coprime_blocks`` when there are
-    two or more, until the product's own records are built.
+    Elements of order dividing m are read digit by digit too, and the
+    maximal cyclic subgroups from a cut of the factors into parts of
+    coprime orders.
     """
 
     def __init__(self, factors: tuple[Group, ...]):
@@ -490,55 +472,33 @@ class ProductGroup(Group):
         return all(g.is_abelian for g in self.factors)
 
     @cached_property
-    def _coprime_blocks(self) -> tuple[tuple[Group, int], ...]:
-        """The factors cut into the most runs of consecutive factors whose
-        orders are pairwise coprime between runs: (block, place value) per
-        run, the block being its one factor or the product of its factors,
-        and the place value that of its last factor. Empty for a single run.
-
-        A block's element b is b * w in the product. Since the blocks' orders
-        are coprime, each cyclic subgroup is one tuple of cyclic subgroups of
-        the blocks, and each prime divides one block.
-        """
-        runs: list[tuple[set[int], list[tuple[Group, int]]]] = []  # (primes, factors)
-        for place in self._places:
-            primes = {p for p, _ in factorize(place[0].size)}
-            # a factor sharing a prime with a run joins it and every later run
-            k = next((i for i, (seen, _) in enumerate(runs) if seen & primes), len(runs))
-            joined = [x for _, run in runs[k:] for x in run]
-            runs[k:] = [(primes.union(*(seen for seen, _ in runs[k:])), [*joined, place])]
-        if len(runs) < 2:
-            return ()
-        return tuple(
-            run[0] if len(run) == 1 else (ProductGroup(tuple(g for g, _ in run)), run[-1][1])
-            for _, run in runs
-        )
-
-    @property
-    def _blocks(self) -> tuple[tuple[Group, int], ...]:
-        """The coprime blocks to read a fact from: none once the product's
-        own records exist, since those answer it as cheaply."""
-        return () if "_cyclic_places" in vars(self) else self._coprime_blocks
-
-    @cached_property
     def is_cyclic(self) -> bool:
-        if not self._blocks:
-            return Group.is_cyclic.func(self)
-        return all(block.is_cyclic for block, _ in self._blocks)
+        # two factors of orders sharing a prime p hold C_p x C_p
+        return lcm(*(g.size for g in self.factors)) == self.size and all(
+            g.is_cyclic for g in self.factors
+        )
 
     @cached_property
     def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
-        """Each tuple of maximal cyclic subgroups of the blocks is one of the
-        product. Its least generator is the sum of theirs at the blocks'
-        place values, so the tuples come in that generator's order."""
-        blocks = self._blocks
-        if not blocks:
+        """Cut the factors wherever those before and after have coprime
+        orders: the parts have pairwise coprime orders, so each cyclic
+        subgroup is one tuple of cyclic subgroups of the parts, and the
+        maximal ones are the tuples of maximal ones. The least generator of a
+        tuple is the sum of the parts' ones at their place values, so the
+        tuples come in that generator's order."""
+        sizes = [g.size for g in self.factors]
+        cuts = [k for k in range(1, len(sizes)) if gcd(prod(sizes[:k]), prod(sizes[k:])) == 1]
+        if not cuts:
             return Group.maximal_cyclics.func(self)
+        bounds = [0, *cuts, len(sizes)]
+        parts = [
+            (self.factors[i] if j == i + 1 else ProductGroup(self.factors[i:j]), prod(sizes[j:]))
+            for i, j in zip(bounds, bounds[1:])
+        ]
         units: dict[int, list[int]] = {}
         records = []
-        for parts in product(*(block.maximal_cyclics for block, _ in blocks)):
-            h = sum(sub.generator * w for sub, (_, w) in zip(parts, blocks))
-            walk = self.power_list(h)
+        for subs in product(*(part.maximal_cyclics for part, _ in parts)):
+            walk = self.power_list(sum(sub.generator * w for sub, (_, w) in zip(subs, parts)))
             o = len(walk)
             if o not in units:
                 units[o] = _unit_exponents(o)
@@ -553,36 +513,6 @@ class ProductGroup(Group):
             if len(digits) > 1:
                 elements = [x + d * w for x in elements for d in digits]
         return frozenset(elements)
-
-    @cached_property
-    def _non_normal_sylow(self) -> tuple[int, int, int] | None:
-        if not self._blocks:
-            return Group._non_normal_sylow.func(self)
-        # the p-elements of the product are those of the one block at p
-        found = (block._non_normal_sylow for block, _ in self._blocks if not block.is_nilpotent)
-        return min(found, default=None)
-
-    @cached_property
-    def _sylow_decomposition(self) -> SylowDecomposition:
-        """The blocks' Sylow subgroups at their place values, and their facts."""
-        if not self._blocks:
-            return Group._sylow_decomposition.func(self)
-        self._require_nilpotent()
-        decs = [(block._sylow_decomposition, w) for block, w in self._blocks]
-        subgroups = dict(
-            sorted(
-                (p, frozenset(x * w for x in members))
-                for dec, w in decs
-                for p, members in zip(dec.primes, dec.subgroups)
-            )
-        )
-        return SylowDecomposition(
-            tuple(subgroups),
-            tuple(subgroups.values()),
-            tuple(sorted(p for dec, _ in decs for p in dec.noncyclic)),
-            tuple(sorted(p for dec, _ in decs for p in dec.elementary)),
-            any(dec.quaternion for dec, _ in decs),
-        )
 
 
 class CayleyTableGroup(Group):
@@ -656,8 +586,7 @@ def make_cyclic(n: int) -> Group:
 
 def make_abelian(spec: AbelianSpec | list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Group:
     """Abelian group as the direct product of the cyclic groups C_{p**e}
-    over the spec's factors, in canonical order; named like C2xC4xC3. The
-    factors of one prime are adjacent, so they form that prime's block."""
+    over the spec's factors, in canonical order; named like C2xC4xC3."""
     if not isinstance(spec, AbelianSpec):
         spec = AbelianSpec(tuple(spec))
     return ProductGroup(tuple(CyclicGroup(p**e) for p, e in spec.factors))

@@ -252,9 +252,6 @@ def verify_theorem(
     """
     if theorem_id == "props":
         return _verify_props(group, caps)
-    # the graph first, so that the prediction reads its facts from the records
-    # the graph is built from, not from the factors as well
-    graph = build_power_graph(group) if group.size <= caps.max_brute_vertices else None
     prediction, predicted_sets = predict_for_group(theorem_id, group)
     predicted = None if predicted_sets is None else _sorted_cutsets(predicted_sets)
 
@@ -264,10 +261,11 @@ def verify_theorem(
             verdict, detail,
         )
 
-    if graph is None:
+    if group.size > caps.max_brute_vertices:
         return report(
             "skipped-resource", f"{group.size} vertices exceed cap {caps.max_brute_vertices}"
         )
+    graph = build_power_graph(group)
     observed_kappa = vertex_connectivity(graph) if group.size >= 2 else None
     if not prediction.applicable:
         return report(

@@ -10,7 +10,6 @@ import pytest
 
 from powergraphs import harness
 from powergraphs.cli import build_parser, main, maximal_cyclic_rows, parse_group_spec
-from powergraphs.cyclic import nongenerators
 from powergraphs.groups import Group, make_abelian
 from powergraphs.harness import THEOREM_IDS
 from powergraphs.numtheory import euler_phi
@@ -225,7 +224,7 @@ def test_verify_thm12_cyclic_skips_without_closures(capsys):
 
 
 def test_verify_thm12_oversized_abelian_skips_resource(capsys):
-    # 26244 elements: Sylow data read from the blocks C2xC2 and C6561, no graph
+    # 26244 elements: Sylow data counted digit by digit from C2, C2 and C6561, no graph
     code, out, _ = run(
         capsys,
         "verify",
@@ -241,15 +240,33 @@ def test_verify_thm12_oversized_abelian_skips_resource(capsys):
     assert json.loads(out)["verdict"] == "skipped-resource"
 
 
+def patch_record_walk(monkeypatch, walk):
+    """Make ``walk(group)`` build every group's cyclic-subgroup records."""
+    prop = cached_property(walk)
+    prop.__set_name__(Group, "_cyclic_places")
+    monkeypatch.setattr(Group, "_cyclic_places", prop)
+
+
 def refuse_record_walks(monkeypatch):
     """Make any walk of a group's cyclic-subgroup records fail."""
 
     def refuse(group):
         raise AssertionError(f"walked the records of {group.name}")
 
-    prop = cached_property(refuse)
-    prop.__set_name__(Group, "_cyclic_places")
-    monkeypatch.setattr(Group, "_cyclic_places", prop)
+    patch_record_walk(monkeypatch, refuse)
+
+
+def log_record_walks(monkeypatch) -> list[Group]:
+    """Log every group whose cyclic-subgroup records are walked."""
+    walked = []
+    walk = Group._cyclic_places.func
+
+    def logged(group):
+        walked.append(group)
+        return walk(group)
+
+    patch_record_walk(monkeypatch, logged)
+    return walked
 
 
 def test_verify_oversized_cyclic_product_reads_its_factors(capsys, monkeypatch):
@@ -289,7 +306,8 @@ def test_maximal_cyclics_of_an_oversized_cyclic_product(capsys, monkeypatch):
 
 def reference_rows(spec):
     """The maximal-cyclics rows read from every record of a fresh copy of
-    the group, the external overlap from its root masks."""
+    the group: the non-generators from its generators mask, the external
+    overlap from the root masks."""
     G = make_abelian(spec)
     cyclic = max(G.element_orders) == G.size
     roots = G.root_masks
@@ -297,7 +315,7 @@ def reference_rows(spec):
         {
             "generator": m.generator,
             "order": m.order,
-            "nongenerators": len(nongenerators(G, m)),
+            "nongenerators": m.order - m.generators.bit_count(),
             "external_overlap": None if cyclic else sum(1 for x in m.powers if roots[x] & ~m.closure),
             "elements": sorted(m.elements),
         }
@@ -311,18 +329,19 @@ def reference_rows(spec):
     PREDICT_OVERSIZE_REQUESTS,
     ids=[f"{theorem or 'maximal-cyclics'}-{make_abelian(spec).name}" for theorem, spec in PREDICT_OVERSIZE_REQUESTS],
 )
-def test_predict_oversize_requests_walk_only_their_blocks(theorem, spec):
-    # the answer comes from the blocks (C2xC2, C4xC4, C3xC3: at most 16
+def test_predict_oversize_requests_walk_only_their_blocks(theorem, spec, monkeypatch):
+    # the answer comes from the prime blocks (C2xC2, C4xC4, C3xC3: at most 16
     # elements), never from the product's own records
+    rows = reference_rows(spec) if theorem is None else None
+    walked = log_record_walks(monkeypatch)
     G = make_abelian(spec)
     if theorem is None:
-        assert maximal_cyclic_rows(G) == reference_rows(spec)
+        assert maximal_cyclic_rows(G) == rows
     else:
         prediction, _ = harness.predict_for_group(theorem, G)
         assert prediction.hypothesis_trace
-    assert "_cyclic_places" not in vars(G)
-    walked = [block.size for block, _ in G._coprime_blocks if "_cyclic_places" in vars(block)]
-    assert max(walked, default=0) <= 16
+    assert G not in walked
+    assert max((g.size for g in walked), default=0) <= 16
 
 
 def test_verify_enumerates_many_small_classes(capsys):
