@@ -8,17 +8,20 @@ minimum s-t vertex cut is a minimum cut of the quotient with nodes weighted by
 class size: one integer-capacity vertex-split max-flow (Even & Tarjan, 1975).
 Every separator contains the universal class, the vertices adjacent to all
 others (in a power graph the identity, plus the generators when the group is
-cyclic), if there is one. Both engines run their flows on the class pairs of
-``_menger_pairs``, a few heavy sources and their non-neighbours (Esfahanian &
-Hakimi, 1984). Connectivity starts from the smallest neighbourhood; each flow
-aborts once it reaches the best cut so far, and the search stops once that
-equals the size of the universal class. ``minimum_cutset`` returns the cut
-that search ends on, and ``vertex_connectivity`` its size. The s-t query runs
-the same flow on the graph itself with unit weights and reads both the cut
-and the disjoint paths off it. Minimum cut-set enumeration lists the minimum
-cuts of each pair by partitioning on classes forced into or kept out of the
-cut (Picard & Queyranne, 1980; Provan & Shier, 1996), one flow per part, so
-the work follows the number of cuts rather than the number of class subsets.
+cyclic), if there is one. Both engines run their flows on the one sweep of
+``_menger_pairs``: a few heavy sources and their non-neighbours (Esfahanian &
+Hakimi, 1984), with the universal class and the earlier sources counted into
+the cut and each finished target joined to its source (Hao & Orlin, 1994),
+so each minimum separator comes from one pair (Kanevsky, 1993). Connectivity
+starts from the smallest neighbourhood; each flow aborts once it reaches the
+best cut so far, and the search stops once the classes counted into the cut
+weigh that much. ``minimum_cutset`` returns the cut that search ends on, and
+``vertex_connectivity`` its size. The s-t query runs the same flow on the
+graph itself with unit weights and reads both the cut and the disjoint paths
+off it. Minimum cut-set enumeration lists the minimum cuts of each pair by
+partitioning on classes forced into or kept out of the cut (Picard &
+Queyranne, 1980; Provan & Shier, 1996), one flow per part, so the work
+follows the number of cuts rather than the number of class subsets.
 """
 
 from __future__ import annotations
@@ -121,31 +124,41 @@ def _max_flow(
 
 def _menger_pairs(
     q_adj: Sequence[int], weight: Sequence[int], universal: int | None, bound: int
-) -> Iterator[tuple[int, int]]:
-    """Class pairs (s, t) such that every separator of weight at most
-    ``bound`` is an s-t cut of the quotient for one of them.
+) -> Iterator[tuple[int, int, list[int], int]]:
+    """The one sweep both engines run: class pairs (s, t), each with the
+    adjacency ``adj`` and the classes ``into`` forced into its cut.
 
-    A separator C is a union of classes and contains the universal class U,
-    if there is one. If C weighs at most ``bound``, its non-universal classes
-    weigh at most bound - |U|, so C misses one of the heaviest non-universal
-    classes whose total weight exceeds that; call it s. Any class t in
-    another component of the rest is not adjacent to s, and C separates s
-    from t. So the sources are those heaviest classes, in (-weight, index)
-    order, and each is paired with the classes not adjacent to it, by index;
-    a class that was already a source is skipped, since its pair with s came
-    up when it was the source.
+    A separator of weight at most ``bound`` holds the universal class U, if
+    any, and misses one of the heaviest other classes whose weight exceeds
+    bound - |U|. Those are the sources, in (-weight, index) order; each is
+    paired with its non-neighbours but the earlier sources, by index.
+    ``into`` is U and the earlier sources: a flow weighs them 0 and ORs them
+    into its cut. ``adj`` is ``q_adj`` with s joined to each target it has
+    finished. Neither loses a cut that counts:
+
+    - Kappa. Say a minimum cut C of the pair beats the best b before it. If
+      C missed an earlier source, the first one s' and a class outside C and
+      the component of s' would be an earlier pair, so w(C) >= b; if C
+      parted s from an earlier target t', so would (s, t'). So C holds
+      ``into`` and has each earlier target in it or on s's side: the pair's
+      minimum cuts, and the one closest to s, are the plain quotient's.
+    - Enumeration. A minimum separator C holds U and misses a source. It is
+      listed at the first one s, so it holds ``into``, from the first target
+      t outside C and the component of s: the targets before t lie in C or
+      on s's side.
     """
-    rest = bound - (0 if universal is None else weight[universal])
+    into = 0 if universal is None else 1 << universal
     everything = (1 << len(q_adj)) - 1
-    covered = done = 0
     for s in sorted(range(len(q_adj)), key=lambda c: (-weight[c], c)):
-        if covered > rest:
+        if sum(weight[c] for c in iter_bits(into)) > bound:
             return
         if s != universal:
-            covered += weight[s]
-            done |= 1 << s
-            for t in iter_bits(everything & ~(q_adj[s] | done)):
-                yield s, t
+            adj = list(q_adj)
+            for t in iter_bits(everything & ~(q_adj[s] | into | 1 << s)):
+                yield s, t, adj, into
+                adj[s] |= 1 << t
+                adj[t] |= 1 << s
+            into |= 1 << s
 
 
 def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
@@ -170,15 +183,15 @@ def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
     first = min(range(k), key=degree.__getitem__)
     best = degree[first]
     best_cut = closed[first] & ~(members[first] & -members[first])
-    # every separator contains every universal vertex: nothing beats this
-    universal = 0 if u is None else weight[u]
-    for i, j in _menger_pairs(q_adj, weight, u, best):
-        if best == universal:
+    for s, t, adj, into in _menger_pairs(q_adj, weight, u, best):
+        forced = sum(weight[c] for c in iter_bits(into))
+        if best <= forced:  # every later cut holds these classes too
             break
-        flow, cut, _ = _max_flow(q_adj, weight, i, j, limit=best)
-        if cut is not None and flow < best:
-            best = flow
-            best_cut = vertices(cut)
+        w = [0 if into >> c & 1 else m for c, m in enumerate(weight)]
+        flow, cut, _ = _max_flow(adj, w, s, t, limit=best - forced)
+        if cut is not None:
+            best = flow + forced
+            best_cut = vertices(cut | into)
     return frozenset(iter_bits(best_cut))
 
 
@@ -267,16 +280,17 @@ def all_minimum_cutsets(
 
     A complete graph has none. Otherwise ``kappa`` must be the vertex
     connectivity; a larger value raises ValueError, a smaller one finds
-    nothing. Every minimum cut-set is a minimum s-t cut of the quotient (nodes
-    weighted by class size) for one of the pairs ``_menger_pairs`` yields with
-    bound kappa. For each pair, every minimum s-t cut of weight kappa is
-    listed by partition (Lawler): a node fixes classes forced into the cut
-    (weight 0) and kept out of it (weight above every cut), one flow finds a
-    minimum cut under them, and if it weighs kappa the node records it and
-    splits the remaining cuts by the first of its new classes they leave out.
-    A flow that exceeds kappa ends its node. Raises ResourceLimitError once
-    the search would run more than ``max_combinations`` max-flows, with the
-    sets found so far attached.
+    nothing. Every minimum cut-set holds the forced classes of one of the
+    pairs ``_menger_pairs`` yields with bound kappa and is a minimum s-t cut
+    of the quotient (nodes weighted by class size) for it. Each pair lists
+    its s-t cuts of weight kappa by partition (Lawler), from a root that
+    forces those classes into the cut: a node fixes classes forced into the
+    cut (weight 0) and kept out of it (weight above every cut), one flow
+    finds a minimum cut under them, and if it weighs kappa the node records
+    it and splits the remaining cuts by the first of its new classes they
+    leave out. A flow that exceeds kappa ends its node. Raises
+    ResourceLimitError once the search would run more than
+    ``max_combinations`` max-flows, with the sets found so far attached.
     """
     if graph.is_complete:
         return []
@@ -290,8 +304,8 @@ def all_minimum_cutsets(
         sets = (frozenset(v for c in iter_bits(m) for v in iter_bits(members[c])) for m in found)
         return sorted(sets, key=sorted)
 
-    for s, t in _menger_pairs(q_adj, weight, universal, kappa):
-        stack = [(0, 0)]
+    for s, t, adj, root in _menger_pairs(q_adj, weight, universal, kappa):
+        stack = [(root, 0)]
         while stack:
             into, out = stack.pop()
             if flows == max_combinations:
@@ -305,7 +319,7 @@ def all_minimum_cutsets(
                 for c, m in enumerate(weight)
             ]
             need = kappa - sum(weight[c] for c in iter_bits(into))
-            flow, cut, _ = _max_flow(q_adj, w, s, t, limit=need + 1)
+            flow, cut, _ = _max_flow(adj, w, s, t, limit=need + 1)
             if cut is None:
                 continue
             if flow < need:

@@ -56,13 +56,16 @@ def external_overlap(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
 
     An outside y lies in a maximal cyclic subgroup other than M, and any
     other maximal one is generated outside M; so this is the members of M
-    that lie in two maximal cyclic subgroups or more.
+    that lie in two maximal cyclic subgroups or more. They are read off
+    M's power list against the bytes of ``Group.overlap_mask``, linear in
+    the order.
     """
     if group.is_cyclic:
         raise ValueError("external overlap needs a non-cyclic group")
     if not subgroup.is_maximal:
         raise ValueError("external overlap is defined for maximal cyclic subgroups")
-    return frozenset(iter_bits(subgroup.closure & group.overlap_mask))
+    shared = group.overlap_mask.to_bytes((group.size + 7) >> 3, "little")
+    return frozenset(x for x in subgroup.powers if shared[x >> 3] >> (x & 7) & 1)
 
 
 def sylow_product(group: Group, primes: tuple[int, ...] | frozenset[int]) -> frozenset[int]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powergraphs import cli, connectivity
+from powergraphs.bitsets import iter_bits
 from powergraphs.cli import parse_group_spec
 from powergraphs.connectivity import (
     ResourceLimitError,
@@ -141,6 +142,27 @@ def test_kappa_flow_count(monkeypatch, spec, most):
     assert len(flows) <= most
 
 
+@pytest.mark.parametrize(
+    "spec,most",
+    [("abelian:2,2,2,2,2,5", 130), ("abelian:2,2,2,3,5", 70)],
+)
+def test_enumeration_flow_count(monkeypatch, spec, most):
+    # each minimum cut-set is listed from one pair only, and the universal
+    # class starts in the cut; the unreduced pairs take 303 and 97 flows
+    graph = build_power_graph(parse_group_spec(spec))
+    kappa = vertex_connectivity(graph)
+    flows = []
+    real = connectivity._max_flow
+
+    def counting(*args, **kwargs):
+        flows.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connectivity, "_max_flow", counting)
+    all_minimum_cutsets(graph, kappa)
+    assert len(flows) <= most
+
+
 def test_minimum_cutset_is_listed_by_the_enumeration():
     from powergraphs.harness import corpus_groups
 
@@ -151,6 +173,110 @@ def test_minimum_cutset_is_listed_by_the_enumeration():
             continue
         cut = minimum_cutset(graph)
         assert cut in all_minimum_cutsets(graph, len(cut)), G.name
+
+
+def unreduced_pairs(q_adj, weight, universal, bound):
+    """Oracle: the Menger pairs with no class forced into the cut and no
+    target joined to its source. Every separator of weight at most bound
+    misses one of the heaviest non-universal classes whose weight exceeds
+    bound - |U|, and parts it from a class it is not adjacent to."""
+    rest = bound - (0 if universal is None else weight[universal])
+    everything = (1 << len(q_adj)) - 1
+    covered = done = 0
+    for s in sorted(range(len(q_adj)), key=lambda c: (-weight[c], c)):
+        if covered > rest:
+            return
+        if s != universal:
+            covered += weight[s]
+            done |= 1 << s
+            for t in iter_bits(everything & ~(q_adj[s] | done)):
+                yield s, t
+
+
+def unreduced_minimum_cut(graph):
+    """Oracle: the reported minimum cut from the unreduced pairs, each flow
+    stopping at the best cut so far; None for a complete graph."""
+    members, q_adj, u = graph.twin_quotient
+    if len(members) == 1:
+        return None
+    weight = [m.bit_count() for m in members]
+
+    def vertices(classes):
+        return sum(members[c] for c in iter_bits(classes))
+
+    closed = [vertices(q_adj[i] | 1 << i) for i in range(len(members))]
+    first = min(range(len(members)), key=lambda i: closed[i].bit_count())
+    best = closed[first].bit_count() - 1
+    best_cut = closed[first] & ~(members[first] & -members[first])
+    for s, t in unreduced_pairs(q_adj, weight, u, best):
+        if best == (0 if u is None else weight[u]):
+            break
+        flow, cut, _ = connectivity._max_flow(q_adj, weight, s, t, limit=best)
+        if cut is not None:
+            best, best_cut = flow, vertices(cut)
+    return frozenset(iter_bits(best_cut))
+
+
+def unreduced_all_minimum_cutsets(graph, kappa):
+    """Oracle: every minimum cut of every unreduced pair, listed by Lawler
+    partition from an empty root."""
+    if graph.is_complete:
+        return []
+    members, q_adj, u = graph.twin_quotient
+    weight = [m.bit_count() for m in members]
+    blocked = sum(weight) + 1
+    found = set()
+    for s, t in unreduced_pairs(q_adj, weight, u, kappa):
+        stack = [(0, 0)]
+        while stack:
+            into, out = stack.pop()
+            w = [0 if into >> c & 1 else blocked if out >> c & 1 else m for c, m in enumerate(weight)]
+            need = kappa - sum(weight[c] for c in iter_bits(into))
+            flow, cut, _ = connectivity._max_flow(q_adj, w, s, t, limit=need + 1)
+            if cut is None:
+                continue
+            if flow < need:
+                raise ValueError(f"kappa {kappa} exceeds the vertex connectivity")
+            found.add(cut | into)
+            for c in iter_bits(cut & ~into):
+                stack.append((into, out | 1 << c))
+                into |= 1 << c
+    sets = (frozenset(iter_bits(sum(members[c] for c in iter_bits(m)))) for m in found)
+    return sorted(sets, key=sorted)
+
+
+def enumeration_outcome(enumerate_cutsets, graph, kappa):
+    try:
+        return enumerate_cutsets(graph, kappa)
+    except ValueError as err:
+        return str(err)
+
+
+def assert_sweep_matches_unreduced_rule(graph):
+    cut = unreduced_minimum_cut(graph)
+    if cut is None:
+        assert graph.is_complete and vertex_connectivity(graph) == graph.vertex_count - 1
+        return
+    assert minimum_cutset(graph) == cut
+    for kappa in (len(cut) - 1, len(cut), len(cut) + 1):
+        want = enumeration_outcome(unreduced_all_minimum_cutsets, graph, kappa)
+        assert enumeration_outcome(all_minimum_cutsets, graph, kappa) == want, kappa
+
+
+def test_sweep_matches_unreduced_rule_on_groups():
+    from powergraphs.harness import corpus_groups
+
+    groups = list(corpus_groups(64)) + [make_cyclic(n) for n in range(2, 201)]
+    outcomes = set()
+    for G in groups:
+        graph = build_power_graph(G)
+        assert_sweep_matches_unreduced_rule(graph)
+        if not graph.is_complete:
+            kappa = vertex_connectivity(graph)
+            outcomes.add(type(enumeration_outcome(all_minimum_cutsets, graph, kappa + 1)))
+            outcomes.add(bool(all_minimum_cutsets(graph, kappa - 1)))
+    # kappa + 1 raises somewhere, and kappa - 1 never lists a cut
+    assert outcomes == {str, False}
 
 
 def test_max_disjoint_paths_match_cut():
@@ -612,3 +738,4 @@ def test_flow_kappa_matches_subset_oracle_on_planted_twins(n, edge_bits, twins):
         assert len(cut) == kappa
         assert graph.is_cut_set(cut)
         assert all_minimum_cutsets(graph, kappa) == all_minimum_cutsets_by_subsets(graph, kappa)
+    assert_sweep_matches_unreduced_rule(graph)
