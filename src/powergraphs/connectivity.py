@@ -177,12 +177,11 @@ def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
             out |= members[c]
         return out
 
-    # twins share a closed neighbourhood: each vertex of class i has degree |closed[i]| - 1
-    closed = [vertices(q_adj[i] | 1 << i) for i in range(k)]
-    degree = [m.bit_count() - 1 for m in closed]
+    # twins share a closed neighbourhood: their own class and every adjacent one
+    degree = [weight[i] - 1 + sum(weight[j] for j in iter_bits(q_adj[i])) for i in range(k)]
     first = min(range(k), key=degree.__getitem__)
     best = degree[first]
-    best_cut = closed[first] & ~(members[first] & -members[first])
+    best_cut = vertices(q_adj[first] | 1 << first) & ~(members[first] & -members[first])
     for s, t, adj, into in _menger_pairs(q_adj, weight, u, best):
         forced = sum(weight[c] for c in iter_bits(into))
         if best <= forced:  # every later cut holds these classes too

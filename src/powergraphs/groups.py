@@ -6,14 +6,14 @@ is element (i + j) mod n; dihedral and generalized quaternion groups multiply
 by the formula of their presentation. Direct products (``ProductGroup``)
 encode elements in mixed radix, most significant factor first, and multiply
 digit by digit; abelian groups are the products of prime-power cyclic
-groups. Only an explicit multiplication table (``CayleyTableGroup``) is
-validated on construction.
+groups. No group here is given by a multiplication table: the table groups
+that check these formulas live in the tests.
 
 Each cyclic subgroup <h> has one record, a ``CyclicSubgroup`` built from
 the power list of its least generator h: the powers of h, and as masks its
 members, its generators and its roots (every y with <h> inside <y>). Power
 lists come from residues for cyclic groups and from the factors' lists for
-products; dihedral, quaternion and table groups multiply once per listed
+products; dihedral and quaternion groups multiply once per listed
 power (``Group._power_walk``) and then read their lists from their records.
 
 The n-element records (``Group._cyclic_places``, one place per element)
@@ -77,26 +77,20 @@ class AbelianSpec:
 
 @dataclass(frozen=True)
 class SylowDecomposition:
-    """Sylow subgroups of a nilpotent group and the facts read from them.
+    """The facts read from the Sylow subgroups of a nilpotent group.
 
-    ``subgroups[i]`` is the Sylow subgroup for ``primes[i]`` as an element
-    set. ``noncyclic`` lists the primes whose Sylow subgroup has no element
-    of its own order, ``elementary`` those whose Sylow subgroup has exponent
-    p, and ``quaternion`` says whether the 2-Sylow subgroup is non-cyclic
-    with a unique involution, i.e. generalized quaternion.
+    ``primes`` lists the prime divisors of the order, ascending; the Sylow
+    p-subgroup is ``cyclic.sylow_product(group, (p,))``. ``noncyclic`` lists
+    the primes whose Sylow subgroup has no element of its own order,
+    ``elementary`` those whose Sylow subgroup has exponent p, and
+    ``quaternion`` says whether the 2-Sylow subgroup is non-cyclic with a
+    unique involution, i.e. generalized quaternion.
     """
 
     primes: tuple[int, ...]
-    subgroups: tuple[frozenset[int], ...]
     noncyclic: tuple[int, ...]
     elementary: tuple[int, ...]
     quaternion: bool
-
-    def subgroup(self, p: int) -> frozenset[int]:
-        try:
-            return self.subgroups[self.primes.index(p)]
-        except ValueError:
-            raise ValueError(f"{p} does not divide the group order") from None
 
 
 @dataclass(slots=True)
@@ -278,10 +272,10 @@ class Group:
         return frozenset(iter_bits(sum(masks)))
 
     @cached_property
-    def _p_elements(self) -> tuple[tuple[int, int, frozenset[int]], ...]:
+    def _p_elements(self) -> tuple[tuple[int, int, int], ...]:
         """Per prime power q = p**e exactly dividing the order, ascending:
-        (p, q, the p-elements, those g with g**q the identity)."""
-        return tuple((p, p**e, self.elements_of_order_dividing(p**e)) for p, e in factorize(self.size))
+        (p, q, the number of p-elements, those g with g**q the identity)."""
+        return tuple((p, p**e, len(self.elements_of_order_dividing(p**e))) for p, e in factorize(self.size))
 
     @cached_property
     def is_nilpotent(self) -> bool:
@@ -298,13 +292,13 @@ class Group:
     def _non_normal_sylow(self) -> tuple[int, int, int] | None:
         """(p, the number of p-elements, |Sylow_p|) at the least prime p whose
         p-elements are not one subgroup, or None."""
-        for p, q, members in self._p_elements:
-            if len(members) != q:
-                return p, len(members), q
+        for p, q, count in self._p_elements:
+            if count != q:
+                return p, count, q
         return None
 
     def sylow_decomposition(self) -> SylowDecomposition:
-        """Sylow subgroups and their facts; the group must be nilpotent.
+        """The facts of the Sylow subgroups; the group must be nilpotent.
 
         Computed once per group; a non-nilpotent group raises on every call.
         """
@@ -333,7 +327,6 @@ class Group:
                 elementary.append(p)
         return SylowDecomposition(
             tuple(p for p, *_ in self._p_elements),
-            tuple(members for *_, members in self._p_elements),
             tuple(noncyclic),
             tuple(elementary),
             quaternion,
@@ -513,70 +506,6 @@ class ProductGroup(Group):
             if len(digits) > 1:
                 elements = [x + d * w for x in elements for d in digits]
         return frozenset(elements)
-
-
-class CayleyTableGroup(Group):
-    """Group given by an explicit multiplication table.
-
-    The table is validated on construction, exactly: identity row/column at
-    index 0, two-sided inverses, and associativity by Light's test on a
-    generating set.
-    """
-
-    def __init__(self, name: str, table: list[list[int]] | tuple[tuple[int, ...], ...]):
-        n = len(table)
-        if n < 1:
-            raise ValueError("multiplication table must be non-empty")
-        rows = tuple(tuple(int(x) for x in row) for row in table)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError(f"table entry {x} out of range [0, {n})")
-        self.name = name
-        self.size = n
-        self._table = rows
-        self._validate()
-
-    def _validate(self) -> None:
-        n = self.size
-        tab = self._table
-        if tab[0] != tuple(range(n)) or any(tab[a][0] != a for a in range(n)):
-            raise ValueError(f"{self.name}: index 0 is not a two-sided identity")
-        for a in range(n):
-            try:
-                inverse = tab[a].index(0)
-            except ValueError:
-                raise ValueError(f"{self.name}: element {a} has no right inverse") from None
-            if tab[inverse][a] != 0:
-                raise ValueError(f"{self.name}: element {a} has no two-sided inverse")
-        # Light's test: the s with (x*s)*y == x*(s*y) for all x, y include 0
-        # and are closed under products, so it suffices to check generators s
-        # whose left-normed products (((0*s1)*s2)...) reach every element.
-        gens: list[int] = []
-        span = [0]
-        inside = {0}
-        for s in range(n):
-            if s in inside:
-                continue
-            gens.append(s)
-            for x in span:  # grows while iterated
-                for g in gens:
-                    y = tab[x][g]
-                    if y not in inside:
-                        inside.add(y)
-                        span.append(y)
-        for s in gens:
-            for x in range(n):
-                left = tab[tab[x][s]]
-                right = tuple(map(tab[x].__getitem__, tab[s]))
-                if left != right:
-                    y = next(y for y in range(n) if left[y] != right[y])
-                    raise ValueError(f"{self.name}: not associative at ({x}, {s}, {y})")
-
-    def mul(self, a: int, b: int) -> int:
-        return self._table[a][b]
 
 
 def make_cyclic(n: int) -> Group:

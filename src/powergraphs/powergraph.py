@@ -182,10 +182,3 @@ def build_power_graph(group: Group) -> PowerGraph:
     )
     return PowerGraph(vertex_count=group.size, adj=adj)
 
-
-def proper_power_graph_connected(group: Group) -> bool:
-    """Connectivity of the power graph with the identity vertex deleted."""
-    if group.size < 3:
-        raise ValueError("proper power graph connectivity needs order >= 3")
-    graph = build_power_graph(group)
-    return not graph._is_split(graph.full_mask & ~1)

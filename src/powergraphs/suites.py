@@ -10,6 +10,8 @@ SUITES by id. Sylow facts come from the group's cached Sylow decomposition.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Callable
 
 from .bitsets import iter_bits
@@ -24,6 +26,7 @@ from .cyclic import (
     min_order_maximal_cyclic,
     nongenerators,
     sylow_complement_product,
+    sylow_product,
 )
 from .groups import Group
 from .numtheory import euler_phi, factorize, prime_power_base
@@ -47,15 +50,22 @@ def _suite(suite_id: str) -> Callable[[SuiteCheck], SuiteCheck]:
     return register
 
 
-def _non_adjacent_pairs(graph: PowerGraph) -> list[tuple[int, int]]:
-    """Every non-adjacent pair (s, t), s < t, in lexicographic order, read
-    from the rows: the t above s outside adj[s]."""
+def _sample_non_adjacent(graph: PowerGraph, rng: random.Random, k: int) -> list[tuple[int, int]]:
+    """Up to k non-adjacent pairs (s, t), s < t, drawn by ``rng.sample`` from
+    their lexicographic order with no list of them: the sample picks
+    positions from the count alone, and position i is the (i - starts[s])-th
+    t above s outside adj[s], s the row whose count run holds i."""
     full = graph.full_mask
-    return [
-        (s, t)
-        for s, row in enumerate(graph.adj)
-        for t in iter_bits((full & ~row) >> (s + 1) << (s + 1))
-    ]
+    above = [(full & ~row) >> (s + 1) << (s + 1) for s, row in enumerate(graph.adj)]
+    starts = list(accumulate((m.bit_count() for m in above), initial=0))
+    pairs = []
+    for i in rng.sample(range(starts[-1]), min(k, starts[-1])):
+        s = bisect_right(starts, i) - 1
+        m = above[s]
+        for _ in range(i - starts[s]):
+            m &= m - 1
+        pairs.append((s, (m & -m).bit_length() - 1))
+    return pairs
 
 
 @_suite("graph-basics")
@@ -69,12 +79,16 @@ def check_graph_basics(group: Group, graph: PowerGraph) -> CheckResult:
     if graph.degree(0) != n - 1:
         return False, "identity is not adjacent to every other vertex"
     adj = graph.adj
+    # transpose the rows' bit strings, last row first: into[u] masks the v with u in adj[v]
+    columns = zip(*(f"{row:0{n}b}" for row in reversed(adj)))
+    into = [int("".join(col), 2) for col in columns][::-1]
     for v, row in enumerate(adj):
         if (row >> v) & 1:
             return False, f"self-loop at {v}"
-        for u in iter_bits(row):
-            if not (adj[u] >> v) & 1:
-                return False, f"asymmetric adjacency at ({min(u, v)}, {max(u, v)})"
+        one_way = row & ~into[v]
+        if one_way:
+            u = (one_way & -one_way).bit_length() - 1
+            return False, f"asymmetric adjacency at ({min(u, v)}, {max(u, v)})"
     expect_complete = group.is_cyclic and prime_power_base(group.size) is not None
     if graph.is_complete != expect_complete:
         return False, (
@@ -231,11 +245,11 @@ def check_maximal_cyclic_product_form(group: Group, graph: PowerGraph) -> CheckR
     maximal cyclic subgroups of the Sylow subgroups."""
     if group.is_cyclic or not group.is_nilpotent:
         return None
-    dec = group.sylow_decomposition()
+    sylows = [(p, sylow_product(group, (p,))) for p in group.sylow_decomposition().primes]
     orders = group.element_orders
     for m in maximal_cyclic_subgroups(group):
         total = 1
-        for p, members in zip(dec.primes, dec.subgroups):
+        for p, members in sylows:
             part = m.elements & members
             total *= len(part)
             gen = max(part, key=lambda g: orders[g])
@@ -330,8 +344,7 @@ def check_minimal_cutsets_are_class_unions(group: Group, graph: PowerGraph) -> C
     # removing N(v) isolates v, so it is a cut-set once some other vertex survives
     seeds = {nb for nb in map(graph.neighbors, range(n)) if len(nb) < n - 1}
     rng = random.Random(f"class-union:{group.name}")
-    non_adjacent = _non_adjacent_pairs(graph)
-    for s, t in rng.sample(non_adjacent, min(10, len(non_adjacent))):
+    for s, t in _sample_non_adjacent(graph, rng, 10):
         seeds.add(min_vertex_cut_between(graph, s, t)[0])
     minimal_sets = {minimalize_cutset(graph, seed) for seed in seeds}
     for cut in sorted(minimal_sets, key=sorted):
@@ -355,9 +368,8 @@ def check_menger_consistency(group: Group, graph: PowerGraph) -> CheckResult:
         return None
     if graph.is_complete:
         return None
-    non_adjacent = _non_adjacent_pairs(graph)
     rng = random.Random(f"menger:{group.name}")
-    for s, t in rng.sample(non_adjacent, min(_MENGER_PAIRS_PER_GROUP, len(non_adjacent))):
+    for s, t in _sample_non_adjacent(graph, rng, _MENGER_PAIRS_PER_GROUP):
         cut, paths = min_vertex_cut_between(graph, s, t)
         if len(paths) != len(cut):
             return False, f"pair ({s},{t}): path count and cut size disagree"

@@ -16,7 +16,6 @@ from powergraphs.cyclic import (
 )
 from powergraphs.groups import (
     AbelianSpec,
-    CayleyTableGroup,
     CyclicGroup,
     Group,
     ProductGroup,
@@ -221,15 +220,15 @@ def test_sylow_decomposition_cyclic_12():
     G = make_cyclic(12)
     dec = G.sylow_decomposition()
     assert dec.primes == (2, 3)
-    assert len(dec.subgroup(2)) == 4
-    assert len(dec.subgroup(3)) == 3
+    assert len(sylow_product(G, (2,))) == 4
+    assert len(sylow_product(G, (3,))) == 3
 
 
 def test_sylow_decomposition_example_group():
     G = make_abelian([(2, 1), (2, 1), (3, 1)])
-    dec = G.sylow_decomposition()
-    assert sorted(G.element_order(g) for g in dec.subgroup(2)) == [1, 2, 2, 2]
-    assert len(dec.subgroup(3)) == 3
+    assert G.sylow_decomposition().primes == (2, 3)
+    assert sorted(G.element_order(g) for g in sylow_product(G, (2,))) == [1, 2, 2, 2]
+    assert len(sylow_product(G, (3,))) == 3
 
 
 def test_sylow_rejects_dihedral_6():
@@ -253,19 +252,14 @@ def test_sylow_decomposition_facts_match_definitions():
         dec = G.sylow_decomposition()
         assert G.sylow_decomposition() is dec
         orders = G.element_orders
+        sylows = {p: sylow_product(G, (p,)) for p in dec.primes}
         noncyclic = tuple(
-            p
-            for p, members in zip(dec.primes, dec.subgroups)
-            if all(orders[g] != len(members) for g in members)
+            p for p, members in sylows.items() if all(orders[g] != len(members) for g in members)
         )
         elementary = tuple(
-            p
-            for p, members in zip(dec.primes, dec.subgroups)
-            if all(p % orders[g] == 0 for g in members)
+            p for p, members in sylows.items() if all(p % orders[g] == 0 for g in members)
         )
-        quaternion = 2 in noncyclic and (
-            sum(1 for g in dec.subgroup(2) if orders[g] == 2) == 1
-        )
+        quaternion = 2 in noncyclic and sum(1 for g in sylows[2] if orders[g] == 2) == 1
         assert dec.noncyclic == noncyclic, G.name
         assert dec.elementary == elementary, G.name
         assert dec.quaternion == quaternion, G.name
@@ -294,7 +288,7 @@ def reference_is_nilpotent(G):
 def reference_sylow_decomposition(G):
     orders = G.element_orders
     factors = factorize(G.size)
-    subgroups, noncyclic, elementary = [], [], []
+    noncyclic, elementary = [], []
     quaternion = False
     for (p, e), members in zip(factors, reference_p_elements(G)):
         if len(members) != p**e:
@@ -302,7 +296,6 @@ def reference_sylow_decomposition(G):
                 f"{G.name}: Sylow {p}-subgroup is not normal "
                 f"({len(members)} {p}-elements, expected {p**e})"
             )
-        subgroups.append(members)
         if max(orders[g] for g in members) != len(members):
             noncyclic.append(p)
             if p == 2:
@@ -311,7 +304,6 @@ def reference_sylow_decomposition(G):
             elementary.append(p)
     return SylowDecomposition(
         tuple(p for p, _ in factors),
-        tuple(subgroups),
         tuple(noncyclic),
         tuple(elementary),
         quaternion,
@@ -372,20 +364,23 @@ def sylow_oracle_groups():
 
 def structure_facts(G):
     """is_cyclic, is_nilpotent, the Sylow decomposition or its error text,
-    the maximal records, the Sylow products by prime set and the external
-    overlaps, as the group answers them."""
+    the Sylow subgroups' elements by prime, the maximal records, the Sylow
+    products by prime set and the external overlaps, as the group answers
+    them."""
     try:
         dec = G.sylow_decomposition()
     except UnsupportedStructureError as exc:
         dec = str(exc)
+    sylows = None
     maximal = maximal_cyclic_subgroups(G)
     products = {}
     if not isinstance(dec, str):
+        sylows = tuple(sylow_product(G, (p,)) for p in dec.primes)
         for r in range(1, len(dec.primes) + 1):
             for primes in combinations(dec.primes, r):
                 products[primes] = sylow_product(G, primes)
     overlaps = None if G.is_cyclic else [external_overlap(G, m) for m in maximal]
-    return G.is_cyclic, G.is_nilpotent, dec, maximal, products, overlaps
+    return G.is_cyclic, G.is_nilpotent, dec, sylows, maximal, products, overlaps
 
 
 def reference_structure_facts(G):
@@ -394,6 +389,7 @@ def reference_structure_facts(G):
         dec = reference_sylow_decomposition(G)
     except UnsupportedStructureError as exc:
         dec = str(exc)
+    sylows = None if isinstance(dec, str) else reference_p_elements(G)
     maximal = tuple(m for m in G.cyclic_subgroups if m.is_maximal)
     products = {}
     if not isinstance(dec, str):
@@ -405,7 +401,7 @@ def reference_structure_facts(G):
     overlaps = None
     if not is_cyclic:
         overlaps = [frozenset(x for x in m.powers if roots[x] & ~m.closure) for m in maximal]
-    return is_cyclic, reference_is_nilpotent(G), dec, maximal, products, overlaps
+    return is_cyclic, reference_is_nilpotent(G), dec, sylows, maximal, products, overlaps
 
 
 def test_sylow_data_and_order_shells_match_per_element_reference():
@@ -468,6 +464,74 @@ def test_identity_row_and_column():
     for G in (make_dihedral(12), make_generalized_quaternion(16)):
         for a in range(G.size):
             assert G.mul(0, a) == a and G.mul(a, 0) == a
+
+
+# The table group: the independent oracle for the formula groups, which no
+# command builds.
+
+
+class CayleyTableGroup(Group):
+    """Group given by an explicit multiplication table.
+
+    The table is validated on construction, exactly: identity row/column at
+    index 0, two-sided inverses, and associativity by Light's test on a
+    generating set.
+    """
+
+    def __init__(self, name: str, table: list[list[int]] | tuple[tuple[int, ...], ...]):
+        n = len(table)
+        if n < 1:
+            raise ValueError("multiplication table must be non-empty")
+        rows = tuple(tuple(int(x) for x in row) for row in table)
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
+            for x in row:
+                if not 0 <= x < n:
+                    raise ValueError(f"table entry {x} out of range [0, {n})")
+        self.name = name
+        self.size = n
+        self._table = rows
+        self._validate()
+
+    def _validate(self) -> None:
+        n = self.size
+        tab = self._table
+        if tab[0] != tuple(range(n)) or any(tab[a][0] != a for a in range(n)):
+            raise ValueError(f"{self.name}: index 0 is not a two-sided identity")
+        for a in range(n):
+            try:
+                inverse = tab[a].index(0)
+            except ValueError:
+                raise ValueError(f"{self.name}: element {a} has no right inverse") from None
+            if tab[inverse][a] != 0:
+                raise ValueError(f"{self.name}: element {a} has no two-sided inverse")
+        # Light's test: the s with (x*s)*y == x*(s*y) for all x, y include 0
+        # and are closed under products, so it suffices to check generators s
+        # whose left-normed products (((0*s1)*s2)...) reach every element.
+        gens: list[int] = []
+        span = [0]
+        inside = {0}
+        for s in range(n):
+            if s in inside:
+                continue
+            gens.append(s)
+            for x in span:  # grows while iterated
+                for g in gens:
+                    y = tab[x][g]
+                    if y not in inside:
+                        inside.add(y)
+                        span.append(y)
+        for s in gens:
+            for x in range(n):
+                left = tab[tab[x][s]]
+                right = tuple(map(tab[x].__getitem__, tab[s]))
+                if left != right:
+                    y = next(y for y in range(n) if left[y] != right[y])
+                    raise ValueError(f"{self.name}: not associative at ({x}, {s}, {y})")
+
+    def mul(self, a: int, b: int) -> int:
+        return self._table[a][b]
 
 
 # The smallest non-associative loop: a Latin square with identity 0 in which

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from powergraphs.groups import (
@@ -8,12 +10,8 @@ from powergraphs.groups import (
     make_generalized_quaternion,
 )
 from powergraphs.harness import corpus_groups
-from powergraphs.powergraph import (
-    Separation,
-    build_power_graph,
-    proper_power_graph_connected,
-)
-from powergraphs.suites import _non_adjacent_pairs
+from powergraphs.powergraph import Separation, build_power_graph
+from powergraphs.suites import _sample_non_adjacent
 
 
 def membership_groups():
@@ -61,14 +59,35 @@ def test_adjacency_matches_membership_definition(G):
             assert graph.adjacent(x, y) == adjacency_by_definition(closures, x, y)
 
 
+def non_adjacent_pairs(graph):
+    """Every non-adjacent pair (s, t), s < t, in lexicographic order."""
+    n = graph.vertex_count
+    return [(s, t) for s in range(n) for t in range(s + 1, n) if not graph.adjacent(s, t)]
+
+
+class InOrder:
+    """Stands in for a random.Random whose sample draws every position in order."""
+
+    def sample(self, population, k):
+        return list(population)[:k]
+
+
 def test_non_adjacent_pairs_in_lexicographic_order():
+    # drawing every position in order maps each position to its pair
     for G in (param.values[0] for param in MEMBERSHIP_GROUPS):
         graph = build_power_graph(G)
-        n = graph.vertex_count
-        expected = [
-            (s, t) for s in range(n) for t in range(s + 1, n) if not graph.adjacent(s, t)
-        ]
-        assert _non_adjacent_pairs(graph) == expected, G.name
+        expected = non_adjacent_pairs(graph)
+        assert _sample_non_adjacent(graph, InOrder(), G.size**2) == expected, G.name
+
+
+@pytest.mark.parametrize("suite, k", [("class-union", 10), ("menger", 12)])
+def test_sampled_pairs_match_sampling_the_full_list(suite, k):
+    for G in corpus_groups(40):
+        graph = build_power_graph(G)
+        pairs = non_adjacent_pairs(graph)
+        seed = f"{suite}:{G.name}"
+        expected = random.Random(seed).sample(pairs, min(k, len(pairs)))
+        assert _sample_non_adjacent(graph, random.Random(seed), k) == expected, G.name
 
 
 def test_root_masks_match_definition():
@@ -177,8 +196,10 @@ def test_separation_rejects_malformed():
 
 
 def test_proper_power_graph():
-    assert proper_power_graph_connected(make_generalized_quaternion(8))
-    assert not proper_power_graph_connected(make_abelian([(2, 1), (2, 1)]))
-    assert not proper_power_graph_connected(make_dihedral(6))
-    with pytest.raises(ValueError):
-        proper_power_graph_connected(make_cyclic(2))
+    def proper_connected(G):
+        return len(build_power_graph(G).components_after_removal({0})) == 1
+
+    assert proper_connected(make_generalized_quaternion(8))
+    assert proper_connected(make_cyclic(8))
+    assert not proper_connected(make_abelian([(2, 1), (2, 1)]))
+    assert not proper_connected(make_dihedral(6))
