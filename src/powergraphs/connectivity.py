@@ -12,16 +12,20 @@ cyclic), if there is one. Both engines run their flows on the one sweep of
 ``_menger_pairs``: a few heavy sources and their non-neighbours (Esfahanian &
 Hakimi, 1984), with the universal class and the earlier sources counted into
 the cut and each finished target joined to its source (Hao & Orlin, 1994),
-so each minimum separator comes from one pair (Kanevsky, 1993). Connectivity
-starts from the smallest neighbourhood; each flow aborts once it reaches the
-best cut so far, and the search stops once the classes counted into the cut
-weigh that much. ``minimum_cutset`` returns the cut that search ends on, and
+so each minimum separator comes from one pair (Kanevsky, 1993). A common
+neighbour of a pair lies in every separator of it, so it is counted into the
+pair's cut too, before any search; a pair whose counted classes already weigh
+too much runs no flow. Connectivity starts from the smallest neighbourhood;
+each flow aborts once it reaches the best cut so far, and the search stops
+once the classes counted into every later cut weigh that much.
+``minimum_cutset`` returns the cut that search ends on, and
 ``vertex_connectivity`` its size. The s-t query runs the same flow on the
 graph itself with unit weights and reads both the cut and the disjoint paths
 off it. Minimum cut-set enumeration lists the minimum cuts of each pair by
 partitioning on classes forced into or kept out of the cut (Picard &
-Queyranne, 1980; Provan & Shier, 1996), one flow per part, so the work
-follows the number of cuts rather than the number of class subsets.
+Queyranne, 1980; Provan & Shier, 1996), from a root holding the classes
+counted into it, one flow per part, so the work follows the number of cuts
+rather than the number of class subsets.
 """
 
 from __future__ import annotations
@@ -44,49 +48,61 @@ def _max_flow(
     adj: Sequence[int], weight: Sequence[int], s: int, t: int, limit: int | None = None
 ) -> tuple[int, int | None, dict[tuple[int, int], int]]:
     """Max flow from vertex s to vertex t when every other vertex v carries
-    at most weight[v] units and edges are uncapacitated.
+    at most weight[v] units and edges are uncapacitated; s and t must be
+    distinct and non-adjacent.
 
-    In the split network node v is the in-copy of v and node k + v its
-    out-copy. Paths through one common neighbour go first, then shortest
-    augmenting paths in increasing node order. Returns (flow, cut, edge_flow):
+    A common neighbour w of s and t lies in every s-t separator, so it is
+    counted in before any search: weight[w] units go along s, w, t in one
+    step, and w gets no arc through it. If that already reaches ``limit``
+    the network is never built. The rest are shortest augmenting paths in
+    the vertex-split network, node v being the in-copy of v and node k + v
+    its out-copy, in increasing node order. Returns (flow, cut, edge_flow):
     cut is None if the flow reached ``limit``, else the vertex mask of the
-    minimum s-t cut closest to s; edge_flow[u, v] is the flow on the edge arc
-    k + u -> v, keyed in the order the arcs were first used.
+    minimum s-t cut closest to s, which holds every common neighbour;
+    edge_flow[u, v] is the flow on the edge arc k + u -> v, keyed in the
+    order the arcs were first used.
     """
-    k = len(adj)
-    # residual arcs by tail; a vertex of weight 0 has no arc through it
-    res = [1 << (k + v) if weight[v] else 0 for v in range(k)] + list(adj)
-    through = [0] * k  # flow on the vertex arc v -> k + v
+    common = adj[s] & adj[t]
     edge_flow: dict[tuple[int, int], int] = {}
-    src, snk = k + s, t
-    paths = [[snk, k + w, w, src] for w in iter_bits(adj[s] & adj[t]) if weight[w]]
     flow = 0
+    for w in iter_bits(common):
+        if weight[w]:
+            edge_flow[s, w] = edge_flow[w, t] = weight[w]
+            flow += weight[w]
+    if limit is not None and flow >= limit:
+        return flow, None, edge_flow
+    k = len(adj)
+    # residual arcs by tail; a common neighbour or a vertex of weight 0 has
+    # no arc through it
+    res = [1 << (k + v) if weight[v] and not common >> v & 1 else 0 for v in range(k)]
+    res += adj
+    through = [0] * k  # flow on the vertex arc v -> k + v
+    src, snk = k + s, t
     while limit is None or flow < limit:
-        if paths:
-            nodes = paths.pop()
-        else:
-            parent = [-1] * (2 * k)
-            visited = 1 << src
-            frontier = [src]
-            while frontier and parent[snk] < 0:
-                nxt = []
-                for u in frontier:
-                    m = res[u] & ~visited
-                    visited |= m
-                    while m and parent[snk] < 0:
-                        low = m & -m
-                        m ^= low
-                        v = low.bit_length() - 1
-                        parent[v] = u
-                        nxt.append(v)
-                frontier = nxt
-            if parent[snk] < 0:
-                # edge arcs stay open, so the reachable set is left only
-                # through full vertex arcs: exactly the vertices of a min cut
-                return flow, visited & ~(visited >> k) & ((1 << k) - 1), edge_flow
-            nodes = [snk]
-            while nodes[-1] != src:
-                nodes.append(parent[nodes[-1]])
+        parent = [-1] * (2 * k)
+        visited = 1 << src
+        frontier = [src]
+        while frontier and parent[snk] < 0:
+            nxt = []
+            for u in frontier:
+                m = res[u] & ~visited
+                visited |= m
+                while m and parent[snk] < 0:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
+                    parent[v] = u
+                    nxt.append(v)
+            frontier = nxt
+        if parent[snk] < 0:
+            # edge arcs stay open, so the reachable set is left only
+            # through full vertex arcs: exactly the vertices of a min cut,
+            # common neighbours among them: each is reached from s and has
+            # no vertex arc
+            return flow, visited & ~(visited >> k) & ((1 << k) - 1), edge_flow
+        nodes = [snk]
+        while nodes[-1] != src:
+            nodes.append(parent[nodes[-1]])
         # nodes run from the sink back to the source, and so do the arcs;
         # forward edge arcs never fill up
         arcs = list(zip(nodes[1:], nodes))
@@ -134,7 +150,8 @@ def _menger_pairs(
     paired with its non-neighbours but the earlier sources, by index.
     ``into`` is U and the earlier sources: a flow weighs them 0 and ORs them
     into its cut. ``adj`` is ``q_adj`` with s joined to each target it has
-    finished. Neither loses a cut that counts:
+    finished. Neither loses a cut that counts, and both engines also count
+    the pair's common neighbours in ``adj`` into its cut:
 
     - Kappa. Say a minimum cut C of the pair beats the best b before it. If
       C missed an earlier source, the first one s' and a class outside C and
@@ -146,6 +163,10 @@ def _menger_pairs(
       listed at the first one s, so it holds ``into``, from the first target
       t outside C and the component of s: the targets before t lie in C or
       on s's side.
+    - Common neighbours. In both cases C parts s from t in ``adj`` too, and
+      a common neighbour outside C would join them, so C holds every common
+      neighbour: the minimum cuts, the cut closest to s and the cuts listed
+      are the same sets with them counted in.
     """
     into = 0 if universal is None else 1 << universal
     everything = (1 << len(q_adj)) - 1
@@ -186,6 +207,9 @@ def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
         forced = sum(weight[c] for c in iter_bits(into))
         if best <= forced:  # every later cut holds these classes too
             break
+        # and this pair's cuts hold its common neighbours
+        if forced + sum(weight[c] for c in iter_bits(adj[s] & adj[t] & ~into)) >= best:
+            continue
         w = [0 if into >> c & 1 else m for c, m in enumerate(weight)]
         flow, cut, _ = _max_flow(adj, w, s, t, limit=best - forced)
         if cut is not None:
@@ -283,11 +307,14 @@ def all_minimum_cutsets(
     pairs ``_menger_pairs`` yields with bound kappa and is a minimum s-t cut
     of the quotient (nodes weighted by class size) for it. Each pair lists
     its s-t cuts of weight kappa by partition (Lawler), from a root that
-    forces those classes into the cut: a node fixes classes forced into the
-    cut (weight 0) and kept out of it (weight above every cut), one flow
-    finds a minimum cut under them, and if it weighs kappa the node records
-    it and splits the remaining cuts by the first of its new classes they
-    leave out. A flow that exceeds kappa ends its node. Raises
+    forces those classes and the pair's common neighbours into the cut:
+    every s-t separator holds a common neighbour, else it would join s to
+    t, so no branch tries to leave one out, and a pair whose root weighs
+    more than kappa runs no flow. A node fixes classes forced into the cut
+    (weight 0) and kept out of it (weight above every cut), one flow finds a
+    minimum cut under them, and if it weighs kappa the node records it and
+    splits the remaining cuts by the first of its new classes they leave
+    out. A flow that exceeds kappa ends its node. Raises
     ResourceLimitError once the search would run more than
     ``max_combinations`` max-flows, with the sets found so far attached.
     """
@@ -303,7 +330,10 @@ def all_minimum_cutsets(
         sets = (frozenset(v for c in iter_bits(m) for v in iter_bits(members[c])) for m in found)
         return sorted(sets, key=sorted)
 
-    for s, t, adj, root in _menger_pairs(q_adj, weight, universal, kappa):
+    for s, t, adj, into in _menger_pairs(q_adj, weight, universal, kappa):
+        root = into | adj[s] & adj[t]
+        if sum(weight[c] for c in iter_bits(root)) > kappa:
+            continue
         stack = [(root, 0)]
         while stack:
             into, out = stack.pop()

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Callable
 
-from .bitsets import iter_bits
+from .bitsets import iter_bits, mask_of
 from .connectivity import (
     min_vertex_cut_between,
     minimalize_cutset,
@@ -245,20 +245,22 @@ def check_maximal_cyclic_product_form(group: Group, graph: PowerGraph) -> CheckR
     maximal cyclic subgroups of the Sylow subgroups."""
     if group.is_cyclic or not group.is_nilpotent:
         return None
-    sylows = [(p, sylow_product(group, (p,))) for p in group.sylow_decomposition().primes]
+    closures, roots = group.closure_masks, group.root_masks
     orders = group.element_orders
+    sylows = [
+        (p, mask_of(sylow_product(group, (p,)), group.size))
+        for p in group.sylow_decomposition().primes
+    ]
     for m in maximal_cyclic_subgroups(group):
         total = 1
         for p, members in sylows:
-            part = m.elements & members
-            total *= len(part)
-            gen = max(part, key=lambda g: orders[g])
-            if group.cyclic_closure(gen) != part:
+            part = m.closure & members
+            total *= part.bit_count()
+            gen = max(iter_bits(part), key=orders.__getitem__)
+            if closures[gen] != part:
                 return False, f"<{m.generator}>: Sylow {p} part is not cyclic"
-            grown = any(
-                part < group.cyclic_closure(h) for h in members if h not in part
-            )
-            if grown:
+            # a root h of gen outside the part: <h> is a larger cyclic p-subgroup
+            if roots[gen] & members & ~part:
                 return False, (
                     f"<{m.generator}>: Sylow {p} part is not maximal in its Sylow subgroup"
                 )

@@ -124,11 +124,17 @@ def test_minimum_cutset_pinned(spec, cut):
 
 @pytest.mark.parametrize(
     "spec,most",
-    [("abelian:2,2,2,2,2,5", 100), ("dihedral:100", 0), ("quaternion:64", 1)],
+    [
+        ("abelian:2,2,2,2,2,5", 0),
+        ("abelian:2,2,2,3,5", 14),
+        ("dihedral:100", 0),
+        ("quaternion:64", 1),
+    ],
 )
 def test_kappa_flow_count(monkeypatch, spec, most):
-    # flows run only from the heaviest classes, and none once the cut is the
-    # universal class; every non-adjacent pair would be 1891 on C2^5xC5
+    # flows run only from the heaviest classes, none once the cut is the
+    # universal class, and none for a pair whose common neighbours weigh the
+    # best cut; every non-adjacent pair would be 1891 on C2^5xC5
     graph = build_power_graph(parse_group_spec(spec))
     flows = []
     real = connectivity._max_flow
@@ -144,11 +150,12 @@ def test_kappa_flow_count(monkeypatch, spec, most):
 
 @pytest.mark.parametrize(
     "spec,most",
-    [("abelian:2,2,2,2,2,5", 130), ("abelian:2,2,2,3,5", 70)],
+    [("abelian:2,2,2,2,2,5", 61), ("abelian:2,2,2,3,5", 26)],
 )
 def test_enumeration_flow_count(monkeypatch, spec, most):
     # each minimum cut-set is listed from one pair only, and the universal
-    # class starts in the cut; the unreduced pairs take 303 and 97 flows
+    # class and the pair's common neighbours start in the cut; the unreduced
+    # pairs take 303 and 97 flows
     graph = build_power_graph(parse_group_spec(spec))
     kappa = vertex_connectivity(graph)
     flows = []
@@ -441,7 +448,7 @@ def test_all_minimum_cutsets_partial_is_a_sorted_subset():
     full = all_minimum_cutsets(graph, kappa)
     assert len(full) == 32
     with pytest.raises(ResourceLimitError) as info:
-        all_minimum_cutsets(graph, kappa, max_combinations=50)
+        all_minimum_cutsets(graph, kappa, max_combinations=20)
     partial = list(info.value.partial)
     assert 0 < len(partial) < len(full)
     assert partial == sorted(partial, key=sorted)
@@ -688,6 +695,66 @@ def test_flow_cut_matches_subset_oracle_on_random_graphs(n, edge_bits):
     assert len(cut) == len(paths) == want
     comps = graph.components_after_removal(cut)
     assert t not in next(c for c in comps if s in c)
+
+
+def reached_from(adj, s, removed):
+    """Oracle: the vertices joined to s by a path avoiding ``removed``."""
+    seen = {s}
+    todo = [s]
+    while todo:
+        u = todo.pop()
+        for v in range(len(adj)):
+            if adj[u] >> v & 1 and v not in removed and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+@given(
+    st.integers(2, 8),
+    st.integers(0, 2**28 - 1),
+    st.lists(st.integers(0, 3), min_size=8, max_size=8),
+    st.integers(0, 63),
+    st.one_of(st.none(), st.integers(1, 12)),
+)
+@settings(max_examples=200, deadline=None)
+def test_max_flow_matches_weighted_separator_oracle(n, edge_bits, weight, pick, limit):
+    adj = random_graph(n, edge_bits).adj
+    weight = weight[:n]
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t and not adj[s] >> t & 1]
+    if not pairs:
+        return
+    s, t = pairs[pick % len(pairs)]
+    others = [v for v in range(n) if v not in (s, t)]
+    separators = [
+        set(removed)
+        for size in range(len(others) + 1)
+        for removed in combinations(others, size)
+        if t not in reached_from(adj, s, set(removed))
+    ]
+    least = min(sum(weight[v] for v in c) for c in separators)
+    minimum = [c for c in separators if sum(weight[v] for v in c) == least]
+
+    flow, cut_mask, edge_flow = connectivity._max_flow(adj, weight, s, t, limit)
+    if limit is not None and least >= limit:
+        assert cut_mask is None and flow >= limit
+        return
+    assert flow == least
+    cut = set(iter_bits(cut_mask))
+    assert cut in minimum
+    # closest to s: its side of s lies inside that of every minimum separator
+    near = reached_from(adj, s, cut)
+    assert all(near <= reached_from(adj, s, c) for c in minimum)
+    # edge_flow is an s-t flow of that value along edges, within the weights
+    net = [0] * n
+    through = [0] * n
+    for (u, v), units in edge_flow.items():
+        assert adj[u] >> v & 1 and units >= 0
+        net[u] += units
+        net[v] -= units
+        through[v] += units
+    assert net[s] == flow == -net[t]
+    assert all(net[v] == 0 and through[v] <= weight[v] for v in others)
 
 
 def kappa_by_subset_enumeration(graph):

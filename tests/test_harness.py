@@ -135,8 +135,8 @@ def test_verify_resource_skip():
 
 
 def test_verify_enumeration_resource_skip():
-    # C12 has one minimum cut-set, listed in 2 flows
-    caps = ResourceCaps(max_combinations=1)
+    # C12 has one minimum cut-set, listed in 1 flow
+    caps = ResourceCaps(max_combinations=0)
     report = verify_theorem("thm11", make_cyclic(12), caps)
     assert report.verdict == "skipped-resource"
     assert report.observed_kappa == 6

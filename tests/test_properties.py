@@ -1,17 +1,20 @@
 """Structural invariants over the group corpus, plus randomized properties."""
 
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powergraphs.bitsets import iter_bits
+from powergraphs import suites
+from powergraphs.bitsets import iter_bits, mask_of
 from powergraphs.connectivity import vertex_connectivity
 from powergraphs.cyclic import (
     external_overlap,
     maximal_cyclic_subgroups,
     min_order_maximal_cyclic,
     nongenerators,
+    sylow_product,
 )
 from powergraphs.groups import (
     AbelianSpec,
@@ -127,6 +130,25 @@ def test_sylow_complement_minimal_suite():
 
 def test_cyclic_factorization_suite():
     _suite_over("cyclic-factorization", list(CORPUS) + NILPOTENT_EXTRAS)
+
+
+def test_cyclic_factorization_rejects_bad_parts(monkeypatch):
+    # no nilpotent group breaks the theorem, so the records are swapped out:
+    # every cyclic subgroup of C2xC4, and the Klein four group of C2xC2xC3
+    G = make_abelian([(2, 1), (2, 2)])
+    graph = build_power_graph(G)
+    monkeypatch.setattr(suites, "maximal_cyclic_subgroups", lambda g: g.cyclic_subgroups)
+    assert suites.check_maximal_cyclic_product_form(G, graph) == (
+        False,
+        "<0>: Sylow 2 part is not maximal in its Sylow subgroup",
+    )
+    G = make_abelian([(2, 1), (2, 1), (3, 1)])
+    klein = SimpleNamespace(closure=mask_of(sylow_product(G, (2,))), generator=0, order=4)
+    monkeypatch.setattr(suites, "maximal_cyclic_subgroups", lambda g: (klein,))
+    assert suites.check_maximal_cyclic_product_form(G, build_power_graph(G)) == (
+        False,
+        "<0>: Sylow 2 part is not cyclic",
+    )
 
 
 def test_element_coverage_suite():
