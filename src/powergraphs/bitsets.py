@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def mask_of(vertices: Iterable[int], size: int = 0) -> int:
@@ -28,3 +28,23 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def flood(adj: Sequence[int], alive: int, start: int) -> int:
+    """The mask of the vertices of ``alive`` reachable from ``start`` through
+    ``alive`` in the graph whose row v is ``adj[v]``; ``start`` must be in
+    ``alive``. It stops early, returning ``alive``, once every vertex of
+    ``alive`` is adjacent to one reached."""
+    comp = 1 << start
+    frontier = comp
+    while frontier:
+        reach = comp
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= adj[low.bit_length() - 1]
+            if not alive & ~reach:
+                return alive
+        frontier = reach & alive & ~comp
+        comp |= frontier
+    return comp

@@ -12,27 +12,29 @@ cyclic), if there is one. Both engines run their flows on the one sweep of
 ``_menger_pairs``: a few heavy sources and their non-neighbours (Esfahanian &
 Hakimi, 1984), with the universal class and the earlier sources counted into
 the cut and each finished target joined to its source (Hao & Orlin, 1994),
-so each minimum separator comes from one pair (Kanevsky, 1993). A common
-neighbour of a pair lies in every separator of it, so it is counted into the
-pair's cut too, before any search; a pair whose counted classes already weigh
-too much runs no flow. Connectivity starts from the smallest neighbourhood;
-each flow aborts once it reaches the best cut so far, and the search stops
-once the classes counted into every later cut weigh that much.
+so each minimum separator is listed at its first pair (Kanevsky, 1993);
+later pairs may find it again, and the enumeration drops the repeats. A
+common neighbour of a pair lies in every separator of it, so it is counted
+into the pair's cut too, before any search; a pair whose counted classes
+already weigh too much runs no flow. Connectivity starts from the smallest
+neighbourhood; each flow aborts once it reaches the best cut so far, and the
+search stops once the classes counted into every later cut weigh that much.
 ``minimum_cutset`` returns the cut that search ends on, and
 ``vertex_connectivity`` its size. The s-t query runs the same flow on the
 graph itself with unit weights and reads both the cut and the disjoint paths
 off it. Minimum cut-set enumeration lists the minimum cuts of each pair by
 partitioning on classes forced into or kept out of the cut (Picard &
 Queyranne, 1980; Provan & Shier, 1996), from a root holding the classes
-counted into it, one flow per part, so the work follows the number of cuts
-rather than the number of class subsets.
+counted into it, one flow per part, or one flood once the classes forced
+into a part weigh kappa, so the work follows the number of cuts rather than
+the number of class subsets.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .bitsets import iter_bits
+from .bitsets import flood, iter_bits
 from .powergraph import PowerGraph
 
 
@@ -314,17 +316,23 @@ def all_minimum_cutsets(
     (weight 0) and kept out of it (weight above every cut), one flow finds a
     minimum cut under them, and if it weighs kappa the node records it and
     splits the remaining cuts by the first of its new classes they leave
-    out. A flow that exceeds kappa ends its node. Raises
-    ResourceLimitError once the search would run more than
-    ``max_combinations`` max-flows, with the sets found so far attached.
+    out. A flow that exceeds kappa ends its node. A node whose forced
+    classes already weigh kappa runs no flow: every cut under it holds
+    them, so they are its only cut of weight kappa, and one flood from s
+    over the other classes decides whether they part s from t. Only a root
+    can be such a node, since a child forces a proper part of its parent's
+    cut. Raises ResourceLimitError once the search would visit more than
+    ``max_combinations`` nodes (one flow or one flood each), with the sets
+    found so far attached.
     """
     if graph.is_complete:
         return []
     members, q_adj, universal = graph.twin_quotient
     weight = [m.bit_count() for m in members]
+    everything = (1 << len(members)) - 1
     blocked = sum(weight) + 1
     found: set[int] = set()
-    flows = 0
+    nodes = 0
 
     def listed() -> list[frozenset[int]]:
         sets = (frozenset(v for c in iter_bits(m) for v in iter_bits(members[c])) for m in found)
@@ -337,17 +345,21 @@ def all_minimum_cutsets(
         stack = [(root, 0)]
         while stack:
             into, out = stack.pop()
-            if flows == max_combinations:
+            if nodes == max_combinations:
                 raise ResourceLimitError(
-                    f"minimum cut enumeration exceeded {max_combinations} max-flows",
+                    f"minimum cut enumeration exceeded {max_combinations} search nodes",
                     partial=tuple(listed()),
                 )
-            flows += 1
+            nodes += 1
+            need = kappa - sum(weight[c] for c in iter_bits(into))
+            if not need:
+                if not flood(adj, everything & ~into, s) >> t & 1:
+                    found.add(into)
+                continue
             w = [
                 0 if into >> c & 1 else blocked if out >> c & 1 else m
                 for c, m in enumerate(weight)
             ]
-            need = kappa - sum(weight[c] for c in iter_bits(into))
             flow, cut, _ = _max_flow(adj, w, s, t, limit=need + 1)
             if cut is None:
                 continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .bitsets import iter_bits, mask_of
+from .bitsets import flood, iter_bits, mask_of
 from .groups import Group
 
 
@@ -66,13 +66,20 @@ class PowerGraph:
             key = row | 1 << v
             classes[key] = classes.get(key, 0) | 1 << v
         members = tuple(classes.values())
-        # twins share a closed neighbourhood, so it is each class's key
-        q_adj = tuple(
-            mask_of(j for j, m in enumerate(members) if key & m) & ~(1 << i)
-            for i, key in enumerate(classes)
-        )
+        # twins share a closed neighbourhood, so it is each class's key, and
+        # it meets a class exactly when it holds the class's least vertex
+        class_bit = {m & -m: 1 << j for j, m in enumerate(members)}
+        reps = sum(class_bit)
+        q_adj = []
+        for i, key in enumerate(classes):
+            row, q = key & reps, 0
+            while row:
+                low = row & -row
+                row ^= low
+                q |= class_bit[low]
+            q_adj.append(q & ~(1 << i))
         universal = next((i for i, key in enumerate(classes) if key == self.full_mask), None)
-        return members, q_adj, universal
+        return members, tuple(q_adj), universal
 
     @property
     def is_complete(self) -> bool:
@@ -86,20 +93,7 @@ class PowerGraph:
         return m
 
     def _flood(self, alive: int, start: int) -> int:
-        comp = 1 << start
-        frontier = comp
-        adj = self.adj
-        while frontier:
-            reach = comp
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= adj[low.bit_length() - 1]
-                if not alive & ~reach:
-                    return alive
-            frontier = reach & alive & ~comp
-            comp |= frontier
-        return comp
+        return flood(self.adj, alive, start)
 
     def _is_split(self, alive: int) -> bool:
         """True iff the vertices of the non-empty mask alive induce a disconnected subgraph."""

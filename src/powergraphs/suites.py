@@ -387,9 +387,7 @@ def check_menger_consistency(group: Group, graph: PowerGraph) -> CheckResult:
             seen |= inner
             if any(not graph.adjacent(a, b) for a, b in zip(path, path[1:])):
                 return False, f"pair ({s},{t}): path uses a non-edge"
-        comps = graph.components_after_removal(cut)
-        side_s = next(c for c in comps if s in c)
-        if t in side_s:
+        if graph._flood(graph.full_mask & ~mask_of(cut), s) >> t & 1:
             return False, f"pair ({s},{t}): removing the cut does not separate them"
     return True, ""
 

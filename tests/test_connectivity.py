@@ -149,13 +149,19 @@ def test_kappa_flow_count(monkeypatch, spec, most):
 
 
 @pytest.mark.parametrize(
-    "spec,most",
-    [("abelian:2,2,2,2,2,5", 61), ("abelian:2,2,2,3,5", 26)],
+    "spec,most,nodes",
+    [
+        ("abelian:2,2,2,2,2,5", 0, 61),
+        ("abelian:2,2,2,3,5", 13, 26),
+        ("abelian:2,2,2,2,2,2,3,3", 68, 320),
+    ],
 )
-def test_enumeration_flow_count(monkeypatch, spec, most):
-    # each minimum cut-set is listed from one pair only, and the universal
-    # class and the pair's common neighbours start in the cut; the unreduced
-    # pairs take 303 and 97 flows
+def test_enumeration_flow_count(monkeypatch, spec, most, nodes):
+    # each minimum cut-set is listed at its first pair, and the universal
+    # class and the pair's common neighbours start in the cut; a search node
+    # whose forced classes already weigh kappa floods instead of running a
+    # flow, and every node counts against the cap. The unreduced pairs take
+    # 303 and 97 flows on the first two
     graph = build_power_graph(parse_group_spec(spec))
     kappa = vertex_connectivity(graph)
     flows = []
@@ -166,8 +172,42 @@ def test_enumeration_flow_count(monkeypatch, spec, most):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(connectivity, "_max_flow", counting)
-    all_minimum_cutsets(graph, kappa)
+    full = all_minimum_cutsets(graph, kappa)
     assert len(flows) <= most
+    assert all_minimum_cutsets(graph, kappa, max_combinations=nodes) == full
+    with pytest.raises(ResourceLimitError):
+        all_minimum_cutsets(graph, kappa, max_combinations=nodes - 1)
+
+
+def test_enumeration_root_of_weight_kappa_that_joins_its_pair_lists_nothing(monkeypatch):
+    # C4xC4 has kappa 1: a pair with no common neighbour has the identity's
+    # class alone as its root. That root parts each such pair in the graph,
+    # but not always once the source is joined to its finished targets; a
+    # pair it does not part then lists nothing
+    graph = build_power_graph(make_abelian([(2, 2), (2, 2)]))
+    kappa = vertex_connectivity(graph)
+    assert kappa == 1
+    members, q_adj, u = graph.twin_quotient
+    weight = [m.bit_count() for m in members]
+    joined = []
+    for s, t, adj, into in connectivity._menger_pairs(q_adj, weight, u, kappa):
+        root = into | adj[s] & adj[t]
+        if sum(weight[c] for c in iter_bits(root)) != kappa:
+            continue
+        seen, todo = {s}, [s]
+        while todo:
+            reached = set(iter_bits(adj[todo.pop()] & ~root)) - seen
+            seen |= reached
+            todo += reached
+        if t in seen:
+            joined.append((s, t, list(adj), into))
+    assert joined
+    for pair in joined:
+        monkeypatch.setattr(connectivity, "_menger_pairs", lambda *args: iter([pair]))
+        assert all_minimum_cutsets(graph, kappa) == []
+    monkeypatch.undo()
+    full = all_minimum_cutsets(graph, kappa)
+    assert full == unreduced_all_minimum_cutsets(graph, kappa) == [frozenset({0})]
 
 
 def test_minimum_cutset_is_listed_by_the_enumeration():

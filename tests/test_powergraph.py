@@ -49,6 +49,19 @@ def adjacency_by_definition(closures, x, y):
     return x != y and (x in closures[y] or y in closures[x])
 
 
+def twin_quotient_by_definition(graph):
+    """(members, q_adj, universal) pair by pair: the classes of vertices with
+    equal closed neighbourhoods, ordered by least vertex, two classes adjacent
+    when their least vertices are, and the class adjacent to all others."""
+    n = graph.vertex_count
+    closed = [graph.neighbors(v) | {v} for v in range(n)]
+    least = [v for v in range(n) if closed[v] not in closed[:v]]
+    members = tuple(sum(1 << u for u in range(n) if closed[u] == closed[a]) for a in least)
+    q_adj = tuple(sum(1 << j for j, b in enumerate(least) if graph.adjacent(a, b)) for a in least)
+    universal = next((i for i, a in enumerate(least) if len(closed[a]) == n), None)
+    return members, q_adj, universal
+
+
 @pytest.mark.parametrize("G", MEMBERSHIP_GROUPS)
 def test_adjacency_matches_membership_definition(G):
     graph = build_power_graph(G)
@@ -57,6 +70,7 @@ def test_adjacency_matches_membership_definition(G):
         assert not graph.adjacent(x, x)
         for y in range(G.size):
             assert graph.adjacent(x, y) == adjacency_by_definition(closures, x, y)
+    assert graph.twin_quotient == twin_quotient_by_definition(graph)
 
 
 def non_adjacent_pairs(graph):

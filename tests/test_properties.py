@@ -173,6 +173,25 @@ def test_menger_suite():
     _suite_over("menger", CORPUS)
 
 
+def test_menger_rejects_a_cut_that_does_not_separate(monkeypatch):
+    # one path and its cut vertex are dropped, so the counts still agree and
+    # the paths are still disjoint, but the dropped path joins s to t
+    real = suites.min_vertex_cut_between
+    pairs = []
+
+    def short_cut(graph, s, t):
+        cut, paths = real(graph, s, t)
+        pairs.append((s, t))
+        last = paths.pop()
+        return cut - set(last), paths
+
+    monkeypatch.setattr(suites, "min_vertex_cut_between", short_cut)
+    G = make_abelian([(2, 1), (2, 1), (3, 1)])
+    verdict = suites.check_menger_consistency(G, build_power_graph(G))
+    s, t = pairs[0]
+    assert verdict == (False, f"pair ({s},{t}): removing the cut does not separate them")
+
+
 def test_cyclic_bound_suite():
     _suite_over("cyclic-bound", [make_cyclic(n) for n in range(2, 121)])
 
