@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-combinations": dict(
             type=non_negative_int,
             default=10_000_000,
-            help="search nodes (one max-flow or flood each) the cut-set enumeration may visit",
+            help="search nodes (at most one max-flow or flood each) the cut-set enumeration may visit",
         ),
     }
 

@@ -21,13 +21,13 @@ neighbourhood; each flow aborts once it reaches the best cut so far, and the
 search stops once the classes counted into every later cut weigh that much.
 ``minimum_cutset`` returns the cut that search ends on, and
 ``vertex_connectivity`` its size. The s-t query runs the same flow on the
-graph itself with unit weights and reads both the cut and the disjoint paths
-off it. Minimum cut-set enumeration lists the minimum cuts of each pair by
-partitioning on classes forced into or kept out of the cut (Picard &
-Queyranne, 1980; Provan & Shier, 1996), from a root holding the classes
-counted into it, one flow per part, or one flood once the classes forced
-into a part weigh kappa, so the work follows the number of cuts rather than
-the number of class subsets.
+quotient between the classes of s and t and expands its cut and its flow to
+vertices: the cut and the disjoint paths. Minimum cut-set enumeration lists
+the minimum cuts of each pair by partitioning on classes forced into or kept
+out of the cut (Picard & Queyranne, 1980; Provan & Shier, 1996), from a root
+holding the classes counted into it, one flow per part, or one flood once
+the classes forced into a part weigh kappa and are not listed yet, so the
+work follows the number of cuts rather than the number of class subsets.
 """
 
 from __future__ import annotations
@@ -242,28 +242,57 @@ def min_vertex_cut_between(
     graph: PowerGraph, s: int, t: int
 ) -> tuple[frozenset[int], list[list[int]]]:
     """A minimum s-t vertex cut and a maximum family of internally
-    vertex-disjoint s-t paths, from one flow; s and t must be distinct and
-    non-adjacent. The cut is the one closest to s, and by Menger's theorem
-    there are exactly len(cut) paths.
+    vertex-disjoint s-t paths, from one flow on the closed-twin quotient
+    between the classes of s and t, each other class carrying at most its
+    size; s and t must be distinct and non-adjacent. The cut is the one
+    closest to s, and by Menger's theorem there are exactly len(cut) paths.
+
+    Adjacent classes are completely joined, so a union of classes that
+    misses the classes of s and t parts s from t exactly when its classes
+    part the two classes in the quotient, and its weight there is its size.
+    Every minimum s-t cut C is such a union. Each x in C has a neighbour on
+    s's side and one on t's, else C without x would still part them; a twin
+    of x has the same neighbours, so outside C it would join the two sides.
+    A twin of s has no neighbour on t's side, so it is not in C, nor is a
+    twin of t. So the minimum s-t cuts are the expansions of the quotient's
+    minimum cuts between the two classes, with s's side expanding to s's
+    side, and the cut closest to s, whose side of s lies inside that of
+    every other, is the expansion of the quotient's cut closest to the class
+    of s, which ``_max_flow`` returns.
+
+    The paths walk the quotient's flow one unit at a time, from the class of
+    s to the class of t, and each step into a class takes a member not taken
+    before; s and t stand for their own classes. A step joins two adjacent
+    classes, hence two adjacent vertices, and a class carries at most its
+    size, so there are members enough and no vertex is taken twice: each
+    path is simple and no two share an inner vertex.
     """
     n = graph.vertex_count
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError(f"need two distinct vertices, got {s}, {t}")
     if graph.adjacent(s, t):
         raise ValueError(f"vertices {s} and {t} are adjacent; no vertex cut separates them")
-    flow, cut_mask, edge_flow = _max_flow(graph.adj, [1] * n, s, t)
-    # unit vertex capacities: an edge arc out_u -> in_v carries one unit or none
+    members, q_adj, _ = graph.twin_quotient
+    source = next(c for c, m in enumerate(members) if m >> s & 1)
+    sink = next(c for c, m in enumerate(members) if m >> t & 1)
+    flow, cut, edge_flow = _max_flow(q_adj, [m.bit_count() for m in members], source, sink)
     succ: dict[int, list[int]] = {}
-    for (u, v), units in edge_flow.items():
-        if units > 0:
-            succ.setdefault(u, []).append(v)
+    for (a, b), units in edge_flow.items():
+        succ.setdefault(a, []).extend([b] * units)
+    free = list(members)
     paths = []
     for _ in range(flow):
-        path = [s]
-        while path[-1] != t:
-            path.append(succ[path[-1]].pop())
-        paths.append(path)
-    return frozenset(iter_bits(cut_mask)), paths
+        path, c = [s], succ[source].pop()
+        while c != sink:
+            low = free[c] & -free[c]
+            free[c] ^= low
+            path.append(low.bit_length() - 1)
+            c = succ[c].pop()
+        paths.append(path + [t])
+    vertices = 0
+    for c in iter_bits(cut):
+        vertices |= members[c]
+    return frozenset(iter_bits(vertices)), paths
 
 
 def minimalize_cutset(graph: PowerGraph, vertices: Iterable[int]) -> frozenset[int]:
@@ -319,11 +348,11 @@ def all_minimum_cutsets(
     out. A flow that exceeds kappa ends its node. A node whose forced
     classes already weigh kappa runs no flow: every cut under it holds
     them, so they are its only cut of weight kappa, and one flood from s
-    over the other classes decides whether they part s from t. Only a root
-    can be such a node, since a child forces a proper part of its parent's
-    cut. Raises ResourceLimitError once the search would visit more than
-    ``max_combinations`` nodes (one flow or one flood each), with the sets
-    found so far attached.
+    over the other classes decides whether they part s from t, unless they
+    are listed already. Only a root can be such a node, since a child forces
+    a proper part of its parent's cut. Raises ResourceLimitError once the
+    search would visit more than ``max_combinations`` nodes (at most one
+    flow or one flood each), with the sets found so far attached.
     """
     if graph.is_complete:
         return []
@@ -353,7 +382,7 @@ def all_minimum_cutsets(
             nodes += 1
             need = kappa - sum(weight[c] for c in iter_bits(into))
             if not need:
-                if not flood(adj, everything & ~into, s) >> t & 1:
+                if into not in found and not flood(adj, everything & ~into, s) >> t & 1:
                     found.add(into)
                 continue
             w = [

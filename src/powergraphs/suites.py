@@ -335,8 +335,10 @@ def check_minimal_cutsets_are_class_unions(group: Group, graph: PowerGraph) -> C
     are unions of generator classes.
 
     Cut-sets come from greedily minimalizing vertex neighborhoods and
-    pairwise minimum cuts, with no use of the class structure, so this
-    validates the class-quotient enumeration independently.
+    pairwise minimum cuts. The neighbourhood seeds and ``minimalize_cutset``
+    make no use of the class structure, so they check the class-quotient
+    enumeration independently. The pairwise cuts come from the s-t query,
+    which runs on the closed-twin quotient and so seeds class unions.
     """
     if group.size > _CLASS_UNION_VERTEX_LIMIT:
         return None

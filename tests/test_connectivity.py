@@ -846,3 +846,75 @@ def test_flow_kappa_matches_subset_oracle_on_planted_twins(n, edge_bits, twins):
         assert graph.is_cut_set(cut)
         assert all_minimum_cutsets(graph, kappa) == all_minimum_cutsets_by_subsets(graph, kappa)
     assert_sweep_matches_unreduced_rule(graph)
+
+
+def assert_st_query_matches_unit_flow(graph, s, t):
+    """The s-t query on the twin quotient against one unit-weight flow on the
+    graph itself: the same cut, as many simple, internally disjoint paths
+    along edges as that flow's value."""
+    flow, cut_mask, _ = connectivity._max_flow(graph.adj, [1] * graph.vertex_count, s, t)
+    cut, paths = min_vertex_cut_between(graph, s, t)
+    assert cut == frozenset(iter_bits(cut_mask)), (s, t)
+    assert len(paths) == len(cut) == flow, (s, t)
+    inner_seen = set()
+    for path in paths:
+        assert path[0] == s and path[-1] == t
+        assert len(set(path)) == len(path), path
+        assert all(graph.adjacent(a, b) for a, b in zip(path, path[1:])), path
+        inner = set(path[1:-1])
+        assert not inner & inner_seen, path
+        inner_seen |= inner
+
+
+def test_st_query_matches_unit_flow_on_groups():
+    from powergraphs.harness import corpus_groups
+    from powergraphs.suites import _sample_non_adjacent
+
+    rng = random.Random(0)
+    for G in corpus_groups(60):
+        graph = build_power_graph(G)
+        for s, t in _sample_non_adjacent(graph, rng, 8):
+            assert_st_query_matches_unit_flow(graph, s, t)
+
+
+@given(
+    st.integers(3, 6),
+    st.integers(0, 2**15 - 1),
+    st.lists(st.integers(1, 3), min_size=6, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_st_query_matches_unit_flow_on_planted_twins(n, edge_bits, twins):
+    # every non-adjacent pair, so s and t and their neighbours often have twins
+    graph = blown_up_graph(n, edge_bits, twins)
+    for s in range(graph.vertex_count):
+        for t in iter_bits(graph.full_mask & ~graph.adj[s] & ~(1 << s)):
+            assert_st_query_matches_unit_flow(graph, s, t)
+
+
+def test_st_query_with_twins_of_s_and_t():
+    # a-b-c-d and a-e-d, with a, b, c and d each blown up into two twins: s
+    # and t have twins, two paths run through the classes of b and c, and
+    # the cut closest to s is all of b's class and e
+    graph = blown_up_graph(5, 0b1010011001, [2, 2, 2, 2, 1])
+    s, t = 0, 6
+    cut, paths = min_vertex_cut_between(graph, s, t)
+    assert cut == {2, 3, 8}
+    assert sorted(v for path in paths for v in path[1:-1]) == [2, 3, 4, 5, 8]
+    assert_st_query_matches_unit_flow(graph, s, t)
+
+
+def test_enumeration_skips_the_flood_at_a_root_already_found(monkeypatch):
+    # on C2^5xC5 every one of the 61 search nodes is a root of weight kappa,
+    # and 29 of them are a set already listed: only 32 flood
+    graph = build_power_graph(parse_group_spec("abelian:2,2,2,2,2,5"))
+    kappa = vertex_connectivity(graph)
+    floods = []
+    real = connectivity.flood
+
+    def counting(*args):
+        floods.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(connectivity, "flood", counting)
+    sets = all_minimum_cutsets(graph, kappa)
+    assert len(sets) == len(floods) == 32
