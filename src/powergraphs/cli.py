@@ -126,11 +126,8 @@ def _cmd_cutsets(args: argparse.Namespace) -> int:
     if group.size < 2:
         raise ValueError("cut-sets need a group of order >= 2")
     graph = build_power_graph(group)
-    if graph.is_complete:
-        kappa, sets = vertex_connectivity(graph), []
-    elif args.all:
-        kappa = vertex_connectivity(graph)
-        found = all_minimum_cutsets(graph, kappa, max_combinations=args.max_combinations)
+    if args.all or graph.is_complete:
+        kappa, found = all_minimum_cutsets(graph, max_combinations=args.max_combinations)
         sets = [sorted(s) for s in found]
     else:
         sets = [sorted(minimum_cutset(graph))]

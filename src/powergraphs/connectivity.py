@@ -22,12 +22,14 @@ search stops once the classes counted into every later cut weigh that much.
 ``minimum_cutset`` returns the cut that search ends on, and
 ``vertex_connectivity`` its size. The s-t query runs the same flow on the
 quotient between the classes of s and t and expands its cut and its flow to
-vertices: the cut and the disjoint paths. Minimum cut-set enumeration lists
-the minimum cuts of each pair by partitioning on classes forced into or kept
-out of the cut (Picard & Queyranne, 1980; Provan & Shier, 1996), from a root
-holding the classes counted into it, one flow per part, or one flood once
-the classes forced into a part weigh kappa and are not listed yet, so the
-work follows the number of cuts rather than the number of class subsets.
+vertices: the cut and the disjoint paths. Minimum cut-set enumeration finds
+kappa in the same sweep: it lists each pair's cuts at the best weight so
+far, at first the smallest neighbourhood, by partitioning on classes forced
+into or kept out of the cut (Picard & Queyranne, 1980; Provan & Shier,
+1996), from a root holding the classes counted into it, one flow per part
+or one flood once the forced classes weigh the best, so the work follows
+the number of cuts rather than of class subsets. Constraints only raise a
+cut, so only a root can come in lighter: it lowers the best.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .powergraph import PowerGraph
 
 
 class ResourceLimitError(RuntimeError):
-    """Search exceeded its configured bound; partial results are attached."""
+    """Search exceeded its configured bound; partial results are attached:
+    for the cut-set enumeration, the lightest sets found so far."""
 
     def __init__(self, message: str, partial: tuple[frozenset[int], ...] = ()):
         super().__init__(message)
@@ -141,19 +144,21 @@ def _max_flow(
 
 
 def _menger_pairs(
-    q_adj: Sequence[int], weight: Sequence[int], universal: int | None, bound: int
+    q_adj: Sequence[int], weight: Sequence[int], universal: int | None
 ) -> Iterator[tuple[int, int, list[int], int]]:
     """The one sweep both engines run: class pairs (s, t), each with the
     adjacency ``adj`` and the classes ``into`` forced into its cut.
 
-    A separator of weight at most ``bound`` holds the universal class U, if
-    any, and misses one of the heaviest other classes whose weight exceeds
-    bound - |U|. Those are the sources, in (-weight, index) order; each is
-    paired with its non-neighbours but the earlier sources, by index.
-    ``into`` is U and the earlier sources: a flow weighs them 0 and ORs them
-    into its cut. ``adj`` is ``q_adj`` with s joined to each target it has
-    finished. Neither loses a cut that counts, and both engines also count
-    the pair's common neighbours in ``adj`` into its cut:
+    The sources are the classes but the universal class U, if any, in
+    (-weight, index) order, each paired with its non-neighbours but the
+    earlier sources, by index. ``into`` is U and the earlier sources: a
+    flow weighs them 0 and ORs them into its cut. ``adj`` is ``q_adj`` with
+    s joined to each target it has finished. A separator holds U and misses
+    a source, one before ``into`` outweighs it. So the sweep has no end of
+    its own: each caller, holding its best b so far, stops it once ``into``
+    weighs more than any cut it still looks for. Neither loses a cut that
+    counts, and both engines also count the pair's common neighbours in
+    ``adj`` into its cut:
 
     - Kappa. Say a minimum cut C of the pair beats the best b before it. If
       C missed an earlier source, the first one s' and a class outside C and
@@ -161,10 +166,10 @@ def _menger_pairs(
       parted s from an earlier target t', so would (s, t'). So C holds
       ``into`` and has each earlier target in it or on s's side: the pair's
       minimum cuts, and the one closest to s, are the plain quotient's.
-    - Enumeration. A minimum separator C holds U and misses a source. It is
-      listed at the first one s, so it holds ``into``, from the first target
-      t outside C and the component of s: the targets before t lie in C or
-      on s's side.
+    - Enumeration. A minimum separator C holds U and misses a source; b
+      never falls below w(C), so the sweep reaches the first one s, where C
+      holds ``into``, and lists C at the first target t outside C and the
+      component of s: the targets before t lie in C or on s's side.
     - Common neighbours. In both cases C parts s from t in ``adj`` too, and
       a common neighbour outside C would join them, so C holds every common
       neighbour: the minimum cuts, the cut closest to s and the cuts listed
@@ -173,8 +178,6 @@ def _menger_pairs(
     into = 0 if universal is None else 1 << universal
     everything = (1 << len(q_adj)) - 1
     for s in sorted(range(len(q_adj)), key=lambda c: (-weight[c], c)):
-        if sum(weight[c] for c in iter_bits(into)) > bound:
-            return
         if s != universal:
             adj = list(q_adj)
             for t in iter_bits(everything & ~(q_adj[s] | into | 1 << s)):
@@ -195,17 +198,14 @@ def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
     weight = [m.bit_count() for m in members]
 
     def vertices(classes: int) -> int:
-        out = 0
-        for c in iter_bits(classes):
-            out |= members[c]
-        return out
+        return sum(members[c] for c in iter_bits(classes))  # classes are disjoint
 
     # twins share a closed neighbourhood: their own class and every adjacent one
     degree = [weight[i] - 1 + sum(weight[j] for j in iter_bits(q_adj[i])) for i in range(k)]
     first = min(range(k), key=degree.__getitem__)
     best = degree[first]
     best_cut = vertices(q_adj[first] | 1 << first) & ~(members[first] & -members[first])
-    for s, t, adj, into in _menger_pairs(q_adj, weight, u, best):
+    for s, t, adj, into in _menger_pairs(q_adj, weight, u):
         forced = sum(weight[c] for c in iter_bits(into))
         if best <= forced:  # every later cut holds these classes too
             break
@@ -289,10 +289,7 @@ def min_vertex_cut_between(
             path.append(low.bit_length() - 1)
             c = succ[c].pop()
         paths.append(path + [t])
-    vertices = 0
-    for c in iter_bits(cut):
-        vertices |= members[c]
-    return frozenset(iter_bits(vertices)), paths
+    return frozenset(iter_bits(sum(members[c] for c in iter_bits(cut)))), paths
 
 
 def minimalize_cutset(graph: PowerGraph, vertices: Iterable[int]) -> frozenset[int]:
@@ -328,38 +325,45 @@ def minimalize_cutset(graph: PowerGraph, vertices: Iterable[int]) -> frozenset[i
 
 
 def all_minimum_cutsets(
-    graph: PowerGraph, kappa: int, *, max_combinations: int = 10_000_000
-) -> list[frozenset[int]]:
-    """Every minimum cut-set, listed by max-flows on the closed-twin quotient.
+    graph: PowerGraph, *, max_combinations: int = 10_000_000
+) -> tuple[int, list[frozenset[int]]]:
+    """The vertex connectivity kappa and every minimum cut-set, from one
+    sweep of max-flows on the closed-twin quotient. The graph must have at
+    least 2 vertices; a complete one on n vertices gives (n - 1, []).
 
-    A complete graph has none. Otherwise ``kappa`` must be the vertex
-    connectivity; a larger value raises ValueError, a smaller one finds
-    nothing. Every minimum cut-set holds the forced classes of one of the
-    pairs ``_menger_pairs`` yields with bound kappa and is a minimum s-t cut
-    of the quotient (nodes weighted by class size) for it. Each pair lists
-    its s-t cuts of weight kappa by partition (Lawler), from a root that
-    forces those classes and the pair's common neighbours into the cut:
-    every s-t separator holds a common neighbour, else it would join s to
-    t, so no branch tries to leave one out, and a pair whose root weighs
-    more than kappa runs no flow. A node fixes classes forced into the cut
-    (weight 0) and kept out of it (weight above every cut), one flow finds a
-    minimum cut under them, and if it weighs kappa the node records it and
-    splits the remaining cuts by the first of its new classes they leave
-    out. A flow that exceeds kappa ends its node. A node whose forced
-    classes already weigh kappa runs no flow: every cut under it holds
-    them, so they are its only cut of weight kappa, and one flood from s
-    over the other classes decides whether they part s from t, unless they
-    are listed already. Only a root can be such a node, since a child forces
-    a proper part of its parent's cut. Raises ResourceLimitError once the
-    search would visit more than ``max_combinations`` nodes (at most one
-    flow or one flood each), with the sets found so far attached.
+    The search keeps a best weight, at first the least degree, and the sets
+    of that weight found so far. Each pair ``_menger_pairs`` yields, until
+    its forced classes weigh more than best, lists its s-t cuts of weight
+    best by partition (Lawler), from a root that forces those classes and
+    the pair's common neighbours into the cut (an s-t separator holds every
+    common neighbour); a root weighing more than best runs no flow. A node
+    forces classes into the cut (weight 0) and out of it (weight above
+    every cut), and one flow finds a minimum cut under them. If it weighs
+    best, the node records it and splits the remaining cuts by the first of
+    its new classes they leave out; above best, the node ends; below best,
+    best drops to its weight and the sets found, now too heavy, are
+    dropped. Only a root can come in below: a child's cuts are among its
+    parent's, whose least weighs best. So a minimum cut-set C is listed: it
+    holds the root of its first pair, whose cut weighs at most w(C), and
+    from there on best is kappa. A node whose forced classes already weigh
+    best runs no flow: they are its only cut of weight best, so one flood
+    from s over the other classes decides whether they part s from t,
+    unless they are listed already; only a root can be such a node, as a
+    child forces a proper part of its parent's cut. Raises
+    ResourceLimitError once the search would visit more than
+    ``max_combinations`` nodes (at most one flow or flood each, those that
+    find kappa among them), with the lightest sets found so far attached:
+    they may weigh more than kappa.
     """
+    if graph.vertex_count < 2:
+        raise ValueError("vertex connectivity needs at least 2 vertices")
     if graph.is_complete:
-        return []
+        return graph.vertex_count - 1, []
     members, q_adj, universal = graph.twin_quotient
     weight = [m.bit_count() for m in members]
     everything = (1 << len(members)) - 1
     blocked = sum(weight) + 1
+    best = min(m - 1 + sum(weight[j] for j in iter_bits(q_adj[i])) for i, m in enumerate(weight))
     found: set[int] = set()
     nodes = 0
 
@@ -367,9 +371,11 @@ def all_minimum_cutsets(
         sets = (frozenset(v for c in iter_bits(m) for v in iter_bits(members[c])) for m in found)
         return sorted(sets, key=sorted)
 
-    for s, t, adj, into in _menger_pairs(q_adj, weight, universal, kappa):
+    for s, t, adj, into in _menger_pairs(q_adj, weight, universal):
+        if sum(weight[c] for c in iter_bits(into)) > best:
+            break
         root = into | adj[s] & adj[t]
-        if sum(weight[c] for c in iter_bits(root)) > kappa:
+        if sum(weight[c] for c in iter_bits(root)) > best:
             continue
         stack = [(root, 0)]
         while stack:
@@ -380,7 +386,7 @@ def all_minimum_cutsets(
                     partial=tuple(listed()),
                 )
             nodes += 1
-            need = kappa - sum(weight[c] for c in iter_bits(into))
+            need = best - sum(weight[c] for c in iter_bits(into))
             if not need:
                 if into not in found and not flood(adj, everything & ~into, s) >> t & 1:
                     found.add(into)
@@ -393,9 +399,10 @@ def all_minimum_cutsets(
             if cut is None:
                 continue
             if flow < need:
-                raise ValueError(f"kappa {kappa} exceeds the vertex connectivity")
+                best -= need - flow
+                found.clear()
             found.add(cut | into)
             for c in iter_bits(cut & ~into):
                 stack.append((into, out | 1 << c))
                 into |= 1 << c
-    return listed()
+    return best, listed()

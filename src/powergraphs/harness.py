@@ -17,11 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from typing import Callable, Iterable, Iterator
 
-from .connectivity import (
-    ResourceLimitError,
-    all_minimum_cutsets,
-    vertex_connectivity,
-)
+from .connectivity import ResourceLimitError, all_minimum_cutsets, vertex_connectivity
 from .cyclic import maximal_cyclic_subgroups, sylow_product
 from .groups import (
     AbelianSpec,
@@ -266,24 +262,24 @@ def verify_theorem(
             "skipped-resource", f"{group.size} vertices exceed cap {caps.max_brute_vertices}"
         )
     graph = build_power_graph(group)
-    observed_kappa = vertex_connectivity(graph) if group.size >= 2 else None
+    forecast = prediction.cutsets
+    observed = None
+    if prediction.applicable and forecast.claims:
+        try:
+            observed_kappa, sets = all_minimum_cutsets(graph, max_combinations=caps.max_combinations)
+        except ResourceLimitError as exc:
+            observed_kappa = vertex_connectivity(graph)  # the sets found may weigh more
+            minimum = _sorted_cutsets(s for s in exc.partial if len(s) == observed_kappa)
+            return report("skipped-resource", str(exc), observed_kappa, minimum)
+        observed = _sorted_cutsets(sets)
+    else:
+        observed_kappa = vertex_connectivity(graph) if group.size >= 2 else None
     if not prediction.applicable:
         return report(
             "skipped-hypothesis",
             "a hypothesis gate failed; observed connectivity reported as data",
             observed_kappa,
         )
-    forecast = prediction.cutsets
-    observed = None
-    if forecast.claims:
-        try:
-            observed = _sorted_cutsets(
-                all_minimum_cutsets(graph, observed_kappa, max_combinations=caps.max_combinations)
-            )
-        except ResourceLimitError as exc:
-            return report(
-                "skipped-resource", str(exc), observed_kappa, _sorted_cutsets(exc.partial)
-            )
     detail = ""
     if prediction.kappa != observed_kappa:
         detail = f"kappa mismatch: predicted {prediction.kappa}, observed {observed_kappa}"

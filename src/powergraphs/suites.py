@@ -334,11 +334,10 @@ def check_minimal_cutsets_are_class_unions(group: Group, graph: PowerGraph) -> C
     """Minimal cut-sets found by pure graph search contain the identity and
     are unions of generator classes.
 
-    Cut-sets come from greedily minimalizing vertex neighborhoods and
-    pairwise minimum cuts. The neighbourhood seeds and ``minimalize_cutset``
-    make no use of the class structure, so they check the class-quotient
-    enumeration independently. The pairwise cuts come from the s-t query,
-    which runs on the closed-twin quotient and so seeds class unions.
+    Cut-sets come from greedily minimalizing vertex neighborhoods and the
+    complements of sampled non-adjacent pairs. Neither the seeds nor
+    ``minimalize_cutset`` use the class structure, so they check the
+    class-quotient enumeration independently.
     """
     if group.size > _CLASS_UNION_VERTEX_LIMIT:
         return None
@@ -348,8 +347,8 @@ def check_minimal_cutsets_are_class_unions(group: Group, graph: PowerGraph) -> C
     # removing N(v) isolates v, so it is a cut-set once some other vertex survives
     seeds = {nb for nb in map(graph.neighbors, range(n)) if len(nb) < n - 1}
     rng = random.Random(f"class-union:{group.name}")
-    for s, t in _sample_non_adjacent(graph, rng, 10):
-        seeds.add(min_vertex_cut_between(graph, s, t)[0])
+    # removing all but s and t leaves the two apart
+    seeds.update(frozenset(range(n)) - {s, t} for s, t in _sample_non_adjacent(graph, rng, 10))
     minimal_sets = {minimalize_cutset(graph, seed) for seed in seeds}
     for cut in sorted(minimal_sets, key=sorted):
         if not graph.is_minimal_cut_set(cut):

@@ -67,23 +67,22 @@ def test_criterion_03_minimum_cutset_counts():
     for n, want in ((12, 1), (18, 2), (15, 1)):
         G = make_cyclic(n)
         graph = build_power_graph(G)
-        kappa = vertex_connectivity(graph)
-        sets = all_minimum_cutsets(graph, kappa)
-        if len(sets) != want:
-            bad.append((n, len(sets), want))
+        kappa, sets = all_minimum_cutsets(graph)
+        if kappa != vertex_connectivity(graph) or len(sets) != want:
+            bad.append((n, kappa, len(sets), want))
     _report(3, "minimum cut-set counts for C12/C18/C15", not bad, str(bad))
 
 
 def test_criterion_04_order_12_example_reproduction():
     G = make_abelian([(2, 1), (2, 1), (3, 1)])
     graph = build_power_graph(G)
-    kappa = vertex_connectivity(graph)
-    sets = set(all_minimum_cutsets(graph, kappa))
+    kappa, found = all_minimum_cutsets(graph)
+    sets = set(found)
     x = G.encode((0, 0, 1))
     expected = {frozenset(G.cyclic_closure(x))}
     for involution in (G.encode((1, 0, 0)), G.encode((0, 1, 0)), G.encode((1, 1, 0))):
         expected.add(frozenset({0} | G.generator_class(G.mul(involution, x))))
-    ok = kappa == 3 and sets == expected
+    ok = kappa == vertex_connectivity(graph) == 3 and sets == expected
     _report(4, "order-12 worked example: kappa 3 and its four cut-sets", ok,
             f"kappa={kappa}, sets={sorted(map(sorted, sets))}")
 
@@ -119,9 +118,8 @@ def test_criterion_05_exceptional_families():
 def test_criterion_06_nilpotent_unique_cutset_instance():
     G = make_abelian([(3, 1), (3, 1), (5, 1)])
     graph = build_power_graph(G)
-    kappa = vertex_connectivity(graph)
-    sets = all_minimum_cutsets(graph, kappa)
-    ok = kappa == 5 and sets == [sylow_complement_product(G, 3)]
+    kappa, sets = all_minimum_cutsets(graph)
+    ok = kappa == vertex_connectivity(graph) == 5 and sets == [sylow_complement_product(G, 3)]
     _report(6, "(C3xC3)xC5: kappa 5 with the 5-Sylow subgroup as unique cut-set",
             ok, f"kappa={kappa}, sets={sorted(map(sorted, sets))}")
 
@@ -139,10 +137,9 @@ def test_criterion_08_three_prime_abelian_instances():
     k240 = vertex_connectivity(build_power_graph(make_abelian([(2, 2), (2, 2), (3, 1), (5, 1)])))
     G90 = make_abelian([(2, 1), (3, 1), (3, 1), (5, 1)])
     graph90 = build_power_graph(G90)
-    k90 = vertex_connectivity(graph90)
-    sets90 = all_minimum_cutsets(graph90, k90)
+    k90, sets90 = all_minimum_cutsets(graph90)
     unique_ok = sets90 == [frozenset(sylow_complement_product(G90, 3))]
-    ok = k60 == 12 and k240 == 15 and k90 == 10 and unique_ok
+    ok = k60 == 12 and k240 == 15 and k90 == vertex_connectivity(graph90) == 10 and unique_ok
     _report(8, "three-prime abelian instances at 60/240/90 vertices", ok,
             f"k60={k60}, k240={k240}, k90={k90}, unique={unique_ok}")
 

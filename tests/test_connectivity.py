@@ -152,16 +152,17 @@ def test_kappa_flow_count(monkeypatch, spec, most):
     "spec,most,nodes",
     [
         ("abelian:2,2,2,2,2,5", 0, 61),
-        ("abelian:2,2,2,3,5", 13, 26),
-        ("abelian:2,2,2,2,2,2,3,3", 68, 320),
+        ("abelian:2,2,2,3,5", 14, 26),
+        ("abelian:2,2,2,2,2,2,3,3", 69, 320),
     ],
 )
 def test_enumeration_flow_count(monkeypatch, spec, most, nodes):
-    # each minimum cut-set is listed at its first pair, and the universal
-    # class and the pair's common neighbours start in the cut; a search node
-    # whose forced classes already weigh kappa floods instead of running a
-    # flow, and every node counts against the cap. The unreduced pairs take
-    # 303 and 97 flows on the first two
+    # one sweep finds kappa and every minimum cut-set: each is listed at its
+    # first pair, and the universal class and the pair's common neighbours
+    # start in the cut; a search node whose forced classes already weigh the
+    # best so far floods instead of running a flow, and every node counts
+    # against the cap. The unreduced pairs take 303 and 97 flows on the
+    # first two
     graph = build_power_graph(parse_group_spec(spec))
     kappa = vertex_connectivity(graph)
     flows = []
@@ -172,42 +173,50 @@ def test_enumeration_flow_count(monkeypatch, spec, most, nodes):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(connectivity, "_max_flow", counting)
-    full = all_minimum_cutsets(graph, kappa)
+    full = all_minimum_cutsets(graph)
+    assert full[0] == kappa
     assert len(flows) <= most
-    assert all_minimum_cutsets(graph, kappa, max_combinations=nodes) == full
+    assert all_minimum_cutsets(graph, max_combinations=nodes) == full
     with pytest.raises(ResourceLimitError):
-        all_minimum_cutsets(graph, kappa, max_combinations=nodes - 1)
+        all_minimum_cutsets(graph, max_combinations=nodes - 1)
 
 
 def test_enumeration_root_of_weight_kappa_that_joins_its_pair_lists_nothing(monkeypatch):
-    # C4xC4 has kappa 1: a pair with no common neighbour has the identity's
-    # class alone as its root. That root parts each such pair in the graph,
-    # but not always once the source is joined to its finished targets; a
-    # pair it does not part then lists nothing
+    # C4xC4 has kappa 1 and least degree 3, where the search starts: a root
+    # that weighs 3 is settled by one flood. Each such root parts its pair
+    # in the graph, but not always once the source is joined to its
+    # finished targets; a pair it does not part then lists nothing
     graph = build_power_graph(make_abelian([(2, 2), (2, 2)]))
-    kappa = vertex_connectivity(graph)
-    assert kappa == 1
+    least = min(len(graph.neighbors(v)) for v in range(graph.vertex_count))
+    assert (vertex_connectivity(graph), least) == (1, 3)
     members, q_adj, u = graph.twin_quotient
     weight = [m.bit_count() for m in members]
-    joined = []
-    for s, t, adj, into in connectivity._menger_pairs(q_adj, weight, u, kappa):
-        root = into | adj[s] & adj[t]
-        if sum(weight[c] for c in iter_bits(root)) != kappa:
-            continue
+
+    def parts(adj, root, s, t):
         seen, todo = {s}, [s]
         while todo:
             reached = set(iter_bits(adj[todo.pop()] & ~root)) - seen
             seen |= reached
             todo += reached
-        if t in seen:
+        return t not in seen
+
+    joined = []
+    for s, t, adj, into in connectivity._menger_pairs(q_adj, weight, u):
+        if sum(weight[c] for c in iter_bits(into)) > least:
+            break
+        root = into | adj[s] & adj[t]
+        if sum(weight[c] for c in iter_bits(root)) != least:
+            continue
+        assert parts(q_adj, root, s, t)
+        if not parts(adj, root, s, t):
             joined.append((s, t, list(adj), into))
     assert joined
     for pair in joined:
         monkeypatch.setattr(connectivity, "_menger_pairs", lambda *args: iter([pair]))
-        assert all_minimum_cutsets(graph, kappa) == []
+        assert all_minimum_cutsets(graph) == (least, [])
     monkeypatch.undo()
-    full = all_minimum_cutsets(graph, kappa)
-    assert full == unreduced_all_minimum_cutsets(graph, kappa) == [frozenset({0})]
+    full = all_minimum_cutsets(graph)
+    assert full == (1, unreduced_all_minimum_cutsets(graph, 1)) == (1, [frozenset({0})])
 
 
 def test_minimum_cutset_is_listed_by_the_enumeration():
@@ -219,7 +228,8 @@ def test_minimum_cutset_is_listed_by_the_enumeration():
         if graph.is_complete:
             continue
         cut = minimum_cutset(graph)
-        assert cut in all_minimum_cutsets(graph, len(cut)), G.name
+        kappa, sets = all_minimum_cutsets(graph)
+        assert kappa == vertex_connectivity(graph) == len(cut) and cut in sets, G.name
 
 
 def unreduced_pairs(q_adj, weight, universal, bound):
@@ -292,38 +302,25 @@ def unreduced_all_minimum_cutsets(graph, kappa):
     return sorted(sets, key=sorted)
 
 
-def enumeration_outcome(enumerate_cutsets, graph, kappa):
-    try:
-        return enumerate_cutsets(graph, kappa)
-    except ValueError as err:
-        return str(err)
-
-
 def assert_sweep_matches_unreduced_rule(graph):
     cut = unreduced_minimum_cut(graph)
     if cut is None:
         assert graph.is_complete and vertex_connectivity(graph) == graph.vertex_count - 1
+        assert all_minimum_cutsets(graph) == (graph.vertex_count - 1, [])
         return
     assert minimum_cutset(graph) == cut
-    for kappa in (len(cut) - 1, len(cut), len(cut) + 1):
-        want = enumeration_outcome(unreduced_all_minimum_cutsets, graph, kappa)
-        assert enumeration_outcome(all_minimum_cutsets, graph, kappa) == want, kappa
+    kappa = len(cut)
+    assert all_minimum_cutsets(graph) == (kappa, unreduced_all_minimum_cutsets(graph, kappa))
+    # nothing lighter is a cut
+    assert unreduced_all_minimum_cutsets(graph, kappa - 1) == []
 
 
 def test_sweep_matches_unreduced_rule_on_groups():
     from powergraphs.harness import corpus_groups
 
     groups = list(corpus_groups(64)) + [make_cyclic(n) for n in range(2, 201)]
-    outcomes = set()
     for G in groups:
-        graph = build_power_graph(G)
-        assert_sweep_matches_unreduced_rule(graph)
-        if not graph.is_complete:
-            kappa = vertex_connectivity(graph)
-            outcomes.add(type(enumeration_outcome(all_minimum_cutsets, graph, kappa + 1)))
-            outcomes.add(bool(all_minimum_cutsets(graph, kappa - 1)))
-    # kappa + 1 raises somewhere, and kappa - 1 never lists a cut
-    assert outcomes == {str, False}
+        assert_sweep_matches_unreduced_rule(build_power_graph(G))
 
 
 def test_max_disjoint_paths_match_cut():
@@ -346,9 +343,8 @@ def test_max_disjoint_paths_match_cut():
 def test_all_minimum_cutsets_example_group():
     G = make_abelian([(2, 1), (2, 1), (3, 1)])
     graph = build_power_graph(G)
-    kappa = vertex_connectivity(graph)
-    assert kappa == 3
-    sets = all_minimum_cutsets(graph, kappa)
+    kappa, sets = all_minimum_cutsets(graph)
+    assert kappa == vertex_connectivity(graph) == 3
     x = G.encode((0, 0, 1))
     expected = {frozenset(G.cyclic_closure(x))}
     for v in (G.encode((1, 0, 0)), G.encode((0, 1, 0)), G.encode((1, 1, 0))):
@@ -361,8 +357,8 @@ def test_all_minimum_cutsets_example_group():
 def test_all_minimum_cutsets_counts_cyclic(n, count):
     G = make_cyclic(n)
     graph = build_power_graph(G)
-    kappa = vertex_connectivity(graph)
-    sets = all_minimum_cutsets(graph, kappa)
+    kappa, sets = all_minimum_cutsets(graph)
+    assert kappa == vertex_connectivity(graph)
     assert len(sets) == count
     for s in sets:
         assert len(s) == kappa and 0 in s
@@ -372,15 +368,15 @@ def test_all_minimum_cutsets_counts_cyclic(n, count):
 def test_all_minimum_cutsets_dihedral_identity_only():
     G = make_dihedral(6)
     graph = build_power_graph(G)
-    sets = all_minimum_cutsets(graph, 1)
-    assert sets == [frozenset({0})]
+    assert all_minimum_cutsets(graph) == (vertex_connectivity(graph), [frozenset({0})])
 
 
 def test_all_minimum_cutsets_quaternion():
     G = make_generalized_quaternion(8)
     graph = build_power_graph(G)
     involution = next(g for g, o in enumerate(G.element_orders) if o == 2)
-    sets = all_minimum_cutsets(graph, 2)
+    kappa, sets = all_minimum_cutsets(graph)
+    assert kappa == vertex_connectivity(graph) == 2
     assert sets == [frozenset({0, involution})]
 
 
@@ -414,9 +410,7 @@ def all_minimum_cutsets_by_subsets(graph, kappa):
 def test_class_union_enumeration_matches_subset_oracle(G):
     graph = build_power_graph(G)
     kappa = vertex_connectivity(graph)
-    via_classes = all_minimum_cutsets(graph, kappa)
-    via_subsets = all_minimum_cutsets_by_subsets(graph, kappa)
-    assert via_classes == via_subsets
+    assert all_minimum_cutsets(graph) == (kappa, all_minimum_cutsets_by_subsets(graph, kappa))
 
 
 class CountingRows(tuple):
@@ -438,12 +432,12 @@ def test_engine_reads_adjacency_once_through_the_cached_quotient():
     graph = PowerGraph(vertex_count=plain.vertex_count, adj=rows)
     kappa = vertex_connectivity(graph)
     quotient = graph.twin_quotient
-    sets = all_minimum_cutsets(graph, kappa)
+    full = all_minimum_cutsets(graph)
     cut = minimum_cutset(graph)
     assert graph.twin_quotient is quotient
     assert (rows.passes, rows.lookups) == (1, 0)
     assert kappa == vertex_connectivity(plain) == len(cut)
-    assert sets == all_minimum_cutsets(plain, kappa) and cut in sets
+    assert full == all_minimum_cutsets(plain) and full[0] == kappa and cut in full[1]
 
 
 @pytest.mark.parametrize(
@@ -478,17 +472,16 @@ def test_all_minimum_cutsets_resource_limit():
     G = make_abelian([(2, 1), (2, 1), (3, 1)])
     graph = build_power_graph(G)
     with pytest.raises(ResourceLimitError) as info:
-        all_minimum_cutsets(graph, 3, max_combinations=3)
+        all_minimum_cutsets(graph, max_combinations=3)
     assert isinstance(info.value.partial, tuple)
 
 
 def test_all_minimum_cutsets_partial_is_a_sorted_subset():
     graph = build_power_graph(parse_group_spec("abelian:2,2,2,2,2,5"))
-    kappa = vertex_connectivity(graph)
-    full = all_minimum_cutsets(graph, kappa)
-    assert len(full) == 32
+    kappa, full = all_minimum_cutsets(graph)
+    assert kappa == vertex_connectivity(graph) and len(full) == 32
     with pytest.raises(ResourceLimitError) as info:
-        all_minimum_cutsets(graph, kappa, max_combinations=20)
+        all_minimum_cutsets(graph, max_combinations=20)
     partial = list(info.value.partial)
     assert 0 < len(partial) < len(full)
     assert partial == sorted(partial, key=sorted)
@@ -502,29 +495,20 @@ def test_all_minimum_cutsets_partial_is_a_sorted_subset():
 def test_all_minimum_cutsets_many_small_classes(spec, kappa, count):
     # 64 and 96 twin classes: the cost follows the cut-sets, not the class subsets
     graph = build_power_graph(parse_group_spec(spec))
-    assert vertex_connectivity(graph) == kappa
-    sets = all_minimum_cutsets(graph, kappa)
+    found, sets = all_minimum_cutsets(graph)
+    assert found == vertex_connectivity(graph) == kappa
     assert len(sets) == count
     for s in sets:
         assert len(s) == kappa and 0 in s
         assert graph.is_minimal_cut_set(s)
 
 
-def test_all_minimum_cutsets_rejects_kappa_above_connectivity():
-    graph = build_power_graph(make_cyclic(12))
-    with pytest.raises(ValueError, match="exceeds the vertex connectivity"):
-        all_minimum_cutsets(graph, 7)
-    assert all_minimum_cutsets(graph, 5) == []
-    c6 = build_power_graph(make_cyclic(6))  # kappa 3, six vertices, not complete
-    for kappa in (4, 5):
-        with pytest.raises(ValueError, match="exceeds the vertex connectivity"):
-            all_minimum_cutsets(c6, kappa)
-
-
 def test_all_minimum_cutsets_complete_graph_empty():
     G = make_cyclic(9)
     graph = build_power_graph(G)
-    assert all_minimum_cutsets(graph, 8) == []
+    assert all_minimum_cutsets(graph) == (vertex_connectivity(graph), []) == (8, [])
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        all_minimum_cutsets(build_power_graph(make_cyclic(1)))
 
 
 def test_certify_minimal_quotient_cut():
@@ -844,7 +828,7 @@ def test_flow_kappa_matches_subset_oracle_on_planted_twins(n, edge_bits, twins):
         cut = minimum_cutset(graph)
         assert len(cut) == kappa
         assert graph.is_cut_set(cut)
-        assert all_minimum_cutsets(graph, kappa) == all_minimum_cutsets_by_subsets(graph, kappa)
+        assert all_minimum_cutsets(graph) == (kappa, all_minimum_cutsets_by_subsets(graph, kappa))
     assert_sweep_matches_unreduced_rule(graph)
 
 
@@ -916,5 +900,5 @@ def test_enumeration_skips_the_flood_at_a_root_already_found(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(connectivity, "flood", counting)
-    sets = all_minimum_cutsets(graph, kappa)
-    assert len(sets) == len(floods) == 32
+    found, sets = all_minimum_cutsets(graph)
+    assert found == kappa and len(sets) == len(floods) == 32

@@ -142,6 +142,18 @@ def test_verify_enumeration_resource_skip():
     assert report.observed_kappa == 6
 
 
+@pytest.mark.parametrize("nodes", range(6))
+@pytest.mark.parametrize(
+    "group", [make_cyclic(105), make_abelian([(3, 1), (5, 1), (7, 1)])], ids=lambda g: g.name
+)
+def test_capped_verify_reports_only_minimum_cutsets(group, nodes):
+    # the enumeration starts from the least degree, so a capped search may
+    # hold heavier sets than kappa (a 59-set on C3xC5xC7 after one node)
+    report = verify_theorem("thm11", group, ResourceCaps(max_combinations=nodes))
+    assert report.observed_kappa == 55
+    assert all(len(s) == 55 for s in report.observed_cutsets)
+
+
 def test_verify_props_verdict():
     report = verify_theorem("props", make_abelian([(2, 1), (2, 1), (3, 1)]))
     assert report.verdict == "match"
