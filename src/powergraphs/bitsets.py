@@ -24,10 +24,24 @@ def mask_of(vertices: Iterable[int], size: int = 0) -> int:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
+    """The set bits of the mask, ascending. Each step copies the whole mask,
+    so a mask of many bits is better listed by ``bits``."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bits(mask: int) -> list[int]:
+    """The set bits of the mask as an ascending list, in time linear in the
+    mask's length: its binary digits are searched, least significant first."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def flood(adj: Sequence[int], alive: int, start: int) -> int:

@@ -1,8 +1,9 @@
 """Exact vertex connectivity and minimum cut-set enumeration.
 
 Both read only the graph's closed-twin quotient (``PowerGraph.twin_quotient``,
-computed once per graph): vertices with equal closed neighbourhoods form a
-class (elements generating one cyclic subgroup do), and no minimal separator
+computed once per graph, for a group's graph from its poset of cyclic
+subgroups with no adjacency row): vertices with equal closed neighbourhoods
+form a class (elements generating one cyclic subgroup do), and no minimal separator
 splits a class or meets the classes of the vertices it separates. So a
 minimum s-t vertex cut is a minimum cut of the quotient with nodes weighted by
 class size: one integer-capacity vertex-split max-flow (Even & Tarjan, 1975).
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .bitsets import flood, iter_bits
+from .bitsets import bits, flood, iter_bits
 from .powergraph import PowerGraph
 
 
@@ -217,7 +218,7 @@ def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
         if cut is not None:
             best = flow + forced
             best_cut = vertices(cut | into)
-    return frozenset(iter_bits(best_cut))
+    return frozenset(bits(best_cut))
 
 
 def vertex_connectivity(graph: PowerGraph) -> int:
@@ -289,7 +290,7 @@ def min_vertex_cut_between(
             path.append(low.bit_length() - 1)
             c = succ[c].pop()
         paths.append(path + [t])
-    return frozenset(iter_bits(sum(members[c] for c in iter_bits(cut)))), paths
+    return frozenset(bits(sum(members[c] for c in iter_bits(cut)))), paths
 
 
 def minimalize_cutset(graph: PowerGraph, vertices: Iterable[int]) -> frozenset[int]:
@@ -368,7 +369,7 @@ def all_minimum_cutsets(
     nodes = 0
 
     def listed() -> list[frozenset[int]]:
-        sets = (frozenset(v for c in iter_bits(m) for v in iter_bits(members[c])) for m in found)
+        sets = (frozenset(bits(sum(members[c] for c in iter_bits(m)))) for m in found)
         return sorted(sets, key=sorted)
 
     for s, t, adj, into in _menger_pairs(q_adj, weight, universal):

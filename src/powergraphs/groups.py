@@ -30,7 +30,10 @@ factors are, of pairwise coprime orders. A product cut into parts of
 pairwise coprime orders has as maximal cyclic subgroups the tuples of the
 parts' ones, each built as one record (``maximal_cyclics``, and
 ``overlap_mask`` from them). Any other group reads these facts from its
-records.
+records. The poset of cyclic subgroups (``cyclic_poset``), which the power
+graph's twin quotient is read from, comes the same way: ``CyclicGroup``
+from its divisor lattice, a product with a coprime cut from its parts'
+posets, and any other group from its records.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 from operator import add
+from typing import NamedTuple
 
 from .bitsets import iter_bits, mask_of
 from .numtheory import divisors, factorize, is_prime
@@ -126,6 +130,19 @@ class CyclicSubgroup:
         return not self.roots & ~self.closure
 
 
+class CyclicPoset(NamedTuple):
+    """The poset of cyclic subgroups under inclusion, one node per cyclic
+    subgroup Z, ordered by least generator (``Group.cyclic_poset``). Node
+    i's entries: Z's least generator, the vertex mask of its generators,
+    and as masks over the nodes the cyclic subgroups that contain Z
+    (``up``) and those inside Z (``down``), Z in both."""
+
+    least_generators: tuple[int, ...]
+    generators: tuple[int, ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+
+
 class Group:
     """Base class: a finite group on indices 0..size-1 with identity 0."""
 
@@ -208,6 +225,29 @@ class Group:
         """Every cyclic subgroup once, ordered by least generator."""
         # a record's least generator h is its h**1, and the identity is its h**0
         return tuple(sub for sub, j in self._cyclic_places if j < 2)
+
+    @cached_property
+    def cyclic_poset(self) -> CyclicPoset:
+        """The poset of cyclic subgroups, read from the records: the
+        subgroups inside <h> are those of its members, and ``up`` is the
+        transpose of ``down``."""
+        subs = self.cyclic_subgroups
+        node_bit = {id(sub): 1 << i for i, sub in enumerate(subs)}
+        bit_of = [node_bit[id(sub)] for sub, _ in self._cyclic_places]
+        # distinct node bits: their sum is their OR
+        down = [sum(set(map(bit_of.__getitem__, sub.powers))) for sub in subs]
+        up = [0] * len(subs)
+        for i, below in enumerate(down):
+            while below:
+                low = below & -below
+                below ^= low
+                up[low.bit_length() - 1] |= 1 << i
+        return CyclicPoset(
+            tuple(sub.generator for sub in subs),
+            tuple(sub.generators for sub in subs),
+            tuple(up),
+            tuple(down),
+        )
 
     @cached_property
     def closure_masks(self) -> tuple[int, ...]:
@@ -354,6 +394,13 @@ def _record(walk: list[int], units: list[int], size: int = 0) -> CyclicSubgroup:
     return CyclicSubgroup(tuple(walk), mask_of(walk, size), generators, generators)
 
 
+def _spread(mask: int, width: int) -> int:
+    """The mask with bit i moved to bit i * width: times a mask of at most
+    ``width`` bits, it places a copy of that mask at block i for each bit i
+    of ``mask``, with no carry, a Kronecker product of the two."""
+    return int(("0" * (width - 1)).join(bin(mask)[2:]), 2)
+
+
 class CyclicGroup(Group):
     """C_n with residue arithmetic: element k is the k-th power of a generator."""
 
@@ -384,6 +431,26 @@ class CyclicGroup(Group):
     def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
         n = self.size
         return (_record(self.power_list(1 % n), _unit_exponents(n), n),)
+
+    @cached_property
+    def cyclic_poset(self) -> CyclicPoset:
+        """The divisor lattice, with no record: the subgroup of order d is
+        <n/d>, the multiples of n/d, so its least generator is n/d (the
+        identity 0 for d = 1) and its generators are the k with
+        gcd(k, n) = n/d. In least-generator order d = 1 comes first, then
+        the other divisors descending."""
+        n = self.size
+        orders = divisors(n)
+        orders = orders[:1] + orders[:0:-1]
+        by_gcd: dict[int, list[int]] = {}
+        for k in range(n):
+            by_gcd.setdefault(gcd(k, n), []).append(k)
+        return CyclicPoset(
+            tuple(n // d % n for d in orders),
+            tuple(mask_of(by_gcd[n // d], n) for d in orders),
+            tuple(sum(1 << j for j, e in enumerate(orders) if e % d == 0) for d in orders),
+            tuple(sum(1 << j for j, e in enumerate(orders) if d % e == 0) for d in orders),
+        )
 
     def elements_of_order_dividing(self, m: int) -> frozenset[int]:
         n = self.size
@@ -472,22 +539,36 @@ class ProductGroup(Group):
         )
 
     @cached_property
-    def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
-        """Cut the factors wherever those before and after have coprime
-        orders: the parts have pairwise coprime orders, so each cyclic
-        subgroup is one tuple of cyclic subgroups of the parts, and the
-        maximal ones are the tuples of maximal ones. The least generator of a
-        tuple is the sum of the parts' ones at their place values, so the
-        tuples come in that generator's order."""
+    def _coprime_parts(self) -> tuple[tuple[Group, int], ...] | None:
+        """The factors cut wherever those before and after have coprime
+        orders, each part with its place value; None if there is no cut.
+
+        The parts have pairwise coprime orders, so each cyclic subgroup is
+        one tuple of cyclic subgroups of the parts, one per part, and its
+        generators are the tuples of the parts' generators. Digits are
+        chosen independently, so the least generator of a tuple is the sum
+        of the parts' least generators at their place values; and element
+        indices compare as their digit tuples do, most significant first, so
+        the tuples in ``itertools.product`` order of least-generator-ordered
+        parts are in least-generator order."""
         sizes = [g.size for g in self.factors]
         cuts = [k for k in range(1, len(sizes)) if gcd(prod(sizes[:k]), prod(sizes[k:])) == 1]
         if not cuts:
-            return Group.maximal_cyclics.func(self)
+            return None
         bounds = [0, *cuts, len(sizes)]
-        parts = [
+        return tuple(
             (self.factors[i] if j == i + 1 else ProductGroup(self.factors[i:j]), prod(sizes[j:]))
             for i, j in zip(bounds, bounds[1:])
-        ]
+        )
+
+    @cached_property
+    def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
+        """With a coprime cut (``_coprime_parts``), the maximal cyclic
+        subgroups are the tuples of the parts' maximal ones, each built as
+        one record in least-generator order."""
+        parts = self._coprime_parts
+        if parts is None:
+            return Group.maximal_cyclics.func(self)
         units: dict[int, list[int]] = {}
         records = []
         for subs in product(*(part.maximal_cyclics for part, _ in parts)):
@@ -497,6 +578,30 @@ class ProductGroup(Group):
                 units[o] = _unit_exponents(o)
             records.append(_record(walk, units[o], self.size))
         return tuple(records)
+
+    @cached_property
+    def cyclic_poset(self) -> CyclicPoset:
+        """With a coprime cut (``_coprime_parts``), the mixed-radix product
+        of the parts' posets: a tuple lies inside another exactly when each
+        part does, so its ``up`` and ``down`` are the Kronecker products of
+        the parts' masks (``_spread``), and its generators those of the
+        parts' generator masks at the place values. Otherwise read from the
+        records."""
+        parts = self._coprime_parts
+        if parts is None:
+            return Group.cyclic_poset.func(self)
+        poset = parts[0][0].cyclic_poset
+        for part, _ in parts[1:]:
+            inner = part.cyclic_poset
+            k, size = len(inner.up), part.size
+            columns: tuple[list[int], ...] = ([], [], [], [])
+            for least, gens, up, down in zip(*poset):
+                columns[0].extend(least * size + y for y in inner.least_generators)
+                spread = (_spread(gens, size), _spread(up, k), _spread(down, k))
+                for column, outer, masks in zip(columns[1:], spread, inner[1:]):
+                    column.extend(map(outer.__mul__, masks))
+            poset = CyclicPoset(*map(tuple, columns))
+        return poset
 
     def elements_of_order_dividing(self, m: int) -> frozenset[int]:
         # g**m is the identity exactly when each digit's m-th power is

@@ -1,21 +1,27 @@
 """Power graphs of finite groups and the cut-set predicates on them.
 
 Two distinct elements are adjacent exactly when one lies in the cyclic
-subgroup generated by the other, so the graph depends only on which cyclic
-subgroups contain which. Each row is built from that containment: the
-closure <x> joined with the roots of x (the y with x in <y>), two masks the
-group computes once per cyclic subgroup and shares among its generators.
-Adjacency is stored densely as one integer bitmask per vertex: power graphs
-are dense and the desk-scale sizes here (at most ~1000 vertices) make O(1)
-edge queries and whole-row operations the dominant win. Each graph computes
-its closed-twin quotient once, on first use; the connectivity engine reads
-only that quotient.
+subgroup generated by the other, so the graph is the comparability graph of
+the poset of cyclic subgroups, each subgroup blown up into a clique of its
+generators. The connectivity engine reads only the closed-twin quotient
+(``PowerGraph.twin_quotient``), computed once per graph. For the power graph
+of a group (``build_power_graph``) it is read off that poset
+(``poset_twin_quotient``): the group lists one node per cyclic subgroup
+(``Group.cyclic_poset``), and twins are merged node by node, with no
+n-vertex row. The rows are built only when something reads ``adj``, the
+property suites and the DOT export: row x is the closure <x> joined with
+the roots of x (the y with x in <y>), two masks the group computes once per
+cyclic subgroup. A graph given as rows (``PowerGraph(n, adj)``) merges its
+twins row by row. Adjacency is stored densely as one integer bitmask per
+vertex: power graphs are dense, and whole-row operations are the dominant
+win.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import or_
 from typing import Iterable
 
 from .bitsets import flood, iter_bits, mask_of
@@ -32,7 +38,8 @@ class Separation:
 
 @dataclass(frozen=True)
 class PowerGraph:
-    """Simple undirected graph on group element indices; vertex 0 is the identity."""
+    """Simple undirected graph on group element indices, given by its rows
+    (``adj[v]`` masks the neighbours of v); vertex 0 is the identity."""
 
     vertex_count: int
     adj: tuple[int, ...]
@@ -60,26 +67,11 @@ class PowerGraph:
         members[i] is the vertex mask of class i, classes ordered by least
         vertex; q_adj[i] is the mask of classes adjacent to class i; universal
         is the index of the class of vertices adjacent to all others, or None.
+        Merged row by row here; the power graph of a group reads it off the
+        poset of cyclic subgroups instead (``poset_twin_quotient``).
         """
-        classes: dict[int, int] = {}
-        for v, row in enumerate(self.adj):
-            key = row | 1 << v
-            classes[key] = classes.get(key, 0) | 1 << v
-        members = tuple(classes.values())
-        # twins share a closed neighbourhood, so it is each class's key, and
-        # it meets a class exactly when it holds the class's least vertex
-        class_bit = {m & -m: 1 << j for j, m in enumerate(members)}
-        reps = sum(class_bit)
-        q_adj = []
-        for i, key in enumerate(classes):
-            row, q = key & reps, 0
-            while row:
-                low = row & -row
-                row ^= low
-                q |= class_bit[low]
-            q_adj.append(q & ~(1 << i))
-        universal = next((i for i, key in enumerate(classes) if key == self.full_mask), None)
-        return members, tuple(q_adj), universal
+        keys = [row | 1 << v for v, row in enumerate(self.adj)]
+        return _merge_twins(keys, (1 << v for v in range(self.vertex_count)), self.full_mask)
 
     @property
     def is_complete(self) -> bool:
@@ -164,15 +156,98 @@ class PowerGraph:
         return all(self.adj[u] & b == 0 for u in iter_bits(a))
 
 
-def build_power_graph(group: Group) -> PowerGraph:
-    """The power graph of a group: x ~ y iff x != y and x in <y> or y in <x>.
+def _merge_twins(
+    keys: Iterable[int], vertices: Iterable[int], everything: int
+) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
+    """The closed-twin quotient of items given in order by their keys, each
+    item's closed neighbourhood as a mask over the items, and the masks of
+    the vertices they stand for. Items with one key are merged into a
+    class, classes ordered by their first item; two classes are adjacent
+    when one's key holds the other's first item, and the universal class is
+    the one whose key is ``everything``."""
+    classes: dict[int, int] = {}
+    class_bit: dict[int, int] = {}  # the bit of a class's first item -> the class's bit
+    for i, (key, members) in enumerate(zip(keys, vertices)):
+        if key in classes:
+            classes[key] |= members
+        else:
+            class_bit[1 << i] = 1 << len(classes)
+            classes[key] = members
+    reps = sum(class_bit)
+    if reps == (1 << len(classes)) - 1:  # class i's first item is item i
+        q_adj = [key & reps & ~(1 << i) for i, key in enumerate(classes)]
+    else:
+        q_adj = []
+        for i, key in enumerate(classes):
+            row, q = key & reps, 0
+            while row:
+                low = row & -row
+                row ^= low
+                q |= class_bit[low]
+            q_adj.append(q & ~(1 << i))
+    universal = next((i for i, key in enumerate(classes) if key == everything), None)
+    return tuple(classes.values()), tuple(q_adj), universal
 
-    Row x is the closure <x> together with the roots of x (every y with x in
-    <y>), both read from the group's per-subgroup masks, minus x itself.
+
+def poset_twin_quotient(group: Group) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
+    """The closed-twin quotient of the group's power graph, (members, q_adj,
+    universal) as ``PowerGraph.twin_quotient`` gives it from the rows, read
+    off the poset of cyclic subgroups (``Group.cyclic_poset``) with no row.
+
+    Twins. A generator x of a cyclic subgroup Z is adjacent to y exactly
+    when <y> is comparable to Z, so its closed neighbourhood is the union of
+    the generators of the nodes in ``up | down``. Generator sets are
+    non-empty and partition the group, so generators of Z and Z' are twins
+    exactly when the two nodes have one key ``up | down``: each class is the
+    union of the generator masks of the nodes with one key.
+
+    Order. The nodes come in least-generator order: the divisor lattice of
+    C_n lists <n/d> by n/d, a product of coprime parts lists its tuples in
+    the parts' order (``ProductGroup._coprime_parts``), and any other group
+    its records. A class's least vertex is the least generator of one of
+    its nodes, hence of its first node in that order, so classes ordered by
+    their first node are ordered by least vertex, as the rows order them.
+
+    Adjacency. Classes are cliques completely joined or not at all, so two
+    are adjacent exactly when one's key holds the other's first node; the
+    universal class is the one whose nodes are comparable to every node.
     """
-    adj = tuple(
+    poset = group.cyclic_poset
+    return _merge_twins(map(or_, poset.up, poset.down), poset.generators, (1 << len(poset.up)) - 1)
+
+
+class _GroupPowerGraph(PowerGraph):
+    """The power graph of a group: its twin quotient comes from the poset of
+    cyclic subgroups, and its rows are built on the first read of ``adj``."""
+
+    def __init__(self, group: Group):
+        object.__setattr__(self, "vertex_count", group.size)
+        object.__setattr__(self, "group", group)
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        return _rows(self.group)
+
+    @cached_property
+    def twin_quotient(self) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
+        return poset_twin_quotient(self.group)
+
+
+def _rows(group: Group) -> tuple[int, ...]:
+    """The adjacency rows: row x is the closure <x> together with the roots
+    of x (every y with x in <y>), both read from the group's per-subgroup
+    masks, minus x itself."""
+    return tuple(
         (closure | roots) & ~(1 << x)
         for x, (closure, roots) in enumerate(zip(group.closure_masks, group.root_masks))
     )
-    return PowerGraph(vertex_count=group.size, adj=adj)
 
+
+def build_power_graph(group: Group) -> PowerGraph:
+    """The power graph of a group: x ~ y iff x != y and x in <y> or y in <x>.
+
+    Its classes come from the group's poset of cyclic subgroups
+    (``poset_twin_quotient``), so the engines build no row; the rows
+    (``_rows``) are built on the first read of ``adj``.
+    """
+    return _GroupPowerGraph(group)

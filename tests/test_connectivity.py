@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powergraphs import cli, connectivity
+from powergraphs import cli, connectivity, powergraph
 from powergraphs.bitsets import iter_bits
 from powergraphs.cli import parse_group_spec
 from powergraphs.connectivity import (
@@ -440,32 +440,65 @@ def test_engine_reads_adjacency_once_through_the_cached_quotient():
     assert full == all_minimum_cutsets(plain) and full[0] == kappa and cut in full[1]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("kappa", "--group", "abelian:2,2,3,5", "--json"),
-        ("cutsets", "--group", "abelian:2,2,3,5", "--all", "--json"),
-        ("kappa", "--group", "cyclic:8", "--json"),
-        ("cutsets", "--group", "cyclic:8", "--all", "--json"),
-    ],
-)
-def test_cli_reads_adjacency_once_through_the_cached_quotient(monkeypatch, capsys, argv):
+def count_row_builds(monkeypatch) -> list:
+    """Log each group whose adjacency rows get built, from now on."""
+    built = []
+    real = powergraph._rows
+
+    def logged(group):
+        built.append(group)
+        return real(group)
+
+    monkeypatch.setattr(powergraph, "_rows", logged)
+    return built
+
+
+NO_ROW_COMMANDS = [
+    ("kappa", "--group", "abelian:2,2,3,5", "--json"),
+    ("cutsets", "--group", "abelian:2,2,3,5", "--all", "--json"),
+    ("kappa", "--group", "cyclic:8", "--json"),
+    ("cutsets", "--group", "cyclic:8", "--all", "--json"),
+    ("kappa", "--group", "dihedral:12", "--json"),
+    ("cutsets", "--group", "dihedral:12", "--all", "--json"),
+    ("cutsets", "--group", "dihedral:12", "--json"),
+    *(
+        ("verify", "--theorem", theorem, "--group", spec, "--json")
+        for spec in ("abelian:2,2,3,5", "cyclic:8", "dihedral:12")
+        for theorem in ("thm11", "thm12", "thm13", "thm14")
+    ),
+    # forecasts that claim cut-sets, so verify enumerates them
+    ("verify", "--theorem", "thm13", "--group", "abelian:2,2,3", "--json"),
+    ("verify", "--theorem", "thm11", "--group", "cyclic:12", "--json"),
+]
+
+
+@pytest.mark.parametrize("argv", NO_ROW_COMMANDS)
+def test_cli_builds_no_adjacency_rows(monkeypatch, capsys, argv):
+    # the engines read the twin quotient off the poset of cyclic subgroups
     assert cli.main(list(argv)) == 0
     plain_out = capsys.readouterr().out
-    counted = []
-
-    def build_counting(group):
-        plain = build_power_graph(group)
-        rows = CountingRows(plain.adj)
-        rows.passes = rows.lookups = 0
-        counted.append(rows)
-        return PowerGraph(plain.vertex_count, rows)
-
-    monkeypatch.setattr(cli, "build_power_graph", build_counting)
+    built = count_row_builds(monkeypatch)
     assert cli.main(list(argv)) == 0
     assert capsys.readouterr().out == plain_out
-    [rows] = counted
-    assert (rows.passes, rows.lookups) == (1, 0)
+    assert built == []
+
+
+def test_export_dot_builds_the_rows_once(monkeypatch, capsys):
+    built = count_row_builds(monkeypatch)
+    assert cli.main(["export-dot", "--group", "dihedral:12"]) == 0
+    assert "  0 -- 1;" in capsys.readouterr().out
+    assert [G.name for G in built] == ["D12"]
+
+
+def test_verify_claims_cutsets_in_the_no_row_commands():
+    from powergraphs.harness import predict_for_group
+
+    claims = set()
+    for argv in NO_ROW_COMMANDS:
+        if argv[0] == "verify":
+            prediction, _ = predict_for_group(argv[2], parse_group_spec(argv[4]))
+            claims.add(prediction.applicable and prediction.cutsets.claims)
+    assert claims == {True, False}
 
 
 def test_all_minimum_cutsets_resource_limit():

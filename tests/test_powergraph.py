@@ -9,8 +9,10 @@ from powergraphs.groups import (
     make_dihedral,
     make_generalized_quaternion,
 )
-from powergraphs.harness import corpus_groups
-from powergraphs.powergraph import Separation, build_power_graph
+from powergraphs.bitsets import bits, iter_bits
+from powergraphs.connectivity import all_minimum_cutsets, minimum_cutset
+from powergraphs.harness import corpus_groups, exceptional_groups
+from powergraphs.powergraph import PowerGraph, Separation, build_power_graph
 from powergraphs.suites import _sample_non_adjacent
 
 
@@ -71,6 +73,65 @@ def test_adjacency_matches_membership_definition(G):
         for y in range(G.size):
             assert graph.adjacent(x, y) == adjacency_by_definition(closures, x, y)
     assert graph.twin_quotient == twin_quotient_by_definition(graph)
+
+
+def non_abelian_coprime_products():
+    """Products with a coprime cut and a non-abelian part."""
+    return [
+        direct_product(make_dihedral(8), make_cyclic(15)),
+        direct_product(make_generalized_quaternion(8), make_cyclic(105)),
+        direct_product(make_cyclic(9), make_dihedral(20)),
+    ]
+
+
+def poset_oracle_groups():
+    """The groups on which the poset quotient is checked against the rows:
+    the corpus to 120, C1-C400, the dihedral and quaternion groups, and
+    the non-abelian coprime products."""
+    return [
+        *corpus_groups(120),
+        *(make_cyclic(n) for n in range(1, 401)),
+        *exceptional_groups(),
+        *non_abelian_coprime_products(),
+    ]
+
+
+def test_poset_quotient_matches_the_row_quotient():
+    for G in poset_oracle_groups():
+        graph = build_power_graph(G)
+        rows = tuple(
+            (closure | roots) & ~(1 << x)
+            for x, (closure, roots) in enumerate(zip(G.closure_masks, G.root_masks))
+        )
+        reference = PowerGraph(G.size, rows)
+        assert graph.twin_quotient == reference.twin_quotient, G.name
+        if G.size >= 2 and not reference.is_complete:
+            assert minimum_cutset(graph) == minimum_cutset(reference), G.name
+            assert all_minimum_cutsets(graph) == all_minimum_cutsets(reference), G.name
+        assert "adj" not in vars(graph), G.name
+
+
+def test_cyclic_poset_matches_the_records():
+    # one node per record, in the records' order; Z' lies in Z iff its
+    # least generator does
+    for G in [*corpus_groups(64), *(make_cyclic(n) for n in range(1, 121)), *non_abelian_coprime_products()]:
+        poset = G.cyclic_poset
+        subs = G.cyclic_subgroups
+        assert poset.least_generators == tuple(sub.generator for sub in subs), G.name
+        assert poset.generators == tuple(sub.generators for sub in subs), G.name
+        least = poset.least_generators
+        for i, sub in enumerate(subs):
+            assert poset.down[i] == sum(1 << j for j, h in enumerate(least) if sub.closure >> h & 1), G.name
+            assert poset.up[i] == sum(1 << j for j, h in enumerate(least) if sub.roots >> h & 1), G.name
+
+
+def test_bits_lists_the_set_bits_in_order():
+    rng = random.Random(7)
+    masks = [0, 1, 2, 1 << 200, (1 << 1000) - 1]
+    masks += [rng.getrandbits(rng.randrange(1, 3000)) for _ in range(200)]
+    masks += [sum(1 << v for v in rng.sample(range(100_000), 50)) for _ in range(20)]
+    for m in masks:
+        assert bits(m) == sorted(iter_bits(m))
 
 
 def non_adjacent_pairs(graph):
