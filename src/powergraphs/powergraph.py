@@ -36,10 +36,11 @@ class Separation:
     side_b: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerGraph:
     """Simple undirected graph on group element indices, given by its rows
-    (``adj[v]`` masks the neighbours of v); vertex 0 is the identity."""
+    (``adj[v]`` masks the neighbours of v); vertex 0 is the identity. Graphs
+    compare and hash by identity, so neither reads the rows."""
 
     vertex_count: int
     adj: tuple[int, ...]
@@ -174,17 +175,14 @@ def _merge_twins(
             class_bit[1 << i] = 1 << len(classes)
             classes[key] = members
     reps = sum(class_bit)
-    if reps == (1 << len(classes)) - 1:  # class i's first item is item i
-        q_adj = [key & reps & ~(1 << i) for i, key in enumerate(classes)]
-    else:
-        q_adj = []
-        for i, key in enumerate(classes):
-            row, q = key & reps, 0
-            while row:
-                low = row & -row
-                row ^= low
-                q |= class_bit[low]
-            q_adj.append(q & ~(1 << i))
+    q_adj = []
+    for i, key in enumerate(classes):
+        row, q = key & reps, 0
+        while row:
+            low = row & -row
+            row ^= low
+            q |= class_bit[low]
+        q_adj.append(q & ~(1 << i))
     universal = next((i for i, key in enumerate(classes) if key == everything), None)
     return tuple(classes.values()), tuple(q_adj), universal
 
@@ -223,6 +221,9 @@ class _GroupPowerGraph(PowerGraph):
     def __init__(self, group: Group):
         object.__setattr__(self, "vertex_count", group.size)
         object.__setattr__(self, "group", group)
+
+    def __repr__(self) -> str:
+        return f"PowerGraph({self.group!r})"
 
     @cached_property
     def adj(self) -> tuple[int, ...]:

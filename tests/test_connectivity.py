@@ -440,17 +440,17 @@ def test_engine_reads_adjacency_once_through_the_cached_quotient():
     assert full == all_minimum_cutsets(plain) and full[0] == kappa and cut in full[1]
 
 
-def count_row_builds(monkeypatch) -> list:
-    """Log each group whose adjacency rows get built, from now on."""
-    built = []
-    real = powergraph._rows
+def count_calls(monkeypatch, name: str) -> list:
+    """Log each group that ``powergraph.<name>`` is called on, from now on."""
+    called = []
+    real = getattr(powergraph, name)
 
     def logged(group):
-        built.append(group)
+        called.append(group)
         return real(group)
 
-    monkeypatch.setattr(powergraph, "_rows", logged)
-    return built
+    monkeypatch.setattr(powergraph, name, logged)
+    return called
 
 
 NO_ROW_COMMANDS = [
@@ -477,28 +477,26 @@ def test_cli_builds_no_adjacency_rows(monkeypatch, capsys, argv):
     # the engines read the twin quotient off the poset of cyclic subgroups
     assert cli.main(list(argv)) == 0
     plain_out = capsys.readouterr().out
-    built = count_row_builds(monkeypatch)
+    built = count_calls(monkeypatch, "_rows")
+    merged = count_calls(monkeypatch, "poset_twin_quotient")
     assert cli.main(list(argv)) == 0
     assert capsys.readouterr().out == plain_out
-    assert built == []
+    assert built == [] and len(merged) == 1
+
+
+def test_group_graph_prints_and_compares_without_rows(monkeypatch):
+    built = count_calls(monkeypatch, "_rows")
+    graph = build_power_graph(parse_group_spec("dihedral:12"))
+    assert repr(graph) == "PowerGraph(DihedralLikeGroup('D12', size=12))"
+    assert graph == graph and graph != build_power_graph(parse_group_spec("dihedral:12"))
+    assert len({graph}) == 1 and built == []
 
 
 def test_export_dot_builds_the_rows_once(monkeypatch, capsys):
-    built = count_row_builds(monkeypatch)
+    built = count_calls(monkeypatch, "_rows")
     assert cli.main(["export-dot", "--group", "dihedral:12"]) == 0
     assert "  0 -- 1;" in capsys.readouterr().out
     assert [G.name for G in built] == ["D12"]
-
-
-def test_verify_claims_cutsets_in_the_no_row_commands():
-    from powergraphs.harness import predict_for_group
-
-    claims = set()
-    for argv in NO_ROW_COMMANDS:
-        if argv[0] == "verify":
-            prediction, _ = predict_for_group(argv[2], parse_group_spec(argv[4]))
-            claims.add(prediction.applicable and prediction.cutsets.claims)
-    assert claims == {True, False}
 
 
 def test_all_minimum_cutsets_resource_limit():
