@@ -1,107 +1,2 @@
 """Power graphs of finite groups: construction, exact vertex connectivity,
 minimum cut-set enumeration, and closed-form predictions with verification."""
-
-from .connectivity import (
-    ResourceLimitError,
-    all_minimum_cutsets,
-    min_vertex_cut_between,
-    minimum_cutset,
-    vertex_connectivity,
-)
-from .cyclic import (
-    elements_of_dividing_order,
-    elements_of_exact_order,
-    external_overlap,
-    gamma_set,
-    maximal_cyclic_subgroups,
-    min_order_maximal_cyclic,
-    nongenerators,
-    sylow_complement_product,
-    sylow_product,
-)
-from .groups import (
-    AbelianSpec,
-    CyclicSubgroup,
-    Group,
-    SylowDecomposition,
-    UnsupportedStructureError,
-    direct_product,
-    make_abelian,
-    make_cyclic,
-    make_dihedral,
-    make_generalized_quaternion,
-)
-from .harness import (
-    ResourceCaps,
-    VerificationReport,
-    corpus_groups,
-    generate_abelian_corpus,
-    run_property_suite,
-    survey,
-    verify_theorem,
-)
-from .numtheory import euler_phi, solve_congruence
-from .powergraph import PowerGraph, Separation, build_power_graph
-from .predictions import (
-    CutsetForecast,
-    Prediction,
-    SylowProfile,
-    condition_two_phi,
-    gamma_cardinality,
-    inequality_t_plus_1,
-    kappa_abelian_three_primes,
-    kappa_abelian_two_primes,
-    kappa_cyclic,
-    kappa_cyclic_lower_bound,
-    kappa_nilpotent_one_noncyclic,
-)
-
-__all__ = [
-    "AbelianSpec",
-    "CutsetForecast",
-    "CyclicSubgroup",
-    "Group",
-    "PowerGraph",
-    "Prediction",
-    "ResourceCaps",
-    "ResourceLimitError",
-    "Separation",
-    "SylowDecomposition",
-    "SylowProfile",
-    "UnsupportedStructureError",
-    "VerificationReport",
-    "all_minimum_cutsets",
-    "build_power_graph",
-    "condition_two_phi",
-    "corpus_groups",
-    "direct_product",
-    "elements_of_dividing_order",
-    "elements_of_exact_order",
-    "euler_phi",
-    "external_overlap",
-    "gamma_cardinality",
-    "gamma_set",
-    "generate_abelian_corpus",
-    "inequality_t_plus_1",
-    "kappa_abelian_three_primes",
-    "kappa_abelian_two_primes",
-    "kappa_cyclic",
-    "kappa_cyclic_lower_bound",
-    "kappa_nilpotent_one_noncyclic",
-    "make_abelian",
-    "make_cyclic",
-    "make_dihedral",
-    "make_generalized_quaternion",
-    "maximal_cyclic_subgroups",
-    "min_order_maximal_cyclic",
-    "min_vertex_cut_between",
-    "minimum_cutset",
-    "nongenerators",
-    "run_property_suite",
-    "solve_congruence",
-    "survey",
-    "sylow_complement_product",
-    "sylow_product",
-    "verify_theorem",
-    "vertex_connectivity",
-]

@@ -20,7 +20,7 @@ from .connectivity import (
     minimum_cutset,
     vertex_connectivity,
 )
-from .cyclic import external_overlap, maximal_cyclic_subgroups, nongenerators
+from .cyclic import external_overlap, nongenerators
 from .groups import (
     AbelianSpec,
     Group,
@@ -146,7 +146,7 @@ def maximal_cyclic_rows(group: Group) -> list[dict]:
     number of non-generators and of external-overlap elements (None for a
     cyclic group), and sorted members."""
     rows = []
-    for m in maximal_cyclic_subgroups(group):
+    for m in group.maximal_cyclics:
         overlap = None if group.is_cyclic else len(external_overlap(group, m))
         rows.append(
             {
@@ -266,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--group": dict(required=True, help="cyclic:N | abelian:p^e,... | quaternion:N | dihedral:N"),
         "--json": dict(action="store_true", help="structured output"),
-        "--max-brute-vertices": dict(type=non_negative_int, default=600),
+        "--max-brute-vertices": dict(type=non_negative_int, default=ResourceCaps.max_brute_vertices),
         "--max-combinations": dict(
             type=non_negative_int,
-            default=10_000_000,
+            default=ResourceCaps.max_combinations,
             help="search nodes (at most one max-flow or flood each) the cut-set enumeration may visit",
         ),
     }

@@ -50,6 +50,11 @@ class ResourceLimitError(RuntimeError):
         self.partial = partial
 
 
+def _expand(members: Sequence[int], classes: int) -> int:
+    """The vertex mask of the classes whose bits are set in ``classes``."""
+    return sum(members[c] for c in iter_bits(classes))  # classes are disjoint
+
+
 def _max_flow(
     adj: Sequence[int], weight: Sequence[int], s: int, t: int, limit: int | None = None
 ) -> tuple[int, int | None, dict[tuple[int, int], int]]:
@@ -197,15 +202,11 @@ def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
     if k == 1:
         return None
     weight = [m.bit_count() for m in members]
-
-    def vertices(classes: int) -> int:
-        return sum(members[c] for c in iter_bits(classes))  # classes are disjoint
-
     # twins share a closed neighbourhood: their own class and every adjacent one
     degree = [weight[i] - 1 + sum(weight[j] for j in iter_bits(q_adj[i])) for i in range(k)]
     first = min(range(k), key=degree.__getitem__)
     best = degree[first]
-    best_cut = vertices(q_adj[first] | 1 << first) & ~(members[first] & -members[first])
+    best_cut = _expand(members, q_adj[first] | 1 << first) & ~(members[first] & -members[first])
     for s, t, adj, into in _menger_pairs(q_adj, weight, u):
         forced = sum(weight[c] for c in iter_bits(into))
         if best <= forced:  # every later cut holds these classes too
@@ -217,7 +218,7 @@ def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
         flow, cut, _ = _max_flow(adj, w, s, t, limit=best - forced)
         if cut is not None:
             best = flow + forced
-            best_cut = vertices(cut | into)
+            best_cut = _expand(members, cut | into)
     return frozenset(bits(best_cut))
 
 
@@ -290,7 +291,7 @@ def min_vertex_cut_between(
             path.append(low.bit_length() - 1)
             c = succ[c].pop()
         paths.append(path + [t])
-    return frozenset(bits(sum(members[c] for c in iter_bits(cut)))), paths
+    return frozenset(bits(_expand(members, cut))), paths
 
 
 def minimalize_cutset(graph: PowerGraph, vertices: Iterable[int]) -> frozenset[int]:
@@ -369,7 +370,7 @@ def all_minimum_cutsets(
     nodes = 0
 
     def listed() -> list[frozenset[int]]:
-        sets = (frozenset(bits(sum(members[c] for c in iter_bits(m)))) for m in found)
+        sets = (frozenset(bits(_expand(members, m))) for m in found)
         return sorted(sets, key=sorted)
 
     for s, t, adj, into in _menger_pairs(q_adj, weight, universal):

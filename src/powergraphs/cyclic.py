@@ -28,17 +28,9 @@ from .numtheory import p_adic_valuation
 from .predictions import gamma_cardinality
 
 
-def maximal_cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
-    """All maximal cyclic subgroups, one entry per distinct subgroup.
-
-    Ordered by least generator (``Group.maximal_cyclics``).
-    """
-    return group.maximal_cyclics
-
-
 def min_order_maximal_cyclic(group: Group) -> CyclicSubgroup:
     """A maximal cyclic subgroup of least order; ties by least generator index."""
-    return min(maximal_cyclic_subgroups(group), key=lambda m: (m.order, m.generator))
+    return min(group.maximal_cyclics, key=lambda m: (m.order, m.generator))
 
 
 def nongenerators(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:

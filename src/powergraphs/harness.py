@@ -18,7 +18,7 @@ from itertools import product as iter_product
 from typing import Callable, Iterable, Iterator
 
 from .connectivity import ResourceLimitError, all_minimum_cutsets, vertex_connectivity
-from .cyclic import maximal_cyclic_subgroups, sylow_product
+from .cyclic import sylow_product
 from .groups import (
     AbelianSpec,
     Group,
@@ -136,7 +136,7 @@ def sylow_profile(group: Group) -> SylowProfile:
     return SylowProfile(
         noncyclic=dec.noncyclic,
         elementary=dec.elementary,
-        maximal_cyclic_orders=tuple(sorted({m.order for m in maximal_cyclic_subgroups(group)})),
+        maximal_cyclic_orders=tuple(sorted({m.order for m in group.maximal_cyclics})),
     )
 
 

@@ -87,18 +87,6 @@ def condition_two_phi(primes: tuple[int, ...] | list[int]) -> bool:
     return 2 * euler_phi(m) > m
 
 
-def inequality_t_plus_1(primes: tuple[int, ...] | list[int]) -> tuple[bool, bool]:
-    """(holds, equality) for (t+1)*phi(q1*...*qt) >= q1*...*qt.
-
-    The inequality holds for every strictly increasing prime tuple; equality
-    happens exactly for (2,) and (2, 3).
-    """
-    _check_prime_tuple(primes)
-    m = prod(primes)
-    lhs = (len(primes) + 1) * euler_phi(m)
-    return lhs >= m, lhs == m
-
-
 def _check_prime_tuple(primes) -> None:
     if not primes:
         raise ValueError("need at least one prime")

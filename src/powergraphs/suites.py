@@ -22,7 +22,6 @@ from .connectivity import (
 )
 from .cyclic import (
     external_overlap,
-    maximal_cyclic_subgroups,
     min_order_maximal_cyclic,
     nongenerators,
     sylow_complement_product,
@@ -104,7 +103,7 @@ def check_nongenerators_cut(group: Group, graph: PowerGraph) -> CheckResult:
     if group.is_cyclic:
         return None
     everything = frozenset(range(group.size))
-    for m in maximal_cyclic_subgroups(group):
+    for m in group.maximal_cyclics:
         tilde = nongenerators(group, m)
         if len(tilde) != m.order - euler_phi(m.order):
             return False, f"{m.generator}: wrong non-generator count"
@@ -122,7 +121,7 @@ def check_external_overlap_cut(group: Group, graph: PowerGraph) -> CheckResult:
     sitting inside the non-generators, which are a proper subset."""
     if group.is_cyclic:
         return None
-    for m in maximal_cyclic_subgroups(group):
+    for m in group.maximal_cyclics:
         bar = external_overlap(group, m)
         tilde = nongenerators(group, m)
         if not (bar <= tilde and tilde < m.elements):
@@ -140,7 +139,7 @@ def check_overlap_equals_nongenerators(group: Group, graph: PowerGraph) -> Check
         return None
     dec = group.sylow_decomposition()
     expected = dec.noncyclic == dec.primes
-    for m in maximal_cyclic_subgroups(group):
+    for m in group.maximal_cyclics:
         equal = external_overlap(group, m) == nongenerators(group, m)
         if equal != expected:
             return False, (
@@ -160,7 +159,7 @@ def check_nongenerators_minimal(group: Group, graph: PowerGraph) -> CheckResult:
     if len(dec.primes) < 2:
         return None
     expected = dec.noncyclic == dec.primes
-    for m in maximal_cyclic_subgroups(group):
+    for m in group.maximal_cyclics:
         tilde = nongenerators(group, m)
         if not graph.is_cut_set(tilde):
             return False, f"non-generators of <{m.generator}> are not a cut-set"
@@ -182,7 +181,7 @@ def check_overlap_minimal(group: Group, graph: PowerGraph) -> CheckResult:
     if len(group.sylow_decomposition().noncyclic) < 2:
         return None
     everything = frozenset(range(group.size))
-    for m in maximal_cyclic_subgroups(group):
+    for m in group.maximal_cyclics:
         comps = graph.components_after_removal(m.elements)
         if len(comps) != 1:
             return False, f"graph minus <{m.generator}> is disconnected"
@@ -208,7 +207,7 @@ def check_nongenerator_size_minimum(group: Group, graph: PowerGraph) -> CheckRes
         return None
     best = min_order_maximal_cyclic(group)
     floor = len(nongenerators(group, best))
-    for m in maximal_cyclic_subgroups(group):
+    for m in group.maximal_cyclics:
         if len(nongenerators(group, m)) < floor:
             return False, f"<{m.generator}> has fewer non-generators than the minimum"
     return True, ""
@@ -251,7 +250,7 @@ def check_maximal_cyclic_product_form(group: Group, graph: PowerGraph) -> CheckR
         (p, mask_of(sylow_product(group, (p,)), group.size))
         for p in group.sylow_decomposition().primes
     ]
-    for m in maximal_cyclic_subgroups(group):
+    for m in group.maximal_cyclics:
         total = 1
         for p, members in sylows:
             part = m.closure & members
@@ -274,7 +273,7 @@ def check_element_coverage(group: Group, graph: PowerGraph) -> CheckResult:
     """Every element lies in a maximal cyclic subgroup; with every Sylow
     subgroup non-cyclic (abelian case), elements generating a non-maximal
     subgroup lie in at least two."""
-    maximal = maximal_cyclic_subgroups(group)
+    maximal = group.maximal_cyclics
     for g in range(group.size):
         if not any(m.closure >> g & 1 for m in maximal):
             return False, f"element {g} lies in no maximal cyclic subgroup"
@@ -303,7 +302,7 @@ def check_witness_equivalence(group: Group, graph: PowerGraph) -> CheckResult:
     dec = group.sylow_decomposition()
     expected = dec.noncyclic == dec.primes
     closures = group.closure_masks
-    for m in maximal_cyclic_subgroups(group):
+    for m in group.maximal_cyclics:
         reached = 0
         for y in iter_bits(graph.full_mask & ~m.closure):
             reached |= closures[y]

@@ -1,7 +1,10 @@
 import argparse
 import json
 import re
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
@@ -434,3 +437,31 @@ def test_call_after_an_exit_two_prints_what_a_fresh_call_prints(capsys):
     assert exc.value.code == 2
     assert run(capsys, "kappa", "--group", "cyclic:0")[0] == 2
     assert run(capsys, *argv) == fresh
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FRESH_RUNS = [
+    (["-c", f"import powergraphs.{path.stem}"], "")
+    for path in sorted((SRC / "powergraphs").glob("*.py"))
+    if path.stem != "__init__"
+] + [
+    (
+        ["-m", "powergraphs.cli", "kappa", "--group", "cyclic:12", "--json"],
+        '{"group": "C12", "kappa": 6, "cutset": [0, 1, 5, 6, 7, 11]}\n',
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout", FRESH_RUNS, ids=[" ".join(argv[1:3]) for argv, _ in FRESH_RUNS]
+)
+def test_fresh_interpreter_imports(argv, stdout):
+    # the package re-exports nothing, so each module must import what it
+    # uses itself; a shared test process would hide a missing or circular import
+    done = subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", stdout)

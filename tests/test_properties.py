@@ -11,7 +11,6 @@ from powergraphs.bitsets import iter_bits, mask_of
 from powergraphs.connectivity import vertex_connectivity
 from powergraphs.cyclic import (
     external_overlap,
-    maximal_cyclic_subgroups,
     min_order_maximal_cyclic,
     nongenerators,
     sylow_product,
@@ -132,19 +131,19 @@ def test_cyclic_factorization_suite():
     _suite_over("cyclic-factorization", list(CORPUS) + NILPOTENT_EXTRAS)
 
 
-def test_cyclic_factorization_rejects_bad_parts(monkeypatch):
+def test_cyclic_factorization_rejects_bad_parts():
     # no nilpotent group breaks the theorem, so the records are swapped out:
     # every cyclic subgroup of C2xC4, and the Klein four group of C2xC2xC3
     G = make_abelian([(2, 1), (2, 2)])
     graph = build_power_graph(G)
-    monkeypatch.setattr(suites, "maximal_cyclic_subgroups", lambda g: g.cyclic_subgroups)
+    vars(G)["maximal_cyclics"] = G.cyclic_subgroups
     assert suites.check_maximal_cyclic_product_form(G, graph) == (
         False,
         "<0>: Sylow 2 part is not maximal in its Sylow subgroup",
     )
     G = make_abelian([(2, 1), (2, 1), (3, 1)])
     klein = SimpleNamespace(closure=mask_of(sylow_product(G, (2,))), generator=0, order=4)
-    monkeypatch.setattr(suites, "maximal_cyclic_subgroups", lambda g: (klein,))
+    vars(G)["maximal_cyclics"] = (klein,)
     assert suites.check_maximal_cyclic_product_form(G, build_power_graph(G)) == (
         False,
         "<0>: Sylow 2 part is not cyclic",
@@ -202,7 +201,7 @@ def test_nongenerator_floor_explicit():
     for G in NILPOTENT_EXTRAS:
         best = min_order_maximal_cyclic(G)
         floor = len(nongenerators(G, best))
-        for m in maximal_cyclic_subgroups(G):
+        for m in G.maximal_cyclics:
             assert len(nongenerators(G, m)) >= floor
 
 
@@ -210,7 +209,7 @@ def test_overlap_within_nongenerators_everywhere():
     for G in CORPUS:
         if G.is_cyclic:
             continue
-        for m in maximal_cyclic_subgroups(G):
+        for m in G.maximal_cyclics:
             bar = external_overlap(G, m)
             tilde = nongenerators(G, m)
             assert bar <= tilde < m.elements
