@@ -145,19 +145,18 @@ def maximal_cyclic_rows(group: Group) -> list[dict]:
     """One row per maximal cyclic subgroup M: its least generator, order,
     number of non-generators and of external-overlap elements (None for a
     cyclic group), and sorted members."""
-    rows = []
-    for m in group.maximal_cyclics:
-        overlap = None if group.is_cyclic else len(external_overlap(group, m))
-        rows.append(
-            {
-                "generator": m.generator,
-                "order": m.order,
-                "nongenerators": len(nongenerators(group, m)),
-                "external_overlap": overlap,
-                "elements": sorted(m.elements),
-            }
-        )
-    return rows
+    maximal = group.maximal_cyclics
+    overlaps = [None] * len(maximal) if group.is_cyclic else map(len, external_overlap(group))
+    return [
+        {
+            "generator": m.generator,
+            "order": m.order,
+            "nongenerators": len(nongenerators(group, m)),
+            "external_overlap": overlap,
+            "elements": sorted(m.elements),
+        }
+        for m, overlap in zip(maximal, overlaps)
+    ]
 
 
 def _cmd_maximal_cyclics(args: argparse.Namespace) -> int:

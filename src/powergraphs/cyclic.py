@@ -10,12 +10,12 @@ Every cyclic subgroup here is the group's own record of it, a
 ``groups.CyclicSubgroup`` reached through ``Group.maximal_cyclics``,
 ``Group.cyclic_subgroups`` or ``Group.cyclic_subgroup(g)``. Its
 non-generators are the h**j with gcd(j, |M|) > 1 in its power list, and
-containment questions are mask expressions over its closure, generators
-and roots masks: the external overlap of a maximal M is closure &
-``Group.overlap_mask``. The maximal subgroups, their overlaps and the
-Sylow products need no n-element records for a cyclic group or a product
-of coprime factors (see ``groups``); the exact-order and divisor shells of
-M are records reached by ``Group.cyclic_subgroup``, so they do.
+containment questions are mask expressions over its closure and generators
+masks: the external overlaps of the maximal subgroups are their members
+that lie in two of them or more. The maximal subgroups, their overlaps and
+the Sylow products need no n-element records for a cyclic group or a
+product of coprime factors (see ``groups``); the exact-order and divisor
+shells of M are records reached by ``Group.cyclic_subgroup``, so they do.
 """
 
 from __future__ import annotations
@@ -42,22 +42,25 @@ def nongenerators(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
     return frozenset(x for j, x in enumerate(subgroup.powers) if gcd(j, o) > 1)
 
 
-def external_overlap(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
-    """Union of the maximal subgroup M's intersections with closures of
-    outside elements.
+def external_overlap(group: Group) -> tuple[frozenset[int], ...]:
+    """Per maximal cyclic subgroup M, in ``Group.maximal_cyclics`` order, the
+    union of M's intersections with closures of outside elements.
 
     An outside y lies in a maximal cyclic subgroup other than M, and any
     other maximal one is generated outside M; so this is the members of M
     that lie in two maximal cyclic subgroups or more. They are read off
-    M's power list against the bytes of ``Group.overlap_mask``, linear in
-    the order.
+    each M's power list against the bytes of the mask of those elements,
+    linear in the order.
     """
     if group.is_cyclic:
         raise ValueError("external overlap needs a non-cyclic group")
-    if not subgroup.is_maximal:
-        raise ValueError("external overlap is defined for maximal cyclic subgroups")
-    shared = group.overlap_mask.to_bytes((group.size + 7) >> 3, "little")
-    return frozenset(x for x in subgroup.powers if shared[x >> 3] >> (x & 7) & 1)
+    maximal = group.maximal_cyclics
+    seen = shared = 0
+    for m in maximal:
+        shared |= seen & m.closure
+        seen |= m.closure
+    in_two = shared.to_bytes((group.size + 7) >> 3, "little")
+    return tuple(frozenset(x for x in m.powers if in_two[x >> 3] >> (x & 7) & 1) for m in maximal)
 
 
 def sylow_product(group: Group, primes: tuple[int, ...] | frozenset[int]) -> frozenset[int]:
@@ -124,7 +127,7 @@ def gamma_set(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
             f"{group.name}: need a non-cyclic 2-Sylow subgroup and cyclic odd "
             "Sylow subgroups"
         )
-    if not subgroup.is_maximal:
+    if subgroup not in group.maximal_cyclics:
         raise UnsupportedStructureError("layered cut-set is defined for maximal cyclic subgroups")
     n2 = p_adic_valuation(group.size, p2)
     n3 = p_adic_valuation(group.size, p3)

@@ -11,14 +11,14 @@ that check these formulas live in the tests.
 
 Each cyclic subgroup <h> has one record, a ``CyclicSubgroup`` built from
 the power list of its least generator h: the powers of h, and as masks its
-members, its generators and its roots (every y with <h> inside <y>). Power
-lists come from residues for cyclic groups and from the factors' lists for
-products; dihedral and quaternion groups multiply once per listed
-power (``Group._power_walk``) and then read their lists from their records.
+members and its generators. Power lists come from residues for cyclic
+groups and from the factors' lists for products; dihedral and quaternion
+groups multiply once per listed power (``Group._power_walk``) and then read
+their lists from their records.
 
-The n-element records (``Group._cyclic_places``, one place per element)
-give element orders, cyclic closures, roots, generator classes and
-``power``; ``Group.cyclic_subgroups`` lists them and
+The n-element records (``Group._cyclic_places``, one place per element,
+built in one pass and never changed) give element orders, cyclic closures,
+generator classes and ``power``; ``Group.cyclic_subgroups`` lists them and
 ``Group.cyclic_subgroup(g)`` returns the record of <g> (the only way other
 modules reach a record from an element). Graphs and suites need them.
 
@@ -28,12 +28,14 @@ most products. ``is_nilpotent`` and ``sylow_decomposition()`` count
 arithmetic and ``ProductGroup`` digit by digit; a product is cyclic iff its
 factors are, of pairwise coprime orders. A product cut into parts of
 pairwise coprime orders has as maximal cyclic subgroups the tuples of the
-parts' ones, each built as one record (``maximal_cyclics``, and
-``overlap_mask`` from them). Any other group reads these facts from its
-records. The poset of cyclic subgroups (``cyclic_poset``), which the power
-graph's twin quotient is read from, comes the same way: ``CyclicGroup``
-from its divisor lattice, a product with a coprime cut from its parts'
-posets, and any other group from its records.
+parts' ones, each built as one record (``maximal_cyclics``). Any other
+group reads these facts from its records, the maximal cyclic subgroups by
+the covering rule: <g> is not maximal iff it is <h**p> for a record <h>
+and a prime p dividing |h|. The poset of cyclic subgroups
+(``cyclic_poset``), which the power graph's twin quotient and rows are read
+from, comes the same way: ``CyclicGroup`` from its divisor lattice, a
+product with a coprime cut from its parts' posets, and any other group from
+its records.
 """
 
 from __future__ import annotations
@@ -102,15 +104,12 @@ class CyclicSubgroup:
     """One cyclic subgroup <h>, h its least generator.
 
     ``powers`` lists h**0, ..., h**(o-1). The masks are its members
-    (``closure``), the elements that generate it (``generators``) and every
-    y with <h> inside <y> (``roots``); <h> is maximal iff it holds all of its
-    roots.
+    (``closure``) and the elements that generate it (``generators``).
     """
 
     powers: tuple[int, ...]
     closure: int
     generators: int
-    roots: int
 
     @property
     def generator(self) -> int:
@@ -124,10 +123,6 @@ class CyclicSubgroup:
     @property
     def elements(self) -> frozenset[int]:
         return frozenset(self.powers)
-
-    @property
-    def is_maximal(self) -> bool:
-        return not self.roots & ~self.closure
 
 
 class CyclicPoset(NamedTuple):
@@ -191,13 +186,9 @@ class Group:
 
         Each cyclic subgroup is listed once, by ``_power_walk`` of its least
         generator h, and every generator h**j, gcd(j, o) = 1, gets the place
-        (record, j). The generators of <h>, of order o, lie in <h**d> exactly
-        for the divisors d of o, so a second pass ORs them into the roots of
-        each such subgroup (d = 1 is <h> itself, and d = o the identity's,
-        which holds every element).
+        (record, j).
         """
         places: list = [None] * self.size
-        subgroups = []
         units: dict[int, list[int]] = {}  # order o -> the exponents j < o prime to o
         for h in range(self.size):
             if places[h] is not None:
@@ -209,15 +200,6 @@ class Group:
             sub = _record(walk, units[o])
             for j in units[o]:
                 places[walk[j]] = (sub, j)
-            subgroups.append(sub)
-        subgroups[0].roots = (1 << self.size) - 1
-        divs: dict[int, list[int]] = {}  # order -> its divisors other than 1 and itself
-        for sub in subgroups:
-            o = len(sub.powers)
-            if o not in divs:
-                divs[o] = divisors(o)[1:-1]
-            for d in divs[o]:
-                places[sub.powers[d]][0].roots |= sub.generators
         return tuple(places)
 
     @cached_property
@@ -255,11 +237,6 @@ class Group:
         return tuple(sub.closure for sub, _ in self._cyclic_places)
 
     @cached_property
-    def root_masks(self) -> tuple[int, ...]:
-        """Per element g, the mask of every y with g in <y>."""
-        return tuple(sub.roots for sub, _ in self._cyclic_places)
-
-    @cached_property
     def element_orders(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.closure_masks)
 
@@ -293,17 +270,21 @@ class Group:
 
     @cached_property
     def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
-        """The maximal cyclic subgroups' records, ordered by least generator."""
-        return tuple(sub for sub in self.cyclic_subgroups if sub.is_maximal)
+        """The maximal cyclic subgroups' records, ordered by least generator.
 
-    @cached_property
-    def overlap_mask(self) -> int:
-        """The elements that lie in two or more maximal cyclic subgroups."""
-        seen = shared = 0
-        for sub in self.maximal_cyclics:
-            shared |= seen & sub.closure
-            seen |= sub.closure
-        return shared
+        The covering rule: <g> is not maximal exactly when it is <h**p> for
+        some record <h> and some prime p dividing |h|. Such an <h**p> has
+        index p in <h>. Conversely, if <g> lies in <y> with index d > 1 and
+        p is a prime dividing d, then <g> is the subgroup <y**d> of <y>, and
+        y**d = h**p for h = y**(d/p), whose order |g| * p the prime p divides.
+        """
+        places = self._cyclic_places
+        covered = {
+            id(places[sub.powers[p % len(sub.powers)]][0])
+            for sub in self.cyclic_subgroups
+            for p, _ in factorize(len(sub.powers))
+        }
+        return tuple(sub for sub in self.cyclic_subgroups if id(sub) not in covered)
 
     def elements_of_order_dividing(self, m: int) -> frozenset[int]:
         """The elements g with g**m the identity."""
@@ -381,9 +362,7 @@ def _unit_exponents(o: int) -> list[int]:
 
 def _record(walk: list[int], units: list[int], size: int = 0) -> CyclicSubgroup:
     """The record of the cyclic subgroup that ``walk`` lists as h**0, ...,
-    h**(o-1), ``units`` the exponents prime to o. Its roots start as its
-    generators, which is all of them for a maximal subgroup
-    (``Group._cyclic_places`` adds the rest).
+    h**(o-1), ``units`` the exponents prime to o.
 
     The record walk builds one record per cyclic subgroup, most of them of
     small order, and sets their mask bits one at a time. The maximal records
@@ -391,7 +370,7 @@ def _record(walk: list[int], units: list[int], size: int = 0) -> CyclicSubgroup:
     up to n bits each, are built in linear time (``bitsets.mask_of``).
     """
     generators = mask_of(map(walk.__getitem__, units), size)
-    return CyclicSubgroup(tuple(walk), mask_of(walk, size), generators, generators)
+    return CyclicSubgroup(tuple(walk), mask_of(walk, size), generators)
 
 
 def _spread(mask: int, width: int) -> int:

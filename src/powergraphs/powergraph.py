@@ -9,10 +9,9 @@ of a group (``build_power_graph``) it is read off that poset
 (``poset_twin_quotient``): the group lists one node per cyclic subgroup
 (``Group.cyclic_poset``), and twins are merged node by node, with no
 n-vertex row. The rows are built only when something reads ``adj``, the
-property suites and the DOT export: row x is the closure <x> joined with
-the roots of x (the y with x in <y>), two masks the group computes once per
-cyclic subgroup. A graph given as rows (``PowerGraph(n, adj)``) merges its
-twins row by row. Adjacency is stored densely as one integer bitmask per
+property suites and the DOT export, from the same poset: row x holds the
+generators of every cyclic subgroup comparable to <x>. A graph given as
+rows (``PowerGraph(n, adj)``) merges its twins row by row. Adjacency is stored densely as one integer bitmask per
 vertex: power graphs are dense, and whole-row operations are the dominant
 win.
 """
@@ -235,13 +234,18 @@ class _GroupPowerGraph(PowerGraph):
 
 
 def _rows(group: Group) -> tuple[int, ...]:
-    """The adjacency rows: row x is the closure <x> together with the roots
-    of x (every y with x in <y>), both read from the group's per-subgroup
-    masks, minus x itself."""
-    return tuple(
-        (closure | roots) & ~(1 << x)
-        for x, (closure, roots) in enumerate(zip(group.closure_masks, group.root_masks))
-    )
+    """The adjacency rows, read off the poset of cyclic subgroups
+    (``Group.cyclic_poset``): x is adjacent to y exactly when <y> is
+    comparable to <x>, so row x is the sum of the (disjoint) generator masks
+    of the nodes in ``up | down`` of x's node, minus x itself."""
+    poset = group.cyclic_poset
+    generators = poset.generators
+    rows = [0] * group.size
+    for key, members in zip(map(or_, poset.up, poset.down), generators):
+        row = sum(map(generators.__getitem__, iter_bits(key)))
+        for x in iter_bits(members):
+            rows[x] = row ^ (1 << x)
+    return tuple(rows)
 
 
 def build_power_graph(group: Group) -> PowerGraph:

@@ -121,8 +121,7 @@ def check_external_overlap_cut(group: Group, graph: PowerGraph) -> CheckResult:
     sitting inside the non-generators, which are a proper subset."""
     if group.is_cyclic:
         return None
-    for m in group.maximal_cyclics:
-        bar = external_overlap(group, m)
+    for m, bar in zip(group.maximal_cyclics, external_overlap(group)):
         tilde = nongenerators(group, m)
         if not (bar <= tilde and tilde < m.elements):
             return False, f"<{m.generator}>: overlap/non-generator inclusions fail"
@@ -139,8 +138,8 @@ def check_overlap_equals_nongenerators(group: Group, graph: PowerGraph) -> Check
         return None
     dec = group.sylow_decomposition()
     expected = dec.noncyclic == dec.primes
-    for m in group.maximal_cyclics:
-        equal = external_overlap(group, m) == nongenerators(group, m)
+    for m, bar in zip(group.maximal_cyclics, external_overlap(group)):
+        equal = bar == nongenerators(group, m)
         if equal != expected:
             return False, (
                 f"<{m.generator}>: overlap==nongenerators is {equal}, "
@@ -181,11 +180,10 @@ def check_overlap_minimal(group: Group, graph: PowerGraph) -> CheckResult:
     if len(group.sylow_decomposition().noncyclic) < 2:
         return None
     everything = frozenset(range(group.size))
-    for m in group.maximal_cyclics:
+    for m, bar in zip(group.maximal_cyclics, external_overlap(group)):
         comps = graph.components_after_removal(m.elements)
         if len(comps) != 1:
             return False, f"graph minus <{m.generator}> is disconnected"
-        bar = external_overlap(group, m)
         if not graph.is_minimal_cut_set(bar):
             return False, f"external overlap of <{m.generator}> is not minimal"
         tilde = nongenerators(group, m)
@@ -244,7 +242,7 @@ def check_maximal_cyclic_product_form(group: Group, graph: PowerGraph) -> CheckR
     maximal cyclic subgroups of the Sylow subgroups."""
     if group.is_cyclic or not group.is_nilpotent:
         return None
-    closures, roots = group.closure_masks, group.root_masks
+    closures = group.closure_masks
     orders = group.element_orders
     sylows = [
         (p, mask_of(sylow_product(group, (p,)), group.size))
@@ -258,8 +256,9 @@ def check_maximal_cyclic_product_form(group: Group, graph: PowerGraph) -> CheckR
             gen = max(iter_bits(part), key=orders.__getitem__)
             if closures[gen] != part:
                 return False, f"<{m.generator}>: Sylow {p} part is not cyclic"
-            # a root h of gen outside the part: <h> is a larger cyclic p-subgroup
-            if roots[gen] & members & ~part:
+            # <gen> is the part, so a neighbour h of gen in the Sylow subgroup
+            # but outside the part has gen in <h>, a larger cyclic p-subgroup
+            if graph.adj[gen] & members & ~part:
                 return False, (
                     f"<{m.generator}>: Sylow {p} part is not maximal in its Sylow subgroup"
                 )
@@ -295,8 +294,7 @@ def check_witness_equivalence(group: Group, graph: PowerGraph) -> CheckResult:
     """For abelian groups: every non-generator of every maximal cyclic
     subgroup M lies in the closure of some element outside M exactly when
     all Sylow subgroups are non-cyclic. Read from the closures of the
-    outside elements, not from roots, so this checks ``external_overlap``
-    independently."""
+    outside elements, so this checks ``external_overlap`` independently."""
     if group.is_cyclic or not group.is_abelian:
         return None
     dec = group.sylow_decomposition()

@@ -16,7 +16,7 @@ from powergraphs.cli import build_parser, main, maximal_cyclic_rows, parse_group
 from powergraphs.groups import Group, make_abelian
 from powergraphs.harness import THEOREM_IDS
 from powergraphs.numtheory import euler_phi
-from test_groups import PREDICT_OVERSIZE_REQUESTS
+from test_groups import PREDICT_OVERSIZE_REQUESTS, maximal_closures, overlap_by_definition
 
 
 def run(capsys, *argv):
@@ -309,21 +309,21 @@ def test_maximal_cyclics_of_an_oversized_cyclic_product(capsys, monkeypatch):
 
 def reference_rows(spec):
     """The maximal-cyclics rows read from every record of a fresh copy of
-    the group: the non-generators from its generators mask, the external
-    overlap from the root masks."""
+    the group: the maximal ones and their external overlaps from the cyclic
+    closures, the non-generators from the generators mask."""
     G = make_abelian(spec)
     cyclic = max(G.element_orders) == G.size
-    roots = G.root_masks
+    tops = maximal_closures(G)
     return [
         {
             "generator": m.generator,
             "order": m.order,
             "nongenerators": m.order - m.generators.bit_count(),
-            "external_overlap": None if cyclic else sum(1 for x in m.powers if roots[x] & ~m.closure),
+            "external_overlap": None if cyclic else len(overlap_by_definition(G, m)),
             "elements": sorted(m.elements),
         }
         for m in G.cyclic_subgroups
-        if m.is_maximal
+        if m.closure in tops
     ]
 
 

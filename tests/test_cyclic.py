@@ -39,7 +39,6 @@ def test_maximal_cyclic_against_oracle(G):
     maximal = brute_force_maximal(G)
     assert got == maximal
     for m in G.maximal_cyclics:
-        assert m.is_maximal
         assert m.elements == G.cyclic_closure(m.generator)
         assert m.order == len(m.elements)
     # every element is covered
@@ -50,7 +49,7 @@ def test_maximal_cyclic_against_oracle(G):
         sub = G.cyclic_subgroup(g)
         assert sub.elements == c and sub.order == len(c)
         assert sub.generator == min(h for h, d in enumerate(closures) if d == c)
-        assert sub.is_maximal == (c in maximal)
+        assert (sub in G.maximal_cyclics) == (c in maximal)
 
 
 def test_cyclic_group_single_maximal():
@@ -82,7 +81,8 @@ def test_cyclic_subgroup_flags():
     G = make_generalized_quaternion(8)
     involution = next(g for g, o in enumerate(G.element_orders) if o == 2)
     sub = G.cyclic_subgroup(involution)
-    assert sub.order == 2 and not sub.is_maximal
+    assert sub.order == 2 and sub not in G.maximal_cyclics
+    assert sub.elements not in brute_force_maximal(G)
 
 
 def test_nongenerators_sizes():
@@ -98,31 +98,32 @@ def test_nongenerators_sizes():
 
 def test_external_overlap_examples():
     klein = make_abelian([(2, 1), (2, 1)])
-    for m in klein.maximal_cyclics:
-        assert external_overlap(klein, m) == {0}
+    assert external_overlap(klein) == ({0}, {0}, {0})
 
     both_noncyclic = make_abelian([(2, 1), (2, 1), (3, 1), (3, 1)])
-    for m in both_noncyclic.maximal_cyclics:
-        assert external_overlap(both_noncyclic, m) == nongenerators(both_noncyclic, m)
+    for m, bar in zip(both_noncyclic.maximal_cyclics, external_overlap(both_noncyclic)):
+        assert bar == nongenerators(both_noncyclic, m)
 
     cyclic_sylow = make_abelian([(2, 1), (2, 1), (3, 1)])
-    m6 = next(m for m in cyclic_sylow.maximal_cyclics if m.order == 6)
-    assert external_overlap(cyclic_sylow, m6) < nongenerators(cyclic_sylow, m6)
+    i, m6 = next((i, m) for i, m in enumerate(cyclic_sylow.maximal_cyclics) if m.order == 6)
+    assert external_overlap(cyclic_sylow)[i] < nongenerators(cyclic_sylow, m6)
 
-    # definition: the union over y outside M of <y> & M
+    # one set per maximal M, in maximal_cyclics order, each by definition:
+    # the union over y outside M of <y> & M
     for G in NONCYCLIC_CORPUS:
-        for m in G.maximal_cyclics:
+        overlaps = external_overlap(G)
+        assert len(overlaps) == len(G.maximal_cyclics), G.name
+        for m, bar in zip(G.maximal_cyclics, overlaps):
             expected = set()
             for y in range(G.size):
                 if y not in m.elements:
                     expected |= G.cyclic_closure(y) & m.elements
-            assert external_overlap(G, m) == expected, (G.name, m.generator)
+            assert bar == expected, (G.name, m.generator)
 
 
 def test_external_overlap_rejects_cyclic_group():
-    G = make_cyclic(12)
     with pytest.raises(ValueError):
-        external_overlap(G, G.maximal_cyclics[0])
+        external_overlap(make_cyclic(12))
 
 
 def test_sylow_complement_product():
@@ -189,6 +190,12 @@ def test_gamma_set_structure_errors():
     with pytest.raises(UnsupportedStructureError):
         G = make_abelian([(3, 1), (3, 1), (5, 1)])  # two primes only
         gamma_set(G, min_order_maximal_cyclic(G))
+    G = make_abelian([(2, 1), (2, 2), (3, 1), (5, 1)])
+    # <(0, 2, 1, 1)>, of order 30 = 2 * 3 * 5, lies in <(0, 1, 1, 1)> of order 60
+    inner = G.cyclic_subgroup(G.encode((0, 2, 1, 1)))
+    assert inner.order == 30
+    with pytest.raises(UnsupportedStructureError, match="defined for maximal"):
+        gamma_set(G, inner)
 
 
 def test_min_order_maximal_cyclic():

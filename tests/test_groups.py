@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from powergraphs.bitsets import iter_bits
+from powergraphs.bitsets import bits, iter_bits
 from powergraphs.cyclic import (
     elements_of_dividing_order,
     elements_of_exact_order,
@@ -188,7 +188,7 @@ def test_cyclic_subgroups_one_record_each_by_least_generator():
             assert m.order == len(m.elements) == len(m.powers)
             assert m.generators == sum(1 << g for g in G.generator_class(m.generator))
             outside = {y for y in range(G.size) if m.elements < closures[y]}
-            assert m.is_maximal == (not outside)
+            assert (m in G.maximal_cyclics) == (not outside)
 
 
 def test_cyclic_subgroup_is_the_record_of_each_generator():
@@ -378,28 +378,45 @@ def structure_facts(G):
         for r in range(1, len(dec.primes) + 1):
             for primes in combinations(dec.primes, r):
                 products[primes] = sylow_product(G, primes)
-    overlaps = None if G.is_cyclic else [external_overlap(G, m) for m in maximal]
+    overlaps = None if G.is_cyclic else list(external_overlap(G))
     return G.is_cyclic, G.is_nilpotent, dec, sylows, maximal, products, overlaps
 
 
+def maximal_closures(G):
+    """The closure masks of the maximal cyclic subgroups, by definition: the
+    distinct cyclic closures inside no other. Each member x of a closure
+    <y> with <x> != <y> has its closure strictly inside <y>."""
+    closures = G.closure_masks
+    inside = {closures[x] for c in set(closures) for x in bits(c) if closures[x] != c}
+    return set(closures) - inside
+
+
+def overlap_by_definition(G, m):
+    """The members of M that lie in <y> for some y outside M: the closures
+    not inside M, joined and met with M."""
+    reached = 0
+    for c in set(G.closure_masks):
+        if c & ~m.closure:
+            reached |= c
+    return frozenset(x for x in m.powers if reached >> x & 1)
+
+
 def reference_structure_facts(G):
-    """The same facts read off every element's order and root mask."""
+    """The same facts read off every element's order and cyclic closure."""
     try:
         dec = reference_sylow_decomposition(G)
     except UnsupportedStructureError as exc:
         dec = str(exc)
     sylows = None if isinstance(dec, str) else reference_p_elements(G)
-    maximal = tuple(m for m in G.cyclic_subgroups if m.is_maximal)
+    tops = maximal_closures(G)
+    maximal = tuple(m for m in G.cyclic_subgroups if m.closure in tops)
     products = {}
     if not isinstance(dec, str):
         for r in range(1, len(dec.primes) + 1):
             for primes in combinations(dec.primes, r):
                 products[primes] = reference_sylow_product(G, primes)
     is_cyclic = max(G.element_orders) == G.size
-    roots = G.root_masks
-    overlaps = None
-    if not is_cyclic:
-        overlaps = [frozenset(x for x in m.powers if roots[x] & ~m.closure) for m in maximal]
+    overlaps = None if is_cyclic else [overlap_by_definition(G, m) for m in maximal]
     return is_cyclic, reference_is_nilpotent(G), dec, sylows, maximal, products, overlaps
 
 
@@ -636,7 +653,7 @@ def assert_matches_reference(G, reference):
     table = CayleyTableGroup(G.name, tabulate(G))  # validates the group axioms
     assert [list(row) for row in table._table] == reference, G.name
     assert G.closure_masks == table.closure_masks, G.name
-    assert G.root_masks == table.root_masks, G.name
+    assert {m.closure for m in G.maximal_cyclics} == maximal_closures(table), G.name
 
 
 @pytest.mark.parametrize("order", range(6, 201, 2))
@@ -765,7 +782,8 @@ def test_power_lists_and_records_match_the_multiplication_walk():
         ref = walked_by_multiplication(G)
         # a product of coprime parts builds its maximal records from theirs
         maximal = G.maximal_cyclics
-        assert maximal == tuple(m for m in ref.cyclic_subgroups if m.is_maximal), G.name
+        tops = maximal_closures(ref)
+        assert maximal == tuple(m for m in ref.cyclic_subgroups if m.closure in tops), G.name
         for h in range(G.size):
             assert G.power_list(h) == ref._power_walk(h), (G.name, h)
         assert G._cyclic_places == ref._cyclic_places, G.name
