@@ -30,7 +30,11 @@ into or kept out of the cut (Picard & Queyranne, 1980; Provan & Shier,
 1996), from a root holding the classes counted into it, one flow per part
 or one flood once the forced classes weigh the best, so the work follows
 the number of cuts rather than of class subsets. Constraints only raise a
-cut, so only a root can come in lighter: it lowers the best.
+cut, so only a root can come in lighter: it lowers the best. Weights are
+carried, not re-summed: the sweep adds each source's weight to the forced
+weight once, a pair adds its common neighbours' to that, and each search
+node holds the weight of its forced classes, to which a child adds each
+class it forces.
 """
 
 from __future__ import annotations
@@ -151,9 +155,10 @@ def _max_flow(
 
 def _menger_pairs(
     q_adj: Sequence[int], weight: Sequence[int], universal: int | None
-) -> Iterator[tuple[int, int, list[int], int]]:
+) -> Iterator[tuple[int, int, list[int], int, int]]:
     """The one sweep both engines run: class pairs (s, t), each with the
-    adjacency ``adj`` and the classes ``into`` forced into its cut.
+    adjacency ``adj``, the classes ``into`` forced into its cut and their
+    weight ``forced``, carried from source to source, not re-summed.
 
     The sources are the classes but the universal class U, if any, in
     (-weight, index) order, each paired with its non-neighbours but the
@@ -181,16 +186,17 @@ def _menger_pairs(
       neighbour: the minimum cuts, the cut closest to s and the cuts listed
       are the same sets with them counted in.
     """
-    into = 0 if universal is None else 1 << universal
+    into, forced = (0, 0) if universal is None else (1 << universal, weight[universal])
     everything = (1 << len(q_adj)) - 1
     for s in sorted(range(len(q_adj)), key=lambda c: (-weight[c], c)):
         if s != universal:
             adj = list(q_adj)
             for t in iter_bits(everything & ~(q_adj[s] | into | 1 << s)):
-                yield s, t, adj, into
+                yield s, t, adj, into, forced
                 adj[s] |= 1 << t
                 adj[t] |= 1 << s
             into |= 1 << s
+            forced += weight[s]
 
 
 def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
@@ -207,8 +213,7 @@ def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
     first = min(range(k), key=degree.__getitem__)
     best = degree[first]
     best_cut = _expand(members, q_adj[first] | 1 << first) & ~(members[first] & -members[first])
-    for s, t, adj, into in _menger_pairs(q_adj, weight, u):
-        forced = sum(weight[c] for c in iter_bits(into))
+    for s, t, adj, into, forced in _menger_pairs(q_adj, weight, u):
         if best <= forced:  # every later cut holds these classes too
             break
         # and this pair's cuts hold its common neighbours
@@ -342,9 +347,10 @@ def all_minimum_cutsets(
     forces classes into the cut (weight 0) and out of it (weight above
     every cut), and one flow finds a minimum cut under them. If it weighs
     best, the node records it and splits the remaining cuts by the first of
-    its new classes they leave out; above best, the node ends; below best,
-    best drops to its weight and the sets found, now too heavy, are
-    dropped. Only a root can come in below: a child's cuts are among its
+    its new classes they leave out, each child carrying its parent's forced
+    weight plus that of the classes it forces; above best, the node ends;
+    below best, best drops to its weight and the sets found, now too
+    heavy, are dropped. Only a root can come in below: a child's cuts are among its
     parent's, whose least weighs best. So a minimum cut-set C is listed: it
     holds the root of its first pair, whose cut weighs at most w(C), and
     from there on best is kappa. A node whose forced classes already weigh
@@ -373,22 +379,23 @@ def all_minimum_cutsets(
         sets = (frozenset(bits(_expand(members, m))) for m in found)
         return sorted(sets, key=sorted)
 
-    for s, t, adj, into in _menger_pairs(q_adj, weight, universal):
-        if sum(weight[c] for c in iter_bits(into)) > best:
+    for s, t, adj, into, forced in _menger_pairs(q_adj, weight, universal):
+        if forced > best:
             break
-        root = into | adj[s] & adj[t]
-        if sum(weight[c] for c in iter_bits(root)) > best:
+        common = adj[s] & adj[t] & ~into
+        forced += sum(weight[c] for c in iter_bits(common))
+        if forced > best:
             continue
-        stack = [(root, 0)]
+        stack = [(into | common, 0, forced)]
         while stack:
-            into, out = stack.pop()
+            into, out, forced = stack.pop()
             if nodes == max_combinations:
                 raise ResourceLimitError(
                     f"minimum cut enumeration exceeded {max_combinations} search nodes",
                     partial=tuple(listed()),
                 )
             nodes += 1
-            need = best - sum(weight[c] for c in iter_bits(into))
+            need = best - forced
             if not need:
                 if into not in found and not flood(adj, everything & ~into, s) >> t & 1:
                     found.add(into)
@@ -405,6 +412,7 @@ def all_minimum_cutsets(
                 found.clear()
             found.add(cut | into)
             for c in iter_bits(cut & ~into):
-                stack.append((into, out | 1 << c))
+                stack.append((into, out | 1 << c, forced))
                 into |= 1 << c
+                forced += weight[c]
     return best, listed()

@@ -14,7 +14,9 @@ the power list of its least generator h: the powers of h, and as masks its
 members and its generators. Power lists come from residues for cyclic
 groups and from the factors' lists for products; dihedral and quaternion
 groups multiply once per listed power (``Group._power_walk``) and then read
-their lists from their records.
+their lists from their records. Only the records walk: a dihedral or
+quaternion group writes its maximal cyclic subgroups, its poset and its
+``is_cyclic`` and ``is_abelian`` down from its presentation.
 
 The n-element records (``Group._cyclic_places``, one place per element,
 built in one pass and never changed) give element orders, cyclic closures,
@@ -28,13 +30,16 @@ most products. ``is_nilpotent`` and ``sylow_decomposition()`` count
 arithmetic and ``ProductGroup`` digit by digit; a product is cyclic iff its
 factors are, of pairwise coprime orders. A product cut into parts of
 pairwise coprime orders has as maximal cyclic subgroups the tuples of the
-parts' ones, each built as one record (``maximal_cyclics``). Any other
-group reads these facts from its records, the maximal cyclic subgroups by
-the covering rule: <g> is not maximal iff it is <h**p> for a record <h>
-and a prime p dividing |h|. The poset of cyclic subgroups
-(``cyclic_poset``), which the power graph's twin quotient and rows are read
-from, comes the same way: ``CyclicGroup`` from its divisor lattice, a
-product with a coprime cut from its parts' posets, and any other group from
+parts' ones, each built as one record (``maximal_cyclics``). A dihedral
+or quaternion group <a, b> has as maximal cyclic subgroups <a> and each
+<x> outside <a>, also each built as one record. Any other group
+reads these facts from its records, the maximal cyclic subgroups by the
+covering rule: <g> is not maximal iff it is <h**p> for a record <h> and a
+prime p dividing |h|. The poset of cyclic subgroups (``cyclic_poset``),
+which the power graph's twin quotient and rows are read from, comes the
+same way: ``CyclicGroup`` from its divisor lattice, a product with a
+coprime cut from its parts' posets, ``DihedralLikeGroup`` from the divisor
+lattice of <a> and one node per <x> outside it, and any other group from
 its records.
 """
 
@@ -441,8 +446,23 @@ class DihedralLikeGroup(Group):
 
     Element e*half + i is a**i * b**e. ``mirrored`` swaps the operands of
     ``mul``: the opposite group, on the same indices, where element
-    e*half + i is b**e * a**i.
+    e*half + i is b**e * a**i. ``make_dihedral`` and
+    ``make_generalized_quaternion`` build it only with half >= 3 and twist
+    0 or half/2, so a and b do not commute and no element has order 2*half.
+
+    Its cyclic subgroups are read off the presentation, with no record: those
+    of <a>, the elements 0..half-1, and one <x> per x = half + i outside <a>.
+    Such an x is a**i b or b a**i = a**-i b, and either way x*x = a**twist
+    and x**3 = a**twist * x = half + (i + twist) % half. So <x> meets <a> in
+    <a**twist>: when twist is 0 it has order 2, above the identity only;
+    when twist is half/2 it has order 4 and the two generators half + i and
+    half + (i + twist) % half, above the identity and <a**twist>.
     """
+
+    # with half >= 3, b*a = a**-1 * b differs from a*b, and no element has
+    # order 2*half: <a> has order half and each <x> order 2 or 4 < 2*half
+    is_abelian = False
+    is_cyclic = False
 
     def __init__(self, name: str, half: int, twist: int, mirrored: bool = False):
         self.name = name
@@ -459,6 +479,50 @@ class DihedralLikeGroup(Group):
             return y - y % h + (x + y) % h
         i = (x - y) % h  # a**i b * a**j b**e = a**(i-j) b**(1+e)
         return h + i if y < h else (i + self._twist) % h
+
+    def _outside_walks(self) -> list[list[int]]:
+        """The power lists of the cyclic subgroups outside <a>, by least
+        generator: [0, x] or [0, x, twist, half + (i + twist) % half] for
+        x = half + i, i < half or i < twist."""
+        half, twist = self._half, self._twist
+        if not twist:
+            return [[0, half + i] for i in range(half)]
+        return [[0, half + i, twist, half + (i + twist) % half] for i in range(twist)]
+
+    @cached_property
+    def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
+        """<a>, of order half >= 3, then each <x> outside it, by least
+        generator. No <x> holds all of <a>, and a cyclic subgroup that holds
+        x is not inside <a>, so it is some <y> outside <a>, of the order of
+        <x>, hence <x> itself."""
+        half = self._half
+        walks = self._outside_walks()
+        units = _unit_exponents(len(walks[0]))
+        return (
+            _record(list(range(half)), _unit_exponents(half), self.size),
+            *(_record(walk, units) for walk in walks),
+        )
+
+    @cached_property
+    def cyclic_poset(self) -> CyclicPoset:
+        """The divisor lattice of <a> (``CyclicGroup(half).cyclic_poset``,
+        whose element indices are already the rotations'), then one node per
+        <x> outside <a>, in index order, each above the identity and
+        <a**twist> (one node when twist is 0) and below nothing else."""
+        half, twist = self._half, self._twist
+        rotations = CyclicGroup(half).cyclic_poset
+        k = len(rotations.up)
+        nodes = range(k, k + (twist or half))
+        below = 1 | 1 << rotations.least_generators.index(twist)
+        above = sum(1 << c for c in nodes)
+        walks = self._outside_walks()
+        return CyclicPoset(
+            rotations.least_generators + tuple(walk[1] for walk in walks),
+            rotations.generators + tuple(1 << walk[1] | 1 << walk[-1] for walk in walks),
+            tuple(up | above if below >> j & 1 else up for j, up in enumerate(rotations.up))
+            + tuple(1 << c for c in nodes),
+            rotations.down + tuple(below | 1 << c for c in nodes),
+        )
 
 
 class ProductGroup(Group):

@@ -200,8 +200,10 @@ def poset_twin_quotient(group: Group) -> tuple[tuple[int, ...], tuple[int, ...],
 
     Order. The nodes come in least-generator order: the divisor lattice of
     C_n lists <n/d> by n/d, a product of coprime parts lists its tuples in
-    the parts' order (``ProductGroup._coprime_parts``), and any other group
-    its records. A class's least vertex is the least generator of one of
+    the parts' order (``ProductGroup._coprime_parts``), a dihedral or
+    quaternion group lists the subgroups of <a>, the elements below half,
+    before one node per <x> outside <a> by least generator, and any other
+    group lists its records. A class's least vertex is the least generator of one of
     its nodes, hence of its first node in that order, so classes ordered by
     their first node are ordered by least vertex, as the rows order them.
 

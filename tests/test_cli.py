@@ -16,7 +16,12 @@ from powergraphs.cli import build_parser, main, maximal_cyclic_rows, parse_group
 from powergraphs.groups import Group, make_abelian
 from powergraphs.harness import THEOREM_IDS
 from powergraphs.numtheory import euler_phi
-from test_groups import PREDICT_OVERSIZE_REQUESTS, maximal_closures, overlap_by_definition
+from test_groups import (
+    PREDICT_OVERSIZE_REQUESTS,
+    count_power_walks,
+    maximal_closures,
+    overlap_by_definition,
+)
 
 
 def run(capsys, *argv):
@@ -305,6 +310,26 @@ def test_maximal_cyclics_of_an_oversized_cyclic_product(capsys, monkeypatch):
             "elements": list(range(n)),
         }
     ]
+
+
+@pytest.mark.parametrize(
+    "spec, kappa, cutset",
+    [("dihedral:2000", 1, [0]), ("quaternion:4096", 2, [0, 1024])],
+)
+def test_dihedral_and_quaternion_commands_make_no_power_walk(capsys, monkeypatch, spec, kappa, cutset):
+    # the poset and the maximal subgroups are read off the presentation; the
+    # rows are checked against the records, built before the walks are counted
+    G = parse_group_spec(spec)
+    G.maximal_cyclics = Group.maximal_cyclics.func(G)
+    rows = maximal_cyclic_rows(G)
+    walked = count_power_walks(monkeypatch)
+    code, out, _ = run(capsys, "maximal-cyclics", "--group", spec, "--json")
+    assert code == 0
+    assert json.loads(out) == {"group": G.name, "maximal_cyclic_subgroups": rows}
+    code, out, _ = run(capsys, "kappa", "--group", spec, "--max-brute-vertices", str(G.size), "--json")
+    assert code == 0
+    assert json.loads(out) == {"group": G.name, "kappa": kappa, "cutset": cutset}
+    assert walked == []
 
 
 def reference_rows(spec):

@@ -152,6 +152,7 @@ def test_kappa_flow_count(monkeypatch, spec, most):
     [
         ("abelian:2,2,2,2,2,5", 0, 61),
         ("abelian:2,2,2,3,5", 14, 26),
+        ("abelian:2,2,2,3,7", 14, 26),
         ("abelian:2,2,2,2,2,2,3,3", 69, 320),
     ],
 )
@@ -200,15 +201,17 @@ def test_enumeration_root_of_weight_kappa_that_joins_its_pair_lists_nothing(monk
         return t not in seen
 
     joined = []
-    for s, t, adj, into in connectivity._menger_pairs(q_adj, weight, u):
-        if sum(weight[c] for c in iter_bits(into)) > least:
+    for s, t, adj, into, forced in connectivity._menger_pairs(q_adj, weight, u):
+        # the sweep carries the weight of its forced classes
+        assert forced == sum(weight[c] for c in iter_bits(into))
+        if forced > least:
             break
         root = into | adj[s] & adj[t]
         if sum(weight[c] for c in iter_bits(root)) != least:
             continue
         assert parts(q_adj, root, s, t)
         if not parts(adj, root, s, t):
-            joined.append((s, t, list(adj), into))
+            joined.append((s, t, list(adj), into, forced))
     assert joined
     for pair in joined:
         monkeypatch.setattr(connectivity, "_menger_pairs", lambda *args: iter([pair]))

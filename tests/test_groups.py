@@ -790,6 +790,53 @@ def test_power_lists_and_records_match_the_multiplication_walk():
         assert G.cyclic_subgroups == ref.cyclic_subgroups, G.name
 
 
+def test_dihedral_and_quaternion_closed_forms_match_the_multiplication_walk():
+    # the poset and the maximal records are read off the presentation; the
+    # base class builds both from the records that _power_walk lists
+    groups = [
+        *(make_dihedral(n) for n in range(6, 401, 2)),
+        *(make_generalized_quaternion(2**m) for m in range(3, 11)),
+    ]
+    for G in groups:
+        assert G.cyclic_poset == Group.cyclic_poset.func(G), G.name
+        # records compare by their powers, closure and generators
+        assert G.maximal_cyclics == Group.maximal_cyclics.func(G), G.name
+
+
+def test_dihedral_and_quaternion_flags_match_the_records_and_mul():
+    groups = [
+        *(make_dihedral(n) for n in range(6, 61, 2)),
+        *(make_generalized_quaternion(2**m) for m in range(3, 7)),
+    ]
+    for G in groups:
+        assert G.is_cyclic is Group.is_cyclic.func(G) is False, G.name
+        assert G.is_abelian is Group.is_abelian.func(G) is False, G.name
+
+
+def count_power_walks(monkeypatch) -> list[tuple[Group, int]]:
+    """Log each (group, h) that the base ``Group._power_walk`` lists, from now on."""
+    walked = []
+    walk = Group._power_walk
+
+    def logged(group, h):
+        walked.append((group, h))
+        return walk(group, h)
+
+    monkeypatch.setattr(Group, "_power_walk", logged)
+    return walked
+
+
+@pytest.mark.parametrize("order, build", [(2000, make_dihedral), (4096, make_generalized_quaternion)])
+def test_dihedral_and_quaternion_structure_makes_no_power_walk(monkeypatch, order, build):
+    walked = count_power_walks(monkeypatch)
+    G = build(order)
+    G.cyclic_poset, G.maximal_cyclics, G.is_cyclic
+    assert walked == []
+    # the records still come from the walk, one per cyclic subgroup
+    G.closure_masks
+    assert len(walked) == len(G.cyclic_poset.up)
+
+
 def test_abelian_group_is_the_right_fold_of_cyclic_direct_products():
     for spec in generate_abelian_corpus(64):
         G = make_abelian(spec)
