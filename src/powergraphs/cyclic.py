@@ -6,23 +6,24 @@ subgroups generated outside it, the product of all Sylow subgroups except a
 chosen one, and (in one specific abelian configuration) a layered set
 assembled from exact-order shells and divisor subgroups of M.
 
-Every cyclic subgroup here is the group's own record of it, a
-``groups.CyclicSubgroup`` reached through ``Group.maximal_cyclics``,
-``Group.cyclic_subgroups`` or ``Group.cyclic_subgroup(g)``. Its
-non-generators are the h**j with gcd(j, |M|) > 1 in its power list, and
-containment questions are mask expressions over its closure and generators
-masks: the external overlaps of the maximal subgroups are their members
-that lie in two of them or more. The maximal subgroups, their overlaps and
-the Sylow products need no n-element records for a cyclic group or a
-product of coprime factors (see ``groups``); the exact-order and divisor
-shells of M are records reached by ``Group.cyclic_subgroup``, so they do.
+Every cyclic subgroup here is a ``groups.CyclicSubgroup``: a maximal one
+read off the group's poset of cyclic subgroups (``Group.maximal_cyclics``),
+or a record reached through ``Group.cyclic_subgroups`` or
+``Group.cyclic_subgroup(g)``. Containment questions are mask expressions
+over its closure and generators masks: its non-generators are its closure
+less its generators, and the external overlaps of the maximal subgroups are
+their members that lie in two of them or more. The maximal subgroups, their
+overlaps and the Sylow products need no n-element records for a cyclic
+group, a product of coprime factors or a dihedral or quaternion group (see
+``groups``); the exact-order and divisor shells of M are records reached by
+``Group.cyclic_subgroup``, so they do.
 """
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import prod
 
-from .bitsets import iter_bits
+from .bitsets import bits
 from .groups import CyclicSubgroup, Group, UnsupportedStructureError
 from .numtheory import p_adic_valuation
 from .predictions import gamma_cardinality
@@ -34,12 +35,8 @@ def min_order_maximal_cyclic(group: Group) -> CyclicSubgroup:
 
 
 def nongenerators(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:
-    """Members of the subgroup that do not generate it; |M| - phi(|M|) many.
-
-    They are the h**j with gcd(j, |M|) > 1, read from the power list.
-    """
-    o = subgroup.order
-    return frozenset(x for j, x in enumerate(subgroup.powers) if gcd(j, o) > 1)
+    """Members of the subgroup that do not generate it; |M| - phi(|M|) many."""
+    return frozenset(bits(subgroup.closure & ~subgroup.generators))
 
 
 def external_overlap(group: Group) -> tuple[frozenset[int], ...]:
@@ -48,9 +45,8 @@ def external_overlap(group: Group) -> tuple[frozenset[int], ...]:
 
     An outside y lies in a maximal cyclic subgroup other than M, and any
     other maximal one is generated outside M; so this is the members of M
-    that lie in two maximal cyclic subgroups or more. They are read off
-    each M's power list against the bytes of the mask of those elements,
-    linear in the order.
+    that lie in two maximal cyclic subgroups or more, one mask of them met
+    with each M's closure.
     """
     if group.is_cyclic:
         raise ValueError("external overlap needs a non-cyclic group")
@@ -59,8 +55,7 @@ def external_overlap(group: Group) -> tuple[frozenset[int], ...]:
     for m in maximal:
         shared |= seen & m.closure
         seen |= m.closure
-    in_two = shared.to_bytes((group.size + 7) >> 3, "little")
-    return tuple(frozenset(x for x in m.powers if in_two[x >> 3] >> (x & 7) & 1) for m in maximal)
+    return tuple(frozenset(bits(m.closure & shared)) for m in maximal)
 
 
 def sylow_product(group: Group, primes: tuple[int, ...] | frozenset[int]) -> frozenset[int]:
@@ -88,20 +83,20 @@ def sylow_complement_product(group: Group, k_prime: int) -> frozenset[int]:
 
 def _order_d_subgroup(group: Group, subgroup: CyclicSubgroup, d: int) -> CyclicSubgroup:
     """The record of the subgroup of order d inside the cyclic subgroup M,
-    generated by h**(|M|/d), where d = 1 wraps to h**0, the identity."""
+    generated by h**(|M|/d)."""
     if d < 1 or subgroup.order % d != 0:
         raise ValueError(f"{d} does not divide the subgroup order {subgroup.order}")
-    return group.cyclic_subgroup(subgroup.powers[subgroup.order // d % subgroup.order])
+    return group.cyclic_subgroup(group.power(subgroup.generator, subgroup.order // d))
 
 
 def elements_of_exact_order(group: Group, subgroup: CyclicSubgroup, d: int) -> frozenset[int]:
     """Members of the cyclic subgroup of order exactly d (d must divide |M|)."""
-    return frozenset(iter_bits(_order_d_subgroup(group, subgroup, d).generators))
+    return frozenset(bits(_order_d_subgroup(group, subgroup, d).generators))
 
 
 def elements_of_dividing_order(group: Group, subgroup: CyclicSubgroup, d: int) -> frozenset[int]:
     """The unique subgroup of order d inside the cyclic subgroup."""
-    return frozenset(iter_bits(_order_d_subgroup(group, subgroup, d).closure))
+    return _order_d_subgroup(group, subgroup, d).elements
 
 
 def gamma_set(group: Group, subgroup: CyclicSubgroup) -> frozenset[int]:

@@ -9,50 +9,40 @@ digit by digit; abelian groups are the products of prime-power cyclic
 groups. No group here is given by a multiplication table: the table groups
 that check these formulas live in the tests.
 
-Each cyclic subgroup <h> has one record, a ``CyclicSubgroup`` built from
-the power list of its least generator h: the powers of h, and as masks its
-members and its generators. Power lists come from residues for cyclic
-groups and from the factors' lists for products; dihedral and quaternion
-groups multiply once per listed power (``Group._power_walk``) and then read
-their lists from their records. Only the records walk: a dihedral or
-quaternion group writes its maximal cyclic subgroups, its poset and its
-``is_cyclic`` and ``is_abelian`` down from its presentation.
+Structure is read off the poset of cyclic subgroups (``cyclic_poset``),
+one node per cyclic subgroup with its generators' mask and the nodes above
+and below it. Each class writes its poset: ``CyclicGroup`` from its divisor
+lattice, a product with a coprime cut from its parts' posets,
+``DihedralLikeGroup`` from the divisor lattice of <a> and one node per <x>
+outside it, and any other group from its records. The maximal cyclic
+subgroups (``maximal_cyclics``) are its maximal nodes, the elements of order
+dividing m the generators of its nodes of such orders, and ``is_nilpotent``
+and ``sylow_decomposition()`` count those; the power graph's twin quotient
+and rows are read from it too. ``CyclicGroup`` and ``ProductGroup`` answer
+``is_cyclic`` and ``elements_of_order_dividing`` by arithmetic, digit by
+digit for a product, so an oversized group's theorem gates build no poset.
 
-The n-element records (``Group._cyclic_places``, one place per element,
-built in one pass and never changed) give element orders, cyclic closures,
-generator classes and ``power``; ``Group.cyclic_subgroups`` lists them and
-``Group.cyclic_subgroup(g)`` returns the record of <g> (the only way other
-modules reach a record from an element). Graphs and suites need them.
-
-The structural facts need no n-element records for cyclic groups and
-most products. ``is_nilpotent`` and ``sylow_decomposition()`` count
-``elements_of_order_dividing(m)``, which ``CyclicGroup`` answers by
-arithmetic and ``ProductGroup`` digit by digit; a product is cyclic iff its
-factors are, of pairwise coprime orders. A product cut into parts of
-pairwise coprime orders has as maximal cyclic subgroups the tuples of the
-parts' ones, each built as one record (``maximal_cyclics``). A dihedral
-or quaternion group <a, b> has as maximal cyclic subgroups <a> and each
-<x> outside <a>, also each built as one record. Any other group
-reads these facts from its records, the maximal cyclic subgroups by the
-covering rule: <g> is not maximal iff it is <h**p> for a record <h> and a
-prime p dividing |h|. The poset of cyclic subgroups (``cyclic_poset``),
-which the power graph's twin quotient and rows are read from, comes the
-same way: ``CyclicGroup`` from its divisor lattice, a product with a
-coprime cut from its parts' posets, ``DihedralLikeGroup`` from the divisor
-lattice of <a> and one node per <x> outside it, and any other group from
-its records.
+Records serve per-element lookups and the poset of groups that have no
+closed form. Each cyclic subgroup <h> has one record, a ``CyclicSubgroup``
+of h and, as masks, its members and its generators, built from the power
+list of h: residues for cyclic groups, the factors' lists for products, and
+one multiplication per listed power (``Group._power_walk``) otherwise. The
+n-element places (``Group._cyclic_places``, one per element, built in one
+pass and never changed) hold each element's record and power list, and
+give element orders, cyclic closures, generator classes and ``power``;
+``Group.cyclic_subgroups`` lists the records and ``Group.cyclic_subgroup(g)``
+returns the record of <g>. Graphs and suites need them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from math import gcd, lcm, prod
 from operator import add
 from typing import NamedTuple
 
-from .bitsets import iter_bits, mask_of
+from .bitsets import bits, iter_bits, mask_of
 from .numtheory import divisors, factorize, is_prime
 
 
@@ -106,28 +96,21 @@ class SylowDecomposition:
 
 @dataclass(slots=True)
 class CyclicSubgroup:
-    """One cyclic subgroup <h>, h its least generator.
-
-    ``powers`` lists h**0, ..., h**(o-1). The masks are its members
-    (``closure``) and the elements that generate it (``generators``).
+    """One cyclic subgroup <h>: h, its least generator, and as masks its
+    members (``closure``) and the elements that generate it (``generators``).
     """
 
-    powers: tuple[int, ...]
+    generator: int
     closure: int
     generators: int
 
     @property
-    def generator(self) -> int:
-        """h, the least element that generates the subgroup."""
-        return self.powers[1 % len(self.powers)]
-
-    @property
     def order(self) -> int:
-        return len(self.powers)
+        return self.closure.bit_count()
 
     @property
     def elements(self) -> frozenset[int]:
-        return frozenset(self.powers)
+        return frozenset(bits(self.closure))
 
 
 class CyclicPoset(NamedTuple):
@@ -162,14 +145,13 @@ class Group:
     def power(self, g: int, k: int) -> int:
         """g**k (k may be any integer), looked up in the power list of <g>."""
         self._check_index(g)
-        sub, j = self._cyclic_places[g]
-        powers = sub.powers
+        _, powers, j = self._cyclic_places[g]
         return powers[j * k % len(powers)]
 
     def power_list(self, h: int) -> list[int]:
-        """h**0, ..., h**(o-1), o the order of h, read from the record of <h>."""
-        sub, j = self._cyclic_places[h]
-        powers = sub.powers
+        """h**0, ..., h**(o-1), o the order of h, read from its place: the
+        power list of the least generator of <h>."""
+        _, powers, j = self._cyclic_places[h]
         o = len(powers)
         return [powers[j * k % o] for k in range(o)]
 
@@ -185,44 +167,48 @@ class Group:
                 return walk
 
     @cached_property
-    def _cyclic_places(self) -> tuple[tuple[CyclicSubgroup, int], ...]:
-        """Per element g, its place (record of <g>, j) with g = h**j, h the
-        least generator of <g>; each record is shared by all of its generators.
+    def _cyclic_places(self) -> tuple[tuple[CyclicSubgroup, tuple[int, ...], int], ...]:
+        """Per element g, its place (record of <g>, power list of h, j) with
+        g = h**j, h the least generator of <g>; the record and the list are
+        shared by all of the generators of <g>.
 
         Each cyclic subgroup is listed once, by ``_power_walk`` of its least
         generator h, and every generator h**j, gcd(j, o) = 1, gets the place
-        (record, j).
+        (record, list, j).
         """
         places: list = [None] * self.size
-        units: dict[int, list[int]] = {}  # order o -> the exponents j < o prime to o
+        # order o -> the exponents j < o prime to o (j = 0 only for o = 1)
+        units: dict[int, list[int]] = {}
         for h in range(self.size):
             if places[h] is not None:
                 continue
             walk = self._power_walk(h)
             o = len(walk)
             if o not in units:
-                units[o] = _unit_exponents(o)
-            sub = _record(walk, units[o])
+                units[o] = [j for j in range(o) if gcd(j, o) == 1]
+            sub = CyclicSubgroup(walk[1 % o], mask_of(walk), mask_of(map(walk.__getitem__, units[o])))
+            powers = tuple(walk)
             for j in units[o]:
-                places[walk[j]] = (sub, j)
+                places[walk[j]] = (sub, powers, j)
         return tuple(places)
 
     @cached_property
     def cyclic_subgroups(self) -> tuple[CyclicSubgroup, ...]:
         """Every cyclic subgroup once, ordered by least generator."""
         # a record's least generator h is its h**1, and the identity is its h**0
-        return tuple(sub for sub, j in self._cyclic_places if j < 2)
+        return tuple(sub for sub, _, j in self._cyclic_places if j < 2)
 
     @cached_property
     def cyclic_poset(self) -> CyclicPoset:
         """The poset of cyclic subgroups, read from the records: the
         subgroups inside <h> are those of its members, and ``up`` is the
         transpose of ``down``."""
+        places = self._cyclic_places
         subs = self.cyclic_subgroups
         node_bit = {id(sub): 1 << i for i, sub in enumerate(subs)}
-        bit_of = [node_bit[id(sub)] for sub, _ in self._cyclic_places]
+        bit_of = [node_bit[id(sub)] for sub, *_ in places]
         # distinct node bits: their sum is their OR
-        down = [sum(set(map(bit_of.__getitem__, sub.powers))) for sub in subs]
+        down = [sum(set(map(bit_of.__getitem__, places[sub.generator][1]))) for sub in subs]
         up = [0] * len(subs)
         for i, below in enumerate(down):
             while below:
@@ -239,7 +225,7 @@ class Group:
     @cached_property
     def closure_masks(self) -> tuple[int, ...]:
         """Per element, the cyclic closure <g> as a vertex bitmask."""
-        return tuple(sub.closure for sub, _ in self._cyclic_places)
+        return tuple(sub.closure for sub, *_ in self._cyclic_places)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -275,27 +261,30 @@ class Group:
 
     @cached_property
     def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
-        """The maximal cyclic subgroups' records, ordered by least generator.
+        """The maximal cyclic subgroups, the nodes of ``cyclic_poset`` below
+        no other, in node (least-generator) order. The members of each are
+        the generators of the nodes below it."""
+        poset = self.cyclic_poset
+        gens = poset.generators
+        # generator masks of distinct nodes are disjoint: their sum is their OR
+        return tuple(
+            CyclicSubgroup(least, sum(map(gens.__getitem__, iter_bits(down))), mask)
+            for i, (least, mask, up, down) in enumerate(zip(*poset))
+            if up == 1 << i
+        )
 
-        The covering rule: <g> is not maximal exactly when it is <h**p> for
-        some record <h> and some prime p dividing |h|. Such an <h**p> has
-        index p in <h>. Conversely, if <g> lies in <y> with index d > 1 and
-        p is a prime dividing d, then <g> is the subgroup <y**d> of <y>, and
-        y**d = h**p for h = y**(d/p), whose order |g| * p the prime p divides.
-        """
-        places = self._cyclic_places
-        covered = {
-            id(places[sub.powers[p % len(sub.powers)]][0])
-            for sub in self.cyclic_subgroups
-            for p, _ in factorize(len(sub.powers))
-        }
-        return tuple(sub for sub in self.cyclic_subgroups if id(sub) not in covered)
+    @cached_property
+    def _node_orders(self) -> tuple[int, ...]:
+        """Per node of ``cyclic_poset``, the order of its cyclic subgroup:
+        the number of generators of the nodes below it."""
+        counts = [mask.bit_count() for mask in self.cyclic_poset.generators]
+        return tuple(sum(map(counts.__getitem__, iter_bits(down))) for down in self.cyclic_poset.down)
 
     def elements_of_order_dividing(self, m: int) -> frozenset[int]:
-        """The elements g with g**m the identity."""
-        # generator masks of distinct records are disjoint: their sum is their OR
-        masks = (sub.generators for sub in self.cyclic_subgroups if m % sub.order == 0)
-        return frozenset(iter_bits(sum(masks)))
+        """The elements g with g**m the identity: the generators of the
+        nodes of ``cyclic_poset`` whose order divides m."""
+        masks = (mask for mask, o in zip(self.cyclic_poset.generators, self._node_orders) if m % o == 0)
+        return frozenset(bits(sum(masks)))
 
     @cached_property
     def _p_elements(self) -> tuple[tuple[int, int, int], ...]:
@@ -359,25 +348,6 @@ class Group:
         )
 
 
-def _unit_exponents(o: int) -> list[int]:
-    """The exponents 0 <= j < o prime to o, which give the generators h**j of
-    a cyclic group <h> of order o (j = 0 only for o = 1)."""
-    return [j for j in range(o) if gcd(j, o) == 1]
-
-
-def _record(walk: list[int], units: list[int], size: int = 0) -> CyclicSubgroup:
-    """The record of the cyclic subgroup that ``walk`` lists as h**0, ...,
-    h**(o-1), ``units`` the exponents prime to o.
-
-    The record walk builds one record per cyclic subgroup, most of them of
-    small order, and sets their mask bits one at a time. The maximal records
-    built without the walk pass the group's ``size``, so that their masks,
-    up to n bits each, are built in linear time (``bitsets.mask_of``).
-    """
-    generators = mask_of(map(walk.__getitem__, units), size)
-    return CyclicSubgroup(tuple(walk), mask_of(walk, size), generators)
-
-
 def _spread(mask: int, width: int) -> int:
     """The mask with bit i moved to bit i * width: times a mask of at most
     ``width`` bits, it places a copy of that mask at block i for each bit i
@@ -410,11 +380,6 @@ class CyclicGroup(Group):
     @cached_property
     def is_cyclic(self) -> bool:
         return True
-
-    @cached_property
-    def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
-        n = self.size
-        return (_record(self.power_list(1 % n), _unit_exponents(n), n),)
 
     @cached_property
     def cyclic_poset(self) -> CyclicPoset:
@@ -480,45 +445,24 @@ class DihedralLikeGroup(Group):
         i = (x - y) % h  # a**i b * a**j b**e = a**(i-j) b**(1+e)
         return h + i if y < h else (i + self._twist) % h
 
-    def _outside_walks(self) -> list[list[int]]:
-        """The power lists of the cyclic subgroups outside <a>, by least
-        generator: [0, x] or [0, x, twist, half + (i + twist) % half] for
-        x = half + i, i < half or i < twist."""
-        half, twist = self._half, self._twist
-        if not twist:
-            return [[0, half + i] for i in range(half)]
-        return [[0, half + i, twist, half + (i + twist) % half] for i in range(twist)]
-
-    @cached_property
-    def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
-        """<a>, of order half >= 3, then each <x> outside it, by least
-        generator. No <x> holds all of <a>, and a cyclic subgroup that holds
-        x is not inside <a>, so it is some <y> outside <a>, of the order of
-        <x>, hence <x> itself."""
-        half = self._half
-        walks = self._outside_walks()
-        units = _unit_exponents(len(walks[0]))
-        return (
-            _record(list(range(half)), _unit_exponents(half), self.size),
-            *(_record(walk, units) for walk in walks),
-        )
-
     @cached_property
     def cyclic_poset(self) -> CyclicPoset:
         """The divisor lattice of <a> (``CyclicGroup(half).cyclic_poset``,
         whose element indices are already the rotations'), then one node per
-        <x> outside <a>, in index order, each above the identity and
-        <a**twist> (one node when twist is 0) and below nothing else."""
+        <x> outside <a>, by least generator x = half + i, i < half or
+        i < twist, each above the identity and <a**twist> (one node when
+        twist is 0) and below nothing else. Its generators are x and
+        x**3 = x + twist."""
         half, twist = self._half, self._twist
         rotations = CyclicGroup(half).cyclic_poset
         k = len(rotations.up)
-        nodes = range(k, k + (twist or half))
+        outside = range(half, half + (twist or half))
+        nodes = range(k, k + len(outside))
         below = 1 | 1 << rotations.least_generators.index(twist)
         above = sum(1 << c for c in nodes)
-        walks = self._outside_walks()
         return CyclicPoset(
-            rotations.least_generators + tuple(walk[1] for walk in walks),
-            rotations.generators + tuple(1 << walk[1] | 1 << walk[-1] for walk in walks),
+            rotations.least_generators + tuple(outside),
+            rotations.generators + tuple(1 << x | 1 << x + twist for x in outside),
             tuple(up | above if below >> j & 1 else up for j, up in enumerate(rotations.up))
             + tuple(1 << c for c in nodes),
             rotations.down + tuple(below | 1 << c for c in nodes),
@@ -533,7 +477,7 @@ class ProductGroup(Group):
     digit by digit through each factor's ``mul``; powers are listed from the
     factors' power lists, and the product is abelian iff every factor is.
     Elements of order dividing m are read digit by digit too, and the
-    maximal cyclic subgroups from a cut of the factors into parts of
+    poset of cyclic subgroups from a cut of the factors into parts of
     coprime orders.
     """
 
@@ -592,8 +536,8 @@ class ProductGroup(Group):
         chosen independently, so the least generator of a tuple is the sum
         of the parts' least generators at their place values; and element
         indices compare as their digit tuples do, most significant first, so
-        the tuples in ``itertools.product`` order of least-generator-ordered
-        parts are in least-generator order."""
+        the tuples of the parts' nodes, each part in least-generator order
+        and the first varying slowest, are in least-generator order."""
         sizes = [g.size for g in self.factors]
         cuts = [k for k in range(1, len(sizes)) if gcd(prod(sizes[:k]), prod(sizes[k:])) == 1]
         if not cuts:
@@ -603,24 +547,6 @@ class ProductGroup(Group):
             (self.factors[i] if j == i + 1 else ProductGroup(self.factors[i:j]), prod(sizes[j:]))
             for i, j in zip(bounds, bounds[1:])
         )
-
-    @cached_property
-    def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
-        """With a coprime cut (``_coprime_parts``), the maximal cyclic
-        subgroups are the tuples of the parts' maximal ones, each built as
-        one record in least-generator order."""
-        parts = self._coprime_parts
-        if parts is None:
-            return Group.maximal_cyclics.func(self)
-        units: dict[int, list[int]] = {}
-        records = []
-        for subs in product(*(part.maximal_cyclics for part, _ in parts)):
-            walk = self.power_list(sum(sub.generator * w for sub, (_, w) in zip(subs, parts)))
-            o = len(walk)
-            if o not in units:
-                units[o] = _unit_exponents(o)
-            records.append(_record(walk, units[o], self.size))
-        return tuple(records)
 
     @cached_property
     def cyclic_poset(self) -> CyclicPoset:

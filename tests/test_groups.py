@@ -7,6 +7,7 @@ from math import prod
 import pytest
 
 from powergraphs.bitsets import bits, iter_bits
+from powergraphs.cli import main
 from powergraphs.cyclic import (
     elements_of_dividing_order,
     elements_of_exact_order,
@@ -185,7 +186,7 @@ def test_cyclic_subgroups_one_record_each_by_least_generator():
         assert [m.elements for m in records] == list(dict.fromkeys(closures))
         for m in records:
             assert m.generator == closures.index(m.elements)
-            assert m.order == len(m.elements) == len(m.powers)
+            assert m.order == len(m.elements) == len(G.power_list(m.generator))
             assert m.generators == sum(1 << g for g in G.generator_class(m.generator))
             outside = {y for y in range(G.size) if m.elements < closures[y]}
             assert (m in G.maximal_cyclics) == (not outside)
@@ -346,7 +347,11 @@ def sylow_factored_groups():
 
 
 def sylow_oracle_groups():
+    """The corpus, dihedral and quaternion groups, products with a
+    non-abelian factor and no coprime cut (D8xC2, Q8xC4, D8xD8), whose
+    poset comes from their records, and ``sylow_factored_groups``."""
     C3 = make_cyclic(3)
+    D8 = make_dihedral(8)
     Q8 = make_generalized_quaternion(8)
     return (
         list(corpus_groups(120))
@@ -356,6 +361,9 @@ def sylow_oracle_groups():
             direct_product(Q8, make_cyclic(5)),
             direct_product(make_generalized_quaternion(16), C3),
             direct_product(Q8, make_abelian([(3, 1), (3, 1)])),
+            direct_product(D8, make_cyclic(2)),
+            direct_product(Q8, make_cyclic(4)),
+            direct_product(D8, D8),
         ]
         + sylow_factored_groups()
     )
@@ -398,7 +406,7 @@ def overlap_by_definition(G, m):
     for c in set(G.closure_masks):
         if c & ~m.closure:
             reached |= c
-    return frozenset(x for x in m.powers if reached >> x & 1)
+    return frozenset(bits(m.closure & reached))
 
 
 def reference_structure_facts(G):
@@ -439,8 +447,8 @@ def test_sylow_data_and_order_shells_match_per_element_reference():
         orders = G.element_orders
         for M in G.maximal_cyclics:
             for d in divisors(M.order):
-                exact = frozenset(g for g in M.powers if orders[g] == d)
-                dividing = frozenset(g for g in M.powers if d % orders[g] == 0)
+                exact = frozenset(g for g in M.elements if orders[g] == d)
+                dividing = frozenset(g for g in M.elements if d % orders[g] == 0)
                 assert elements_of_exact_order(G, M, d) == exact, (G.name, M.generator, d)
                 assert elements_of_dividing_order(G, M, d) == dividing, (G.name, M.generator, d)
     assert quaternion["Q8xC3"] and quaternion["Q16xC3xC3xC5"] and not quaternion["D8xC5"]
@@ -791,16 +799,19 @@ def test_power_lists_and_records_match_the_multiplication_walk():
 
 
 def test_dihedral_and_quaternion_closed_forms_match_the_multiplication_walk():
-    # the poset and the maximal records are read off the presentation; the
-    # base class builds both from the records that _power_walk lists
+    # the poset is read off the presentation and the maximal subgroups off
+    # the poset; the base class builds the poset from the records that
+    # _power_walk lists, and maximal_closures finds the maximal ones by
+    # definition from every element's closure
     groups = [
         *(make_dihedral(n) for n in range(6, 401, 2)),
         *(make_generalized_quaternion(2**m) for m in range(3, 11)),
     ]
     for G in groups:
         assert G.cyclic_poset == Group.cyclic_poset.func(G), G.name
-        # records compare by their powers, closure and generators
-        assert G.maximal_cyclics == Group.maximal_cyclics.func(G), G.name
+        tops = maximal_closures(G)
+        # records compare by their least generator, closure and generators
+        assert G.maximal_cyclics == tuple(m for m in G.cyclic_subgroups if m.closure in tops), G.name
 
 
 def test_dihedral_and_quaternion_flags_match_the_records_and_mul():
@@ -827,10 +838,22 @@ def count_power_walks(monkeypatch) -> list[tuple[Group, int]]:
 
 
 @pytest.mark.parametrize("order, build", [(2000, make_dihedral), (4096, make_generalized_quaternion)])
-def test_dihedral_and_quaternion_structure_makes_no_power_walk(monkeypatch, order, build):
+def test_dihedral_and_quaternion_structure_makes_no_power_walk(monkeypatch, capsys, order, build):
     walked = count_power_walks(monkeypatch)
     G = build(order)
     G.cyclic_poset, G.maximal_cyclics, G.is_cyclic
+    # D2000's 2-elements are its 1000 reflections and the 8 rotations of
+    # 2-power order; Q4096 is a 2-group
+    assert G.is_nilpotent == (G.name == "Q4096")
+    if G.is_nilpotent:
+        assert G.sylow_decomposition() == SylowDecomposition((2,), (2,), (), True)
+    else:
+        message = r"Sylow 2-subgroup is not normal \(1008 2-elements, expected 16\)"
+        with pytest.raises(UnsupportedStructureError, match=message):
+            G.sylow_decomposition()
+    spec = f"{'dihedral' if build is make_dihedral else 'quaternion'}:{order}"
+    assert main(["verify", "--theorem", "thm12", "--group", spec, "--max-brute-vertices", "10"]) == 0
+    assert "verdict" in capsys.readouterr().out
     assert walked == []
     # the records still come from the walk, one per cyclic subgroup
     G.closure_masks
