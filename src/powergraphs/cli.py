@@ -20,7 +20,7 @@ from .connectivity import (
     minimum_cutset,
     vertex_connectivity,
 )
-from .cyclic import external_overlap, nongenerators
+from .cyclic import external_overlap
 from .groups import (
     AbelianSpec,
     Group,
@@ -151,7 +151,7 @@ def maximal_cyclic_rows(group: Group) -> list[dict]:
         {
             "generator": m.generator,
             "order": m.order,
-            "nongenerators": len(nongenerators(group, m)),
+            "nongenerators": m.order - m.generators.bit_count(),
             "external_overlap": overlap,
             "elements": sorted(m.elements),
         }

@@ -6,24 +6,23 @@ subgroups generated outside it, the product of all Sylow subgroups except a
 chosen one, and (in one specific abelian configuration) a layered set
 assembled from exact-order shells and divisor subgroups of M.
 
-Every cyclic subgroup here is a ``groups.CyclicSubgroup``: a maximal one
-read off the group's poset of cyclic subgroups (``Group.maximal_cyclics``),
-or a record reached through ``Group.cyclic_subgroups`` or
-``Group.cyclic_subgroup(g)``. Containment questions are mask expressions
-over its closure and generators masks: its non-generators are its closure
-less its generators, and the external overlaps of the maximal subgroups are
-their members that lie in two of them or more. The maximal subgroups, their
-overlaps and the Sylow products need no n-element records for a cyclic
-group, a product of coprime factors or a dihedral or quaternion group (see
-``groups``); the exact-order and divisor shells of M are records reached by
-``Group.cyclic_subgroup``, so they do.
+Every cyclic subgroup here is a ``groups.CyclicSubgroup`` read off the
+group's poset of cyclic subgroups (``Group.cyclic_poset``): a maximal one
+(``Group.maximal_cyclics``), the one of an element
+(``Group.cyclic_subgroup(g)``), or the one of order d inside M, a node
+below M's. Containment questions are mask expressions over its closure and
+generators masks: its non-generators are its closure less its generators,
+and the external overlaps of the maximal subgroups are their members that
+lie in two of them or more. The poset needs no walk for a cyclic group, a
+product of coprime factors or a dihedral or quaternion group (see
+``groups``).
 """
 
 from __future__ import annotations
 
 from math import prod
 
-from .bitsets import bits
+from .bitsets import bits, iter_bits
 from .groups import CyclicSubgroup, Group, UnsupportedStructureError
 from .numtheory import p_adic_valuation
 from .predictions import gamma_cardinality
@@ -82,11 +81,15 @@ def sylow_complement_product(group: Group, k_prime: int) -> frozenset[int]:
 
 
 def _order_d_subgroup(group: Group, subgroup: CyclicSubgroup, d: int) -> CyclicSubgroup:
-    """The record of the subgroup of order d inside the cyclic subgroup M,
-    generated by h**(|M|/d)."""
+    """The subgroup of order d inside the cyclic subgroup M: the node of
+    order d in ``down`` of M's node of ``Group.cyclic_poset``, one since M
+    is cyclic."""
     if d < 1 or subgroup.order % d != 0:
         raise ValueError(f"{d} does not divide the subgroup order {subgroup.order}")
-    return group.cyclic_subgroup(group.power(subgroup.generator, subgroup.order // d))
+    poset = group.cyclic_poset
+    below = poset.down[poset.least_generators.index(subgroup.generator)]
+    inside = (group.cyclic_subgroup(poset.least_generators[j]) for j in iter_bits(below))
+    return next(sub for sub in inside if sub.order == d)
 
 
 def elements_of_exact_order(group: Group, subgroup: CyclicSubgroup, d: int) -> frozenset[int]:

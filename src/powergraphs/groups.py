@@ -11,27 +11,25 @@ that check these formulas live in the tests.
 
 Structure is read off the poset of cyclic subgroups (``cyclic_poset``),
 one node per cyclic subgroup with its generators' mask and the nodes above
-and below it. Each class writes its poset: ``CyclicGroup`` from its divisor
-lattice, a product with a coprime cut from its parts' posets,
-``DihedralLikeGroup`` from the divisor lattice of <a> and one node per <x>
-outside it, and any other group from its records. The maximal cyclic
-subgroups (``maximal_cyclics``) are its maximal nodes, the elements of order
-dividing m the generators of its nodes of such orders, and ``is_nilpotent``
-and ``sylow_decomposition()`` count those; the power graph's twin quotient
-and rows are read from it too. ``CyclicGroup`` and ``ProductGroup`` answer
-``is_cyclic`` and ``elements_of_order_dividing`` by arithmetic, digit by
-digit for a product, so an oversized group's theorem gates build no poset.
+and below it; it is the one structure a group keeps. Each class writes its
+poset: ``CyclicGroup`` from its divisor lattice, a product with a coprime
+cut from its parts' posets, ``DihedralLikeGroup`` from the divisor lattice
+of <a> and one node per <x> outside it, and any other group walks it, one
+power list (``_power_walk``) per cyclic subgroup: residues for cyclic
+groups, the factors' lists for products, and one multiplication per listed
+power otherwise. The maximal cyclic subgroups (``maximal_cyclics``) are its
+maximal nodes, the elements of order dividing m the generators of its nodes
+of such orders, and ``is_nilpotent`` and ``sylow_decomposition()`` count
+those; the power graph's twin quotient and rows are read from it too.
+``CyclicGroup`` and ``ProductGroup`` answer ``is_cyclic`` and
+``elements_of_order_dividing`` by arithmetic, digit by digit for a product,
+so an oversized group's theorem gates build no poset.
 
-Records serve per-element lookups and the poset of groups that have no
-closed form. Each cyclic subgroup <h> has one record, a ``CyclicSubgroup``
-of h and, as masks, its members and its generators, built from the power
-list of h: residues for cyclic groups, the factors' lists for products, and
-one multiplication per listed power (``Group._power_walk``) otherwise. The
-n-element places (``Group._cyclic_places``, one per element, built in one
-pass and never changed) hold each element's record and power list, and
-give element orders, cyclic closures, generator classes and ``power``;
-``Group.cyclic_subgroups`` lists the records and ``Group.cyclic_subgroup(g)``
-returns the record of <g>. Graphs and suites need them.
+Per-element facts are indices into the poset: each element's node
+(``_node_of``) and each node's closure mask (``_node_closures``) give
+``closure_masks``, ``element_orders``, ``cyclic_subgroup(g)`` (a
+``CyclicSubgroup``: the node's least generator, closure and generators),
+``element_order``, ``cyclic_closure`` and ``generator_class``.
 """
 
 from __future__ import annotations
@@ -138,26 +136,9 @@ class Group:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, size={self.size})"
 
-    def _check_index(self, g: int) -> None:
-        if not 0 <= g < self.size:
-            raise ValueError(f"element index {g} out of range [0, {self.size})")
-
-    def power(self, g: int, k: int) -> int:
-        """g**k (k may be any integer), looked up in the power list of <g>."""
-        self._check_index(g)
-        _, powers, j = self._cyclic_places[g]
-        return powers[j * k % len(powers)]
-
-    def power_list(self, h: int) -> list[int]:
-        """h**0, ..., h**(o-1), o the order of h, read from its place: the
-        power list of the least generator of <h>."""
-        _, powers, j = self._cyclic_places[h]
-        o = len(powers)
-        return [powers[j * k % o] for k in range(o)]
-
     def _power_walk(self, h: int) -> list[int]:
-        """h**0, ..., h**(o-1) with no record: one multiplication per power.
-        The records are built from these lists."""
+        """h**0, ..., h**(o-1), o the order of h: one multiplication per
+        power. The base ``cyclic_poset`` walks one per cyclic subgroup."""
         walk = []
         x = 0
         while True:
@@ -167,85 +148,97 @@ class Group:
                 return walk
 
     @cached_property
-    def _cyclic_places(self) -> tuple[tuple[CyclicSubgroup, tuple[int, ...], int], ...]:
-        """Per element g, its place (record of <g>, power list of h, j) with
-        g = h**j, h the least generator of <g>; the record and the list are
-        shared by all of the generators of <g>.
-
-        Each cyclic subgroup is listed once, by ``_power_walk`` of its least
-        generator h, and every generator h**j, gcd(j, o) = 1, gets the place
-        (record, list, j).
-        """
-        places: list = [None] * self.size
+    def cyclic_poset(self) -> CyclicPoset:
+        """The poset of cyclic subgroups, walked: the least element h not
+        yet listed is the least generator of a new node, ``_power_walk(h)``
+        lists <h>, and its generators are the h**j with j prime to the
+        order of h. Once every element has its node, the nodes inside <h>
+        are those of its members, and ``up`` is the transpose of ``down``."""
+        node_of = [-1] * self.size
+        least: list[int] = []
+        generators: list[int] = []
+        walks: list[list[int]] = []
         # order o -> the exponents j < o prime to o (j = 0 only for o = 1)
         units: dict[int, list[int]] = {}
         for h in range(self.size):
-            if places[h] is not None:
+            if node_of[h] >= 0:
                 continue
             walk = self._power_walk(h)
             o = len(walk)
             if o not in units:
                 units[o] = [j for j in range(o) if gcd(j, o) == 1]
-            sub = CyclicSubgroup(walk[1 % o], mask_of(walk), mask_of(map(walk.__getitem__, units[o])))
-            powers = tuple(walk)
-            for j in units[o]:
-                places[walk[j]] = (sub, powers, j)
-        return tuple(places)
-
-    @cached_property
-    def cyclic_subgroups(self) -> tuple[CyclicSubgroup, ...]:
-        """Every cyclic subgroup once, ordered by least generator."""
-        # a record's least generator h is its h**1, and the identity is its h**0
-        return tuple(sub for sub, _, j in self._cyclic_places if j < 2)
-
-    @cached_property
-    def cyclic_poset(self) -> CyclicPoset:
-        """The poset of cyclic subgroups, read from the records: the
-        subgroups inside <h> are those of its members, and ``up`` is the
-        transpose of ``down``."""
-        places = self._cyclic_places
-        subs = self.cyclic_subgroups
-        node_bit = {id(sub): 1 << i for i, sub in enumerate(subs)}
-        bit_of = [node_bit[id(sub)] for sub, *_ in places]
+            gens = [walk[j] for j in units[o]]
+            for x in gens:
+                node_of[x] = len(least)
+            least.append(h)
+            generators.append(mask_of(gens))
+            walks.append(walk)
         # distinct node bits: their sum is their OR
-        down = [sum(set(map(bit_of.__getitem__, places[sub.generator][1]))) for sub in subs]
-        up = [0] * len(subs)
+        down = [sum({1 << node_of[x] for x in walk}) for walk in walks]
+        up = [0] * len(down)
         for i, below in enumerate(down):
-            while below:
-                low = below & -below
-                below ^= low
-                up[low.bit_length() - 1] |= 1 << i
-        return CyclicPoset(
-            tuple(sub.generator for sub in subs),
-            tuple(sub.generators for sub in subs),
-            tuple(up),
-            tuple(down),
-        )
+            for j in iter_bits(below):
+                up[j] |= 1 << i
+        return CyclicPoset(tuple(least), tuple(generators), tuple(up), tuple(down))
+
+    @cached_property
+    def _node_of(self) -> tuple[int, ...]:
+        """Per element, its node of ``cyclic_poset``: the one whose
+        generators hold it."""
+        node_of = [0] * self.size
+        for i, mask in enumerate(self.cyclic_poset.generators):
+            for x in bits(mask):
+                node_of[x] = i
+        return tuple(node_of)
+
+    def _node(self, g: int) -> int:
+        """The node of g, checked to be an element index."""
+        if not 0 <= g < self.size:
+            raise ValueError(f"element index {g} out of range [0, {self.size})")
+        return self._node_of[g]
+
+    def _closure(self, i: int) -> int:
+        """The cyclic subgroup of node i of ``cyclic_poset`` as a vertex
+        mask: the generators of the nodes below it, disjoint masks whose sum
+        is their OR."""
+        poset = self.cyclic_poset
+        return sum(map(poset.generators.__getitem__, iter_bits(poset.down[i])))
+
+    @cached_property
+    def _node_closures(self) -> tuple[int, ...]:
+        """Per node of ``cyclic_poset``, its ``_closure``."""
+        return tuple(map(self._closure, range(len(self.cyclic_poset.down))))
+
+    @cached_property
+    def _node_orders(self) -> tuple[int, ...]:
+        """Per node of ``cyclic_poset``, the order of its cyclic subgroup."""
+        return tuple(closure.bit_count() for closure in self._node_closures)
 
     @cached_property
     def closure_masks(self) -> tuple[int, ...]:
         """Per element, the cyclic closure <g> as a vertex bitmask."""
-        return tuple(sub.closure for sub, *_ in self._cyclic_places)
+        return tuple(map(self._node_closures.__getitem__, self._node_of))
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self.closure_masks)
+        return tuple(map(self._node_orders.__getitem__, self._node_of))
 
     def cyclic_subgroup(self, g: int) -> CyclicSubgroup:
-        """The record of <g>, shared by every generator of <g>."""
-        self._check_index(g)
-        return self._cyclic_places[g][0]
+        """<g>, read off its node of ``cyclic_poset``."""
+        i = self._node(g)
+        poset = self.cyclic_poset
+        return CyclicSubgroup(poset.least_generators[i], self._node_closures[i], poset.generators[i])
 
     def element_order(self, g: int) -> int:
-        return self.cyclic_subgroup(g).order
+        return self._node_orders[self._node(g)]
 
     def cyclic_closure(self, g: int) -> frozenset[int]:
         """The set {g**k : k >= 0}; its size is the order of g."""
-        return self.cyclic_subgroup(g).elements
+        return frozenset(bits(self._node_closures[self._node(g)]))
 
     def generator_class(self, g: int) -> frozenset[int]:
         """All elements generating the same cyclic subgroup as g."""
-        return frozenset(iter_bits(self.cyclic_subgroup(g).generators))
+        return frozenset(iter_bits(self.cyclic_poset.generators[self._node(g)]))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -257,28 +250,19 @@ class Group:
 
     @cached_property
     def is_cyclic(self) -> bool:
-        return self.size == 1 or max(self.element_orders) == self.size
+        return max(self._node_orders) == self.size
 
     @cached_property
     def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
         """The maximal cyclic subgroups, the nodes of ``cyclic_poset`` below
-        no other, in node (least-generator) order. The members of each are
-        the generators of the nodes below it."""
+        no other, in node (least-generator) order. Only their closures are
+        summed: an oversized product's other nodes need none."""
         poset = self.cyclic_poset
-        gens = poset.generators
-        # generator masks of distinct nodes are disjoint: their sum is their OR
         return tuple(
-            CyclicSubgroup(least, sum(map(gens.__getitem__, iter_bits(down))), mask)
-            for i, (least, mask, up, down) in enumerate(zip(*poset))
+            CyclicSubgroup(least, self._closure(i), mask)
+            for i, (least, mask, up) in enumerate(zip(poset.least_generators, poset.generators, poset.up))
             if up == 1 << i
         )
-
-    @cached_property
-    def _node_orders(self) -> tuple[int, ...]:
-        """Per node of ``cyclic_poset``, the order of its cyclic subgroup:
-        the number of generators of the nodes below it."""
-        counts = [mask.bit_count() for mask in self.cyclic_poset.generators]
-        return tuple(sum(map(counts.__getitem__, iter_bits(down))) for down in self.cyclic_poset.down)
 
     def elements_of_order_dividing(self, m: int) -> frozenset[int]:
         """The elements g with g**m the identity: the generators of the
@@ -367,11 +351,9 @@ class CyclicGroup(Group):
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.size
 
-    def power_list(self, h: int) -> list[int]:
+    def _power_walk(self, h: int) -> list[int]:
         n = self.size
         return [j * h % n for j in range(n // gcd(h, n))]
-
-    _power_walk = power_list
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -383,7 +365,7 @@ class CyclicGroup(Group):
 
     @cached_property
     def cyclic_poset(self) -> CyclicPoset:
-        """The divisor lattice, with no record: the subgroup of order d is
+        """The divisor lattice, with no walk: the subgroup of order d is
         <n/d>, the multiples of n/d, so its least generator is n/d (the
         identity 0 for d = 1) and its generators are the k with
         gcd(k, n) = n/d. In least-generator order d = 1 comes first, then
@@ -415,7 +397,7 @@ class DihedralLikeGroup(Group):
     ``make_generalized_quaternion`` build it only with half >= 3 and twist
     0 or half/2, so a and b do not commute and no element has order 2*half.
 
-    Its cyclic subgroups are read off the presentation, with no record: those
+    Its cyclic subgroups are read off the presentation, with no walk: those
     of <a>, the elements 0..half-1, and one <x> per x = half + i outside <a>.
     Such an x is a**i b or b a**i = a**-i b, and either way x*x = a**twist
     and x**3 = a**twist * x = half + (i + twist) % half. So <x> meets <a> in
@@ -494,7 +476,7 @@ class ProductGroup(Group):
     def mul(self, a: int, b: int) -> int:
         return sum(g.mul(a // w % g.size, b // w % g.size) * w for g, w in self._places)
 
-    def power_list(self, h: int) -> list[int]:
+    def _power_walk(self, h: int) -> list[int]:
         """The digit of h**j at factor g is d**j, d that of h: each nonzero
         digit's power list in g, scaled by its place value, is repeated out to
         the lcm of the lists' lengths, the order of h, and the lists are
@@ -503,7 +485,7 @@ class ProductGroup(Group):
         for g, w in self._places:
             d = h // w % g.size
             if d:
-                lists.append([x * w for x in g.power_list(d)])
+                lists.append([x * w for x in g._power_walk(d)])
         if not lists:
             return [0]
         o = lcm(*map(len, lists))
@@ -511,8 +493,6 @@ class ProductGroup(Group):
         for digits in lists[1:]:
             powers = list(map(add, powers, digits * (o // len(digits))))
         return powers
-
-    _power_walk = power_list
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -554,8 +534,8 @@ class ProductGroup(Group):
         of the parts' posets: a tuple lies inside another exactly when each
         part does, so its ``up`` and ``down`` are the Kronecker products of
         the parts' masks (``_spread``), and its generators those of the
-        parts' generator masks at the place values. Otherwise read from the
-        records."""
+        parts' generator masks at the place values. Otherwise walked as in
+        ``Group.cyclic_poset``, one power list per cyclic subgroup."""
         parts = self._coprime_parts
         if parts is None:
             return Group.cyclic_poset.func(self)

@@ -311,7 +311,7 @@ def survey(
     """Verify one theorem across the corpus up to max_order."""
     if max_order < 2:
         raise ValueError(f"max_order must be >= 2, got {max_order}")
-    # one group at a time, so each group's records are freed after its report
+    # one group at a time, so each group's structure is freed after its report
     if theorem_id == "thm11":
         groups: Iterable[Group] = map(make_cyclic, range(2, max_order + 1))
     else:

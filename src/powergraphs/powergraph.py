@@ -203,7 +203,8 @@ def poset_twin_quotient(group: Group) -> tuple[tuple[int, ...], tuple[int, ...],
     the parts' order (``ProductGroup._coprime_parts``), a dihedral or
     quaternion group lists the subgroups of <a>, the elements below half,
     before one node per <x> outside <a> by least generator, and any other
-    group lists its records. A class's least vertex is the least generator of one of
+    group's walk lists its nodes by least generator, the least element not
+    yet listed first. A class's least vertex is the least generator of one of
     its nodes, hence of its first node in that order, so classes ordered by
     their first node are ordered by least vertex, as the rows order them.
 

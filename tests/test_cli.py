@@ -19,8 +19,9 @@ from powergraphs.numtheory import euler_phi
 from test_groups import (
     PREDICT_OVERSIZE_REQUESTS,
     count_power_walks,
-    maximal_closures,
     overlap_by_definition,
+    reference_maximal_cyclics,
+    walked_by_multiplication,
 )
 
 
@@ -248,38 +249,39 @@ def test_verify_thm12_oversized_abelian_skips_resource(capsys):
     assert json.loads(out)["verdict"] == "skipped-resource"
 
 
-def patch_record_walk(monkeypatch, walk):
-    """Make ``walk(group)`` build every group's cyclic-subgroup records."""
+def patch_poset_walk(monkeypatch, walk):
+    """Make ``walk(group)`` build the poset of every group that walks its
+    cyclic subgroups (the base ``Group.cyclic_poset``)."""
     prop = cached_property(walk)
-    prop.__set_name__(Group, "_cyclic_places")
-    monkeypatch.setattr(Group, "_cyclic_places", prop)
+    prop.__set_name__(Group, "cyclic_poset")
+    monkeypatch.setattr(Group, "cyclic_poset", prop)
 
 
-def refuse_record_walks(monkeypatch):
-    """Make any walk of a group's cyclic-subgroup records fail."""
+def refuse_poset_walks(monkeypatch):
+    """Make any walk of a group's cyclic subgroups fail."""
 
     def refuse(group):
-        raise AssertionError(f"walked the records of {group.name}")
+        raise AssertionError(f"walked the cyclic subgroups of {group.name}")
 
-    patch_record_walk(monkeypatch, refuse)
+    patch_poset_walk(monkeypatch, refuse)
 
 
-def log_record_walks(monkeypatch) -> list[Group]:
-    """Log every group whose cyclic-subgroup records are walked."""
+def log_poset_walks(monkeypatch) -> list[Group]:
+    """Log every group whose cyclic subgroups are walked."""
     walked = []
-    walk = Group._cyclic_places.func
+    walk = Group.cyclic_poset.func
 
     def logged(group):
         walked.append(group)
         return walk(group)
 
-    patch_record_walk(monkeypatch, logged)
+    patch_poset_walk(monkeypatch, logged)
     return walked
 
 
 def test_verify_oversized_cyclic_product_reads_its_factors(capsys, monkeypatch):
-    # C4 x C59049 is cyclic because both factors are: no record is walked
-    refuse_record_walks(monkeypatch)
+    # C4 x C59049 is cyclic because both factors are: no poset is walked
+    refuse_poset_walks(monkeypatch)
     code, out, _ = run(
         capsys, "verify", "--theorem", "thm12", "--group", "abelian:2^2,3^10",
         "--max-brute-vertices", "10", "--json",
@@ -294,8 +296,8 @@ def test_verify_oversized_cyclic_product_reads_its_factors(capsys, monkeypatch):
 
 
 def test_maximal_cyclics_of_an_oversized_cyclic_product(capsys, monkeypatch):
-    # the one maximal record is built from C4's and C59049's, with no walk
-    refuse_record_walks(monkeypatch)
+    # the one maximal node is built from C4's and C59049's, with no walk
+    refuse_poset_walks(monkeypatch)
     code, out, _ = run(capsys, "maximal-cyclics", "--group", "abelian:2^2,3^10", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -318,11 +320,10 @@ def test_maximal_cyclics_of_an_oversized_cyclic_product(capsys, monkeypatch):
 )
 def test_dihedral_and_quaternion_commands_make_no_power_walk(capsys, monkeypatch, spec, kappa, cutset):
     # the poset is read off the presentation and the maximal subgroups off
-    # the poset; the rows are checked against the maximal closures found by
-    # definition from the records, built before the walks are counted
+    # the poset; the rows are checked against the maximal subgroups found by
+    # definition from the multiplication walk, made before the walks are counted
     G = parse_group_spec(spec)
-    tops = maximal_closures(G)
-    G.maximal_cyclics = tuple(m for m in G.cyclic_subgroups if m.closure in tops)
+    G.maximal_cyclics = reference_maximal_cyclics(walked_by_multiplication(G))
     rows = maximal_cyclic_rows(G)
     walked = count_power_walks(monkeypatch)
     code, out, _ = run(capsys, "maximal-cyclics", "--group", spec, "--json")
@@ -335,12 +336,12 @@ def test_dihedral_and_quaternion_commands_make_no_power_walk(capsys, monkeypatch
 
 
 def reference_rows(spec):
-    """The maximal-cyclics rows read from every record of a fresh copy of
-    the group: the maximal ones and their external overlaps from the cyclic
-    closures, the non-generators from the generators mask."""
-    G = make_abelian(spec)
+    """The maximal-cyclics rows read from the group's multiplication walk
+    (``walked_by_multiplication``): the maximal subgroups and their
+    external overlaps from the cyclic closures, the non-generators from the
+    generators mask."""
+    G = walked_by_multiplication(make_abelian(spec))
     cyclic = max(G.element_orders) == G.size
-    tops = maximal_closures(G)
     return [
         {
             "generator": m.generator,
@@ -349,8 +350,7 @@ def reference_rows(spec):
             "external_overlap": None if cyclic else len(overlap_by_definition(G, m)),
             "elements": sorted(m.elements),
         }
-        for m in G.cyclic_subgroups
-        if m.closure in tops
+        for m in reference_maximal_cyclics(G)
     ]
 
 
@@ -361,9 +361,9 @@ def reference_rows(spec):
 )
 def test_predict_oversize_requests_walk_only_their_blocks(theorem, spec, monkeypatch):
     # the answer comes from the prime blocks (C2xC2, C4xC4, C3xC3: at most 16
-    # elements), never from the product's own records
+    # elements), never from a walk of the product's own cyclic subgroups
     rows = reference_rows(spec) if theorem is None else None
-    walked = log_record_walks(monkeypatch)
+    walked = log_poset_walks(monkeypatch)
     G = make_abelian(spec)
     if theorem is None:
         assert maximal_cyclic_rows(G) == rows

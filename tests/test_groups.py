@@ -1,13 +1,14 @@
 import copy
+import re
 from collections import Counter
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 import pytest
 
-from powergraphs.bitsets import bits, iter_bits
-from powergraphs.cli import main
+from powergraphs.bitsets import bits, iter_bits, mask_of
+from powergraphs.cli import main, parse_group_spec
 from powergraphs.cyclic import (
     elements_of_dividing_order,
     elements_of_exact_order,
@@ -17,6 +18,7 @@ from powergraphs.cyclic import (
 from powergraphs.groups import (
     AbelianSpec,
     CyclicGroup,
+    CyclicSubgroup,
     Group,
     ProductGroup,
     SylowDecomposition,
@@ -36,7 +38,7 @@ def check_group_axioms(G):
     n = G.size
     assert all(G.mul(0, a) == a and G.mul(a, 0) == a for a in range(n))
     for a in range(n):
-        inv = G.power(a, -1)
+        inv = naive_closure(G, a)[-1]  # a**(o-1), o the order of a
         assert G.mul(a, inv) == 0 and G.mul(inv, a) == 0
     if n <= 24:
         for a in range(n):
@@ -165,30 +167,36 @@ def test_cyclic_closure():
     assert len(G.cyclic_closure(2)) == G.element_order(2)
 
 
+def naive_classes(G):
+    """Each cyclic subgroup's members mapped to its generators, by the
+    multiplication walk of every element, in order of least generator."""
+    classes = {}
+    for g in range(G.size):
+        classes.setdefault(frozenset(naive_closure(G, g)), set()).add(g)
+    return {closure: frozenset(members) for closure, members in classes.items()}
+
+
 def test_generator_classes_partition():
     for G in (make_cyclic(12), make_abelian([(2, 1), (2, 1), (3, 1)]), make_dihedral(10)):
-        classes = [frozenset(iter_bits(m.generators)) for m in G.cyclic_subgroups]
-        assert sum(len(c) for c in classes) == G.size
-        seen = set()
-        for c in classes:
-            assert not (c & seen)
-            seen |= c
-            g = min(c)
-            assert len(c) == euler_phi(G.element_order(g))
+        classes = naive_classes(G)
+        assert [G.generator_class(min(c)) for c in classes.values()] == list(classes.values())
+        assert sum(map(len, classes.values())) == G.size
+        for closure, members in classes.items():
+            assert len(members) == euler_phi(len(closure))
     # C12: one class per divisor of 12
-    assert len(make_cyclic(12).cyclic_subgroups) == 6
+    assert len({make_cyclic(12).generator_class(g) for g in range(12)}) == 6
 
 
-def test_cyclic_subgroups_one_record_each_by_least_generator():
+def test_poset_nodes_one_per_cyclic_subgroup_by_least_generator():
     for G in (make_cyclic(12), make_abelian([(2, 1), (2, 1), (3, 1)]), make_dihedral(10)):
-        closures = [G.cyclic_closure(g) for g in range(G.size)]
-        records = G.cyclic_subgroups
-        assert [m.elements for m in records] == list(dict.fromkeys(closures))
-        for m in records:
-            assert m.generator == closures.index(m.elements)
-            assert m.order == len(m.elements) == len(G.power_list(m.generator))
-            assert m.generators == sum(1 << g for g in G.generator_class(m.generator))
-            outside = {y for y in range(G.size) if m.elements < closures[y]}
+        classes = naive_classes(G)
+        subs = [G.cyclic_subgroup(h) for h in G.cyclic_poset.least_generators]
+        assert [m.elements for m in subs] == list(classes)
+        for m in subs:
+            assert m.generator == min(classes[m.elements])
+            assert m.order == len(m.elements)
+            assert frozenset(iter_bits(m.generators)) == classes[m.elements]
+            outside = [c for c in classes if m.elements < c]
             assert (m in G.maximal_cyclics) == (not outside)
 
 
@@ -196,13 +204,13 @@ def test_cyclic_subgroup_is_the_record_of_each_generator():
     # corpus_groups(60) holds D6-D20 and Q8-Q32 besides the abelian groups
     groups = [*corpus_groups(60), direct_product(make_generalized_quaternion(8), make_cyclic(3))]
     for G in groups:
-        for g in range(G.size):
-            sub = G.cyclic_subgroup(g)
-            assert sub.generators >> g & 1, (G.name, g)
-            assert all(G.cyclic_subgroup(h) is sub for h in iter_bits(sub.generators))
-            assert G.element_order(g) == sub.order
-            assert G.cyclic_closure(g) == sub.elements
-            assert G.generator_class(g) == frozenset(iter_bits(sub.generators))
+        for closure, members in naive_classes(G).items():
+            sub = CyclicSubgroup(min(members), mask_of(closure), mask_of(members))
+            for g in members:
+                assert G.cyclic_subgroup(g) == sub, (G.name, g)
+                assert G.element_order(g) == len(closure)
+                assert G.cyclic_closure(g) == closure
+                assert G.generator_class(g) == members
         for bad in (-1, G.size):
             for read in (G.cyclic_subgroup, G.element_order, G.cyclic_closure, G.generator_class):
                 with pytest.raises(ValueError, match=rf"element index {bad} out of range"):
@@ -409,15 +417,40 @@ def overlap_by_definition(G, m):
     return frozenset(bits(m.closure & reached))
 
 
+def walked_by_multiplication(G):
+    """A fresh copy of G, none of its cached structure kept, whose poset and
+    so its per-element lookups come from the base multiplication walk: a
+    reference for the closed forms, residues and factor lists."""
+    ref = copy.copy(G)
+    for name in list(vars(ref)):
+        if isinstance(getattr(type(ref), name, None), cached_property):
+            del vars(ref)[name]
+    ref._power_walk = partial(Group._power_walk, ref)
+    ref.cyclic_poset = Group.cyclic_poset.func(ref)
+    return ref
+
+
+def reference_maximal_cyclics(G):
+    """The maximal cyclic subgroups by definition (``maximal_closures``),
+    each with its generators, in order of least generator."""
+    tops = maximal_closures(G)
+    generators = {}
+    for g, c in enumerate(G.closure_masks):
+        if c in tops:
+            generators[c] = generators.get(c, 0) | 1 << g
+    return tuple(CyclicSubgroup((m & -m).bit_length() - 1, c, m) for c, m in generators.items())
+
+
 def reference_structure_facts(G):
-    """The same facts read off every element's order and cyclic closure."""
+    """The same facts read off every element's order and cyclic closure in
+    G's multiplication walk (``walked_by_multiplication``)."""
+    G = walked_by_multiplication(G)
     try:
         dec = reference_sylow_decomposition(G)
     except UnsupportedStructureError as exc:
         dec = str(exc)
     sylows = None if isinstance(dec, str) else reference_p_elements(G)
-    tops = maximal_closures(G)
-    maximal = tuple(m for m in G.cyclic_subgroups if m.closure in tops)
+    maximal = reference_maximal_cyclics(G)
     products = {}
     if not isinstance(dec, str):
         for r in range(1, len(dec.primes) + 1):
@@ -432,23 +465,28 @@ def test_sylow_data_and_order_shells_match_per_element_reference():
     quaternion = {}
     messages = {}
     for G in sylow_oracle_groups():
-        walked_first = copy.copy(G)
+        looked_up_first = copy.copy(G)
         # the group's own answers first, before the reference walks every element
         facts = structure_facts(G)
         assert facts == reference_structure_facts(G), G.name
-        # and the same once the records have been walked
-        walked_first.closure_masks
-        assert structure_facts(walked_first) == facts, G.name
+        # and the same once the per-element lookups have been read
+        looked_up_first.closure_masks
+        assert structure_facts(looked_up_first) == facts, G.name
         dec = facts[2]
         if isinstance(dec, str):
             messages[G.name] = dec
         else:
             quaternion[G.name] = dec.quaternion
-        orders = G.element_orders
+        # the shells of order d in M (the node of order d below M's) by
+        # definition: M's members h**k walked by multiplication, of order
+        # o / gcd(k, o)
         for M in G.maximal_cyclics:
-            for d in divisors(M.order):
-                exact = frozenset(g for g in M.elements if orders[g] == d)
-                dividing = frozenset(g for g in M.elements if d % orders[g] == 0)
+            members = naive_closure(G, M.generator)
+            o = len(members)
+            orders = {x: o // gcd(k, o) for k, x in enumerate(members)}
+            for d in divisors(o):
+                exact = frozenset(g for g in members if orders[g] == d)
+                dividing = frozenset(g for g in members if d % orders[g] == 0)
                 assert elements_of_exact_order(G, M, d) == exact, (G.name, M.generator, d)
                 assert elements_of_dividing_order(G, M, d) == dividing, (G.name, M.generator, d)
     assert quaternion["Q8xC3"] and quaternion["Q16xC3xC3xC5"] and not quaternion["D8xC5"]
@@ -740,8 +778,11 @@ def counting_groups():
     ]
 
 
-# mul calls of a table factor's own record walk: the sum of its records' orders
-FACTOR_WALKS = {"Q8": 15, "D20": 38}
+# mul calls of a table factor: Q8, a part of Q8xC75's coprime cut, walks its
+# own poset once, the sum of its cyclic subgroups' orders; D20xC75 has no
+# coprime cut (gcd(20, 75) = 5), so the product walks its poset and asks
+# D20's multiplication walk for the D20 digit of each least generator
+FACTOR_WALKS = {"Q8": 15, "D20": 402}
 
 
 @pytest.mark.parametrize("G", counting_groups(), ids=lambda g: g.name)
@@ -749,13 +790,13 @@ def test_closures_walk_each_cyclic_subgroup_once(G):
     G.closure_masks
     walked = G.muls
     factors = getattr(G, "factors", ())
-    # only a non-abelian factor multiplies, walking its own records once; the
-    # product reads that factor's power lists from its records
+    # only a non-abelian factor multiplies
     assert {f.name: f.muls for f in factors} == {f.name: FACTOR_WALKS.get(f.name, 0) for f in factors}
     if isinstance(G, CayleyTableGroup):
         # the base walk: one multiplication per listed power of each class's least element
-        assert walked == sum(m.order for m in G.cyclic_subgroups)
-        assert walked < sum(G.element_orders)  # the per-element walk's count
+        classes = naive_classes(G)
+        assert walked == sum(map(len, classes))
+        assert walked < sum(len(c) * len(m) for c, m in classes.items())  # the per-element walk's count
     else:
         # cyclic groups list powers by residue arithmetic, products from
         # their factors' lists, and neither multiplies to find is_abelian
@@ -764,19 +805,11 @@ def test_closures_walk_each_cyclic_subgroup_once(G):
         assert G.muls == 0
     G.muls = 0
     for g in range(G.size):
-        for k in (-7, -1, 0, 1, 2, 5, G.size + 1):
-            G.power(g, k)
+        G.cyclic_subgroup(g), G.generator_class(g), G.element_order(g)
     assert G.muls == 0
 
 
-def walked_by_multiplication(G):
-    """A fresh copy of G whose records come from the base multiplication walk."""
-    ref = copy.copy(G)
-    ref._power_walk = partial(Group._power_walk, ref)
-    return ref
-
-
-def test_power_lists_and_records_match_the_multiplication_walk():
+def test_power_walks_and_posets_match_the_multiplication_walk():
     cyclic = [make_cyclic(n) for n in [*range(1, 65), 210, 360, 400]]
     abelian = [make_abelian([(2, 1), (2, 2), (3, 2), (5, 1)]), make_abelian([(2, 1), (2, 1), (3, 1), (5, 2)])]
     C = make_cyclic
@@ -788,30 +821,26 @@ def test_power_lists_and_records_match_the_multiplication_walk():
     groups = list(corpus_groups(120)) + cyclic + abelian + products + sylow_factored_groups()
     for G in groups:
         ref = walked_by_multiplication(G)
-        # a product of coprime parts builds its maximal records from theirs
-        maximal = G.maximal_cyclics
-        tops = maximal_closures(ref)
-        assert maximal == tuple(m for m in ref.cyclic_subgroups if m.closure in tops), G.name
+        assert G.maximal_cyclics == reference_maximal_cyclics(ref), G.name
         for h in range(G.size):
-            assert G.power_list(h) == ref._power_walk(h), (G.name, h)
-        assert G._cyclic_places == ref._cyclic_places, G.name
-        assert G.cyclic_subgroups == ref.cyclic_subgroups, G.name
+            assert G._power_walk(h) == ref._power_walk(h), (G.name, h)
+        assert G.cyclic_poset == ref.cyclic_poset, G.name
+        assert G.closure_masks == ref.closure_masks, G.name
 
 
 def test_dihedral_and_quaternion_closed_forms_match_the_multiplication_walk():
     # the poset is read off the presentation and the maximal subgroups off
-    # the poset; the base class builds the poset from the records that
-    # _power_walk lists, and maximal_closures finds the maximal ones by
-    # definition from every element's closure
+    # the poset; the base class walks the poset by multiplication, and
+    # reference_maximal_cyclics finds the maximal ones by definition from
+    # every element's closure in that walk
     groups = [
         *(make_dihedral(n) for n in range(6, 401, 2)),
         *(make_generalized_quaternion(2**m) for m in range(3, 11)),
     ]
     for G in groups:
-        assert G.cyclic_poset == Group.cyclic_poset.func(G), G.name
-        tops = maximal_closures(G)
-        # records compare by their least generator, closure and generators
-        assert G.maximal_cyclics == tuple(m for m in G.cyclic_subgroups if m.closure in tops), G.name
+        ref = walked_by_multiplication(G)
+        assert G.cyclic_poset == ref.cyclic_poset, G.name
+        assert G.maximal_cyclics == reference_maximal_cyclics(ref), G.name
 
 
 def test_dihedral_and_quaternion_flags_match_the_records_and_mul():
@@ -855,9 +884,32 @@ def test_dihedral_and_quaternion_structure_makes_no_power_walk(monkeypatch, caps
     assert main(["verify", "--theorem", "thm12", "--group", spec, "--max-brute-vertices", "10"]) == 0
     assert "verdict" in capsys.readouterr().out
     assert walked == []
-    # the records still come from the walk, one per cyclic subgroup
-    G.closure_masks
-    assert len(walked) == len(G.cyclic_poset.up)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:2000", "quaternion:4096", "cyclic:27720"])
+def test_per_element_lookups_make_no_power_walk(monkeypatch, capsys, spec):
+    # every per-element fact is an index into the closed-form poset; the
+    # reference is walked by multiplication before the walks are refused
+    G = parse_group_spec(spec)
+    ref = walked_by_multiplication(G)
+    closures, orders = ref.closure_masks, ref.element_orders
+
+    def refuse(group, h):
+        raise AssertionError(f"walked the powers of {h} in {group.name}")
+
+    for cls in (Group, CyclicGroup, ProductGroup):
+        monkeypatch.setattr(cls, "_power_walk", refuse)
+    assert G.closure_masks == closures
+    assert G.element_orders == orders
+    assert [G.element_order(g) for g in range(G.size)] == list(orders)
+    for h in G.cyclic_poset.least_generators:
+        sub = G.cyclic_subgroup(h)
+        assert sub == ref.cyclic_subgroup(h), (spec, h)
+        assert G.generator_class(h) == frozenset(iter_bits(sub.generators)), (spec, h)
+    if G.name == "D2000":
+        assert main(["export-dot", "--group", spec, "--max-brute-vertices", str(G.size)]) == 0
+        labels = re.findall(r'^  (\d+) \[label="\1:(\d+)"\];$', capsys.readouterr().out, re.M)
+        assert [int(order) for _, order in labels] == list(orders)
 
 
 def test_abelian_group_is_the_right_fold_of_cyclic_direct_products():
@@ -866,8 +918,9 @@ def test_abelian_group_is_the_right_fold_of_cyclic_direct_products():
         *head, last = [make_cyclic(p**e) for p, e in spec.factors]
         F = reduce(lambda acc, g: direct_product(g, acc), reversed(head), last)
         assert (G.name, G.size) == (F.name, F.size)
-        assert G._cyclic_places == F._cyclic_places, G.name
-        assert G.cyclic_subgroups == F.cyclic_subgroups, G.name
+        ref = walked_by_multiplication(F)
+        assert G.cyclic_poset == ref.cyclic_poset, G.name
+        assert G.closure_masks == ref.closure_masks, G.name
 
 
 @pytest.mark.parametrize("G", counting_groups(), ids=lambda g: g.name)
@@ -898,14 +951,6 @@ def naive_closure(G, g):
     return powers
 
 
-def naive_power(G, g, k):
-    base = g if k >= 0 else next(b for b in range(G.size) if G.mul(g, b) == 0)
-    acc = 0
-    for _ in range(abs(k)):
-        acc = G.mul(acc, base)
-    return acc
-
-
 def test_closures_and_powers_match_naive_reference():
     groups = (
         list(corpus_groups(60))
@@ -926,9 +971,7 @@ def test_closures_and_powers_match_naive_reference():
         for g, m in enumerate(masks):
             by_mask.setdefault(m, set()).add(g)
         classes = sorted(by_mask.values(), key=min)
-        assert [set(iter_bits(m.generators)) for m in G.cyclic_subgroups] == classes, G.name
+        assert [set(iter_bits(m)) for m in G.cyclic_poset.generators] == classes, G.name
         for g, c in enumerate(closures):
             assert G.generator_class(g) == by_mask[masks[g]], (G.name, g)
-            o = len(c)
-            for k in (-o - 2, -1, 0, 1, 2, o, o + 3):
-                assert G.power(g, k) == naive_power(G, g, k), (G.name, g, k)
+            assert G._power_walk(g) == c, (G.name, g)

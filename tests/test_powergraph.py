@@ -9,11 +9,12 @@ from powergraphs.groups import (
     make_dihedral,
     make_generalized_quaternion,
 )
-from powergraphs.bitsets import bits, iter_bits
+from powergraphs.bitsets import bits, iter_bits, mask_of
 from powergraphs.connectivity import all_minimum_cutsets, minimum_cutset
 from powergraphs.harness import corpus_groups, exceptional_groups
 from powergraphs.powergraph import PowerGraph, Separation, build_power_graph
 from powergraphs.suites import _sample_non_adjacent
+from test_groups import naive_classes, naive_closure, walked_by_multiplication
 
 
 def membership_groups():
@@ -67,7 +68,7 @@ def twin_quotient_by_definition(graph):
 @pytest.mark.parametrize("G", MEMBERSHIP_GROUPS)
 def test_adjacency_matches_membership_definition(G):
     graph = build_power_graph(G)
-    closures = [G.cyclic_closure(g) for g in range(G.size)]
+    closures = [set(naive_closure(G, g)) for g in range(G.size)]
     for x in range(G.size):
         assert not graph.adjacent(x, x)
         for y in range(G.size):
@@ -98,8 +99,9 @@ def poset_oracle_groups():
 
 def rows_by_definition(G):
     """Row x is <x> together with every y with x in <y>, minus x: the
-    closures ORed with their transpose, the y with one closure added at once."""
-    closures = G.closure_masks
+    closures ORed with their transpose, the y with one closure added at once.
+    The closures are G's multiplication walk's (``walked_by_multiplication``)."""
+    closures = walked_by_multiplication(G).closure_masks
     sharing = {}  # closure -> the elements y with that closure
     for y, closure in enumerate(closures):
         sharing[closure] = sharing.get(closure, 0) | 1 << y
@@ -121,17 +123,17 @@ def test_poset_quotient_matches_the_row_quotient():
         assert "adj" not in vars(graph), G.name
 
 
-def test_cyclic_poset_matches_the_records():
-    # one node per record, in the records' order; Z' lies in Z iff its
-    # least generator does
+def test_cyclic_poset_matches_the_naive_closures():
+    # one node per cyclic subgroup, by least generator, each element's
+    # closure walked by multiplication; Z' is below Z iff it lies in Z
     for G in [*corpus_groups(64), *(make_cyclic(n) for n in range(1, 121)), *non_abelian_coprime_products()]:
         poset = G.cyclic_poset
-        subs = G.cyclic_subgroups
-        assert poset.least_generators == tuple(sub.generator for sub in subs), G.name
-        assert poset.generators == tuple(sub.generators for sub in subs), G.name
-        for i, sub in enumerate(subs):
-            assert poset.down[i] == sum(1 << j for j, z in enumerate(subs) if not z.closure & ~sub.closure), G.name
-            assert poset.up[i] == sum(1 << j for j, z in enumerate(subs) if not sub.closure & ~z.closure), G.name
+        classes = naive_classes(G)
+        assert poset.least_generators == tuple(map(min, classes.values())), G.name
+        assert poset.generators == tuple(map(mask_of, classes.values())), G.name
+        for i, sub in enumerate(classes):
+            assert poset.down[i] == sum(1 << j for j, z in enumerate(classes) if z <= sub), G.name
+            assert poset.up[i] == sum(1 << j for j, z in enumerate(classes) if sub <= z), G.name
 
 
 def test_bits_lists_the_set_bits_in_order():
