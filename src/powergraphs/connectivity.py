@@ -17,9 +17,11 @@ so each minimum separator is listed at its first pair (Kanevsky, 1993);
 later pairs may find it again, and the enumeration drops the repeats. A
 common neighbour of a pair lies in every separator of it, so it is counted
 into the pair's cut too, before any search; a pair whose counted classes
-already weigh too much runs no flow. Connectivity starts from the smallest
-neighbourhood; each flow aborts once it reaches the best cut so far, and the
-search stops once the classes counted into every later cut weigh that much.
+already weigh too much runs no flow. The flow is a plain node-capacitated
+one: a class is forced only by its capacity, 0 into the cut and more than
+every cut out of it. Connectivity starts from the smallest neighbourhood;
+each flow aborts once it reaches the best cut so far, and the search stops
+once the classes counted into every later cut weigh that much.
 ``minimum_cutset`` returns the cut that search ends on, and
 ``vertex_connectivity`` its size. The s-t query runs the same flow on the
 quotient between the classes of s and t and expands its cut and its flow to
@@ -64,32 +66,23 @@ def _max_flow(
 ) -> tuple[int, int | None, dict[tuple[int, int], int]]:
     """Max flow from vertex s to vertex t when every other vertex v carries
     at most weight[v] units and edges are uncapacitated; s and t must be
-    distinct and non-adjacent.
+    distinct and non-adjacent. Callers force vertices into or out of the cut
+    by capacity alone: weight 0 lets a vertex in at no cost (a common
+    neighbour of s and t is reached from s, so it is in the cut), and a
+    weight above every cut keeps it out.
 
-    A common neighbour w of s and t lies in every s-t separator, so it is
-    counted in before any search: weight[w] units go along s, w, t in one
-    step, and w gets no arc through it. If that already reaches ``limit``
-    the network is never built. The rest are shortest augmenting paths in
-    the vertex-split network, node v being the in-copy of v and node k + v
-    its out-copy, in increasing node order. Returns (flow, cut, edge_flow):
-    cut is None if the flow reached ``limit``, else the vertex mask of the
-    minimum s-t cut closest to s, which holds every common neighbour;
+    Shortest augmenting paths in the vertex-split network, node v being the
+    in-copy of v and node k + v its out-copy, in increasing node order.
+    Returns (flow, cut, edge_flow): cut is None if the flow reached
+    ``limit``, else the vertex mask of the minimum s-t cut closest to s;
     edge_flow[u, v] is the flow on the edge arc k + u -> v, keyed in the
     order the arcs were first used.
     """
-    common = adj[s] & adj[t]
     edge_flow: dict[tuple[int, int], int] = {}
     flow = 0
-    for w in iter_bits(common):
-        if weight[w]:
-            edge_flow[s, w] = edge_flow[w, t] = weight[w]
-            flow += weight[w]
-    if limit is not None and flow >= limit:
-        return flow, None, edge_flow
     k = len(adj)
-    # residual arcs by tail; a common neighbour or a vertex of weight 0 has
-    # no arc through it
-    res = [1 << (k + v) if weight[v] and not common >> v & 1 else 0 for v in range(k)]
+    # residual arcs by tail; a vertex of weight 0 has no arc through it
+    res = [1 << (k + v) if weight[v] else 0 for v in range(k)]
     res += adj
     through = [0] * k  # flow on the vertex arc v -> k + v
     src, snk = k + s, t
@@ -111,9 +104,7 @@ def _max_flow(
             frontier = nxt
         if parent[snk] < 0:
             # edge arcs stay open, so the reachable set is left only
-            # through full vertex arcs: exactly the vertices of a min cut,
-            # common neighbours among them: each is reached from s and has
-            # no vertex arc
+            # through full vertex arcs: exactly the vertices of a min cut
             return flow, visited & ~(visited >> k) & ((1 << k) - 1), edge_flow
         nodes = [snk]
         while nodes[-1] != src:
@@ -217,8 +208,11 @@ def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
         if best <= forced:  # every later cut holds these classes too
             break
         # and this pair's cuts hold its common neighbours
-        if forced + sum(weight[c] for c in iter_bits(adj[s] & adj[t] & ~into)) >= best:
+        common = adj[s] & adj[t] & ~into
+        forced += sum(weight[c] for c in iter_bits(common))
+        if forced >= best:
             continue
+        into |= common
         w = [0 if into >> c & 1 else m for c, m in enumerate(weight)]
         flow, cut, _ = _max_flow(adj, w, s, t, limit=best - forced)
         if cut is not None:

@@ -21,9 +21,9 @@ power otherwise. The maximal cyclic subgroups (``maximal_cyclics``) are its
 maximal nodes, the elements of order dividing m the generators of its nodes
 of such orders, and ``is_nilpotent`` and ``sylow_decomposition()`` count
 those; the power graph's twin quotient and rows are read from it too.
-``CyclicGroup`` and ``ProductGroup`` answer ``is_cyclic`` and
-``elements_of_order_dividing`` by arithmetic, digit by digit for a product,
-so an oversized group's theorem gates build no poset.
+``CyclicGroup``, ``DihedralLikeGroup`` and ``ProductGroup`` answer
+``is_cyclic`` and ``elements_of_order_dividing`` by arithmetic, digit by
+digit for a product, so an oversized group's theorem gates build no poset.
 
 Per-element facts are indices into the poset: each element's node
 (``_node_of``) and each node's closure mask (``_node_closures``) give
@@ -450,6 +450,15 @@ class DihedralLikeGroup(Group):
             rotations.down + tuple(below | 1 << c for c in nodes),
         )
 
+    def elements_of_order_dividing(self, m: int) -> frozenset[int]:
+        # the rotations as in C_half, and every x outside <a> once its
+        # order, 2 when twist is 0 and 4 otherwise, divides m
+        half = self._half
+        rotations = range(0, half, half // gcd(half, m))
+        if m % (4 if self._twist else 2):
+            return frozenset(rotations)
+        return frozenset(rotations).union(range(half, 2 * half))
+
 
 class ProductGroup(Group):
     """Direct product g_1 x ... x g_k of the factor groups, mixed-radix indexed.
@@ -506,9 +515,9 @@ class ProductGroup(Group):
         )
 
     @cached_property
-    def _coprime_parts(self) -> tuple[tuple[Group, int], ...] | None:
-        """The factors cut wherever those before and after have coprime
-        orders, each part with its place value; None if there is no cut.
+    def _coprime_parts(self) -> tuple[Group, ...] | None:
+        """The factors, cut into parts wherever those before and after have
+        coprime orders; None if there is no cut.
 
         The parts have pairwise coprime orders, so each cyclic subgroup is
         one tuple of cyclic subgroups of the parts, one per part, and its
@@ -524,7 +533,7 @@ class ProductGroup(Group):
             return None
         bounds = [0, *cuts, len(sizes)]
         return tuple(
-            (self.factors[i] if j == i + 1 else ProductGroup(self.factors[i:j]), prod(sizes[j:]))
+            self.factors[i] if j == i + 1 else ProductGroup(self.factors[i:j])
             for i, j in zip(bounds, bounds[1:])
         )
 
@@ -539,8 +548,8 @@ class ProductGroup(Group):
         parts = self._coprime_parts
         if parts is None:
             return Group.cyclic_poset.func(self)
-        poset = parts[0][0].cyclic_poset
-        for part, _ in parts[1:]:
+        poset = parts[0].cyclic_poset
+        for part in parts[1:]:
             inner = part.cyclic_poset
             k, size = len(inner.up), part.size
             columns: tuple[list[int], ...] = ([], [], [], [])

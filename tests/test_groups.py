@@ -1,4 +1,5 @@
 import copy
+import json
 import re
 from collections import Counter
 from functools import cached_property, partial, reduce
@@ -19,6 +20,7 @@ from powergraphs.groups import (
     AbelianSpec,
     CyclicGroup,
     CyclicSubgroup,
+    DihedralLikeGroup,
     Group,
     ProductGroup,
     SylowDecomposition,
@@ -829,8 +831,9 @@ def test_power_walks_and_posets_match_the_multiplication_walk():
 
 
 def test_dihedral_and_quaternion_closed_forms_match_the_multiplication_walk():
-    # the poset is read off the presentation and the maximal subgroups off
-    # the poset; the base class walks the poset by multiplication, and
+    # the poset and the elements of order dividing m are read off the
+    # presentation and the maximal subgroups off the poset; the base class
+    # walks the poset by multiplication and counts off it, and
     # reference_maximal_cyclics finds the maximal ones by definition from
     # every element's closure in that walk
     groups = [
@@ -841,6 +844,8 @@ def test_dihedral_and_quaternion_closed_forms_match_the_multiplication_walk():
         ref = walked_by_multiplication(G)
         assert G.cyclic_poset == ref.cyclic_poset, G.name
         assert G.maximal_cyclics == reference_maximal_cyclics(ref), G.name
+        for m in divisors(G.size):
+            assert G.elements_of_order_dividing(m) == Group.elements_of_order_dividing(ref, m), (G.name, m)
 
 
 def test_dihedral_and_quaternion_flags_match_the_records_and_mul():
@@ -884,6 +889,21 @@ def test_dihedral_and_quaternion_structure_makes_no_power_walk(monkeypatch, caps
     assert main(["verify", "--theorem", "thm12", "--group", spec, "--max-brute-vertices", "10"]) == 0
     assert "verdict" in capsys.readouterr().out
     assert walked == []
+
+
+@pytest.mark.parametrize("spec", ["dihedral:200000", "quaternion:1048576"])
+@pytest.mark.parametrize("theorem", ["thm12", "thm13", "thm14"])
+def test_oversized_dihedral_and_quaternion_gates_build_no_poset(monkeypatch, capsys, spec, theorem):
+    # the Sylow counts come by arithmetic: the poset's up and down masks
+    # alone would take O(order**2) bits
+    def refuse(group):
+        raise AssertionError(f"built the cyclic-subgroup poset of {group.name}")
+
+    for cls in (Group, CyclicGroup, DihedralLikeGroup, ProductGroup):
+        monkeypatch.setattr(cls, "cyclic_poset", property(refuse))
+    argv = ["verify", "--theorem", theorem, "--group", spec, "--max-brute-vertices", "10", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["group"] == parse_group_spec(spec).name
 
 
 @pytest.mark.parametrize("spec", ["dihedral:2000", "quaternion:4096", "cyclic:27720"])
