@@ -19,17 +19,21 @@ power list (``_power_walk``) per cyclic subgroup: residues for cyclic
 groups, the factors' lists for products, and one multiplication per listed
 power otherwise. The maximal cyclic subgroups (``maximal_cyclics``) are its
 maximal nodes, the elements of order dividing m the generators of its nodes
-of such orders, and ``is_nilpotent`` and ``sylow_decomposition()`` count
-those; the power graph's twin quotient and rows are read from it too.
-``CyclicGroup``, ``DihedralLikeGroup`` and ``ProductGroup`` answer
-``is_cyclic`` and ``elements_of_order_dividing`` by arithmetic, digit by
-digit for a product, so an oversized group's theorem gates build no poset.
+of such orders; the power graph's twin quotient and rows are read from it
+too.
+
+The theorem gates read one number, ``count_of_order_dividing(m)``: the base
+class counts the poset's generators, and ``CyclicGroup``,
+``DihedralLikeGroup`` and ``ProductGroup`` count by arithmetic (the last as
+the product of its factors' counts), so an oversized group's gates build
+no poset and list no element. ``is_nilpotent``, ``sylow_decomposition()``
+and ``is_cyclic`` are derived from those counts once, in ``Group``.
 
 Per-element facts are indices into the poset: each element's node
 (``_node_of``) and each node's closure mask (``_node_closures``) give
 ``closure_masks``, ``element_orders``, ``cyclic_subgroup(g)`` (a
 ``CyclicSubgroup``: the node's least generator, closure and generators),
-``element_order``, ``cyclic_closure`` and ``generator_class``.
+``element_order`` and ``generator_class``.
 """
 
 from __future__ import annotations
@@ -232,10 +236,6 @@ class Group:
     def element_order(self, g: int) -> int:
         return self._node_orders[self._node(g)]
 
-    def cyclic_closure(self, g: int) -> frozenset[int]:
-        """The set {g**k : k >= 0}; its size is the order of g."""
-        return frozenset(bits(self._node_closures[self._node(g)]))
-
     def generator_class(self, g: int) -> frozenset[int]:
         """All elements generating the same cyclic subgroup as g."""
         return frozenset(iter_bits(self.cyclic_poset.generators[self._node(g)]))
@@ -250,7 +250,9 @@ class Group:
 
     @cached_property
     def is_cyclic(self) -> bool:
-        return max(self._node_orders) == self.size
+        """A cyclic group is abelian, hence nilpotent, and a nilpotent group
+        is cyclic exactly when each of its Sylow subgroups is."""
+        return self.is_nilpotent and not self.sylow_decomposition().noncyclic
 
     @cached_property
     def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
@@ -270,11 +272,17 @@ class Group:
         masks = (mask for mask, o in zip(self.cyclic_poset.generators, self._node_orders) if m % o == 0)
         return frozenset(bits(sum(masks)))
 
+    def count_of_order_dividing(self, m: int) -> int:
+        """The number of elements g with g**m the identity: the generators
+        of the nodes of ``cyclic_poset`` whose order divides m, counted off
+        their masks."""
+        return sum(mask.bit_count() for mask, o in zip(self.cyclic_poset.generators, self._node_orders) if m % o == 0)
+
     @cached_property
     def _p_elements(self) -> tuple[tuple[int, int, int], ...]:
         """Per prime power q = p**e exactly dividing the order, ascending:
         (p, q, the number of p-elements, those g with g**q the identity)."""
-        return tuple((p, p**e, len(self.elements_of_order_dividing(p**e))) for p, e in factorize(self.size))
+        return tuple((p, p**e, self.count_of_order_dividing(p**e)) for p, e in factorize(self.size))
 
     @cached_property
     def is_nilpotent(self) -> bool:
@@ -282,10 +290,10 @@ class Group:
 
         The p-elements of a group are the union of its Sylow p-subgroups, so
         this count criterion is equivalent to every Sylow subgroup being
-        normal (unique), i.e. to nilpotency for finite groups. Abelian groups
-        are nilpotent, so they skip the count.
+        normal (unique), i.e. to nilpotency for finite groups. It costs one
+        ``count_of_order_dividing`` per prime, abelian groups included.
         """
-        return self.is_abelian or self._non_normal_sylow is None
+        return self._non_normal_sylow is None
 
     @cached_property
     def _non_normal_sylow(self) -> tuple[int, int, int] | None:
@@ -317,7 +325,7 @@ class Group:
         # the p-elements are the Sylow p-subgroup, of order q, and hold every
         # g with g**(p**k) the identity
         for p, q, _ in self._p_elements:
-            count = [len(self.elements_of_order_dividing(m)) for m in (p, q // p)]
+            count = [self.count_of_order_dividing(m) for m in (p, q // p)]
             if count[1] == q:  # no element of order q
                 noncyclic.append(p)
                 if p == 2:
@@ -342,6 +350,9 @@ def _spread(mask: int, width: int) -> int:
 class CyclicGroup(Group):
     """C_n with residue arithmetic: element k is the k-th power of a generator."""
 
+    is_abelian = True
+    is_cyclic = True
+
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"cyclic group order must be >= 1, got {n}")
@@ -354,14 +365,6 @@ class CyclicGroup(Group):
     def _power_walk(self, h: int) -> list[int]:
         n = self.size
         return [j * h % n for j in range(n // gcd(h, n))]
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        return True
-
-    @cached_property
-    def is_cyclic(self) -> bool:
-        return True
 
     @cached_property
     def cyclic_poset(self) -> CyclicPoset:
@@ -387,6 +390,9 @@ class CyclicGroup(Group):
         n = self.size
         return frozenset(range(0, n, n // gcd(n, m)))
 
+    def count_of_order_dividing(self, m: int) -> int:
+        return gcd(self.size, m)
+
 
 class DihedralLikeGroup(Group):
     """<a, b | b*a*b**-1 = a**-1, b*b = a**twist>, a of order ``half``.
@@ -406,10 +412,8 @@ class DihedralLikeGroup(Group):
     half + (i + twist) % half, above the identity and <a**twist>.
     """
 
-    # with half >= 3, b*a = a**-1 * b differs from a*b, and no element has
-    # order 2*half: <a> has order half and each <x> order 2 or 4 < 2*half
+    # with half >= 3, b*a = a**-1 * b differs from a*b
     is_abelian = False
-    is_cyclic = False
 
     def __init__(self, name: str, half: int, twist: int, mirrored: bool = False):
         self.name = name
@@ -450,14 +454,11 @@ class DihedralLikeGroup(Group):
             rotations.down + tuple(below | 1 << c for c in nodes),
         )
 
-    def elements_of_order_dividing(self, m: int) -> frozenset[int]:
-        # the rotations as in C_half, and every x outside <a> once its
-        # order, 2 when twist is 0 and 4 otherwise, divides m
+    def count_of_order_dividing(self, m: int) -> int:
+        # the rotations as in C_half, and the half elements x outside <a>
+        # once their order, 2 when twist is 0 and 4 otherwise, divides m
         half = self._half
-        rotations = range(0, half, half // gcd(half, m))
-        if m % (4 if self._twist else 2):
-            return frozenset(rotations)
-        return frozenset(rotations).union(range(half, 2 * half))
+        return gcd(half, m) + (0 if m % (4 if self._twist else 2) else half)
 
 
 class ProductGroup(Group):
@@ -467,9 +468,9 @@ class ProductGroup(Group):
     the later sizes, so (a, b) in g1 x g2 is a*|g2| + b. Products multiply
     digit by digit through each factor's ``mul``; powers are listed from the
     factors' power lists, and the product is abelian iff every factor is.
-    Elements of order dividing m are read digit by digit too, and the
-    poset of cyclic subgroups from a cut of the factors into parts of
-    coprime orders.
+    Elements of order dividing m are listed digit by digit too, and
+    counted as the product of the factors' counts; the poset of cyclic
+    subgroups comes from a cut of the factors into parts of coprime orders.
     """
 
     def __init__(self, factors: tuple[Group, ...]):
@@ -506,13 +507,6 @@ class ProductGroup(Group):
     @cached_property
     def is_abelian(self) -> bool:
         return all(g.is_abelian for g in self.factors)
-
-    @cached_property
-    def is_cyclic(self) -> bool:
-        # two factors of orders sharing a prime p hold C_p x C_p
-        return lcm(*(g.size for g in self.factors)) == self.size and all(
-            g.is_cyclic for g in self.factors
-        )
 
     @cached_property
     def _coprime_parts(self) -> tuple[Group, ...] | None:
@@ -569,6 +563,9 @@ class ProductGroup(Group):
             if len(digits) > 1:
                 elements = [x + d * w for x in elements for d in digits]
         return frozenset(elements)
+
+    def count_of_order_dividing(self, m: int) -> int:
+        return prod(g.count_of_order_dividing(m) for g in self.factors)
 
 
 def make_cyclic(n: int) -> Group:

@@ -164,9 +164,9 @@ def test_orders_divide_group_order():
 
 def test_cyclic_closure():
     G = make_cyclic(8)
-    assert G.cyclic_closure(0) == {0}
-    assert G.cyclic_closure(2) == {0, 2, 4, 6}
-    assert len(G.cyclic_closure(2)) == G.element_order(2)
+    assert G.cyclic_subgroup(0).elements == {0}
+    assert G.cyclic_subgroup(2).elements == {0, 2, 4, 6}
+    assert len(G.cyclic_subgroup(2).elements) == G.element_order(2)
 
 
 def naive_classes(G):
@@ -211,10 +211,9 @@ def test_cyclic_subgroup_is_the_record_of_each_generator():
             for g in members:
                 assert G.cyclic_subgroup(g) == sub, (G.name, g)
                 assert G.element_order(g) == len(closure)
-                assert G.cyclic_closure(g) == closure
                 assert G.generator_class(g) == members
         for bad in (-1, G.size):
-            for read in (G.cyclic_subgroup, G.element_order, G.cyclic_closure, G.generator_class):
+            for read in (G.cyclic_subgroup, G.element_order, G.generator_class):
                 with pytest.raises(ValueError, match=rf"element index {bad} out of range"):
                     read(bad)
 
@@ -828,12 +827,23 @@ def test_power_walks_and_posets_match_the_multiplication_walk():
             assert G._power_walk(h) == ref._power_walk(h), (G.name, h)
         assert G.cyclic_poset == ref.cyclic_poset, G.name
         assert G.closure_masks == ref.closure_masks, G.name
+        assert_gate_counts_match_the_walk(G, ref)
+
+
+def assert_gate_counts_match_the_walk(G, ref):
+    """G's ``is_cyclic`` and ``count_of_order_dividing`` against ref, G
+    walked by multiplication: whether some element has the group's order,
+    and how many elements the base class lists of order dividing each
+    divisor m."""
+    assert G.is_cyclic == (max(ref._node_orders) == G.size), G.name
+    for m in divisors(G.size):
+        assert G.count_of_order_dividing(m) == len(Group.elements_of_order_dividing(ref, m)), (G.name, m)
 
 
 def test_dihedral_and_quaternion_closed_forms_match_the_multiplication_walk():
-    # the poset and the elements of order dividing m are read off the
+    # the poset and the counts of order dividing m are read off the
     # presentation and the maximal subgroups off the poset; the base class
-    # walks the poset by multiplication and counts off it, and
+    # walks the poset by multiplication and lists off it, and
     # reference_maximal_cyclics finds the maximal ones by definition from
     # every element's closure in that walk
     groups = [
@@ -844,8 +854,7 @@ def test_dihedral_and_quaternion_closed_forms_match_the_multiplication_walk():
         ref = walked_by_multiplication(G)
         assert G.cyclic_poset == ref.cyclic_poset, G.name
         assert G.maximal_cyclics == reference_maximal_cyclics(ref), G.name
-        for m in divisors(G.size):
-            assert G.elements_of_order_dividing(m) == Group.elements_of_order_dividing(ref, m), (G.name, m)
+        assert_gate_counts_match_the_walk(G, ref)
 
 
 def test_dihedral_and_quaternion_flags_match_the_records_and_mul():
@@ -854,7 +863,7 @@ def test_dihedral_and_quaternion_flags_match_the_records_and_mul():
         *(make_generalized_quaternion(2**m) for m in range(3, 7)),
     ]
     for G in groups:
-        assert G.is_cyclic is Group.is_cyclic.func(G) is False, G.name
+        assert G.is_cyclic is (max(walked_by_multiplication(G)._node_orders) == G.size) is False, G.name
         assert G.is_abelian is Group.is_abelian.func(G) is False, G.name
 
 
@@ -891,19 +900,30 @@ def test_dihedral_and_quaternion_structure_makes_no_power_walk(monkeypatch, caps
     assert walked == []
 
 
-@pytest.mark.parametrize("spec", ["dihedral:200000", "quaternion:1048576"])
+@pytest.mark.parametrize("spec", ["dihedral:200000", "quaternion:1048576", "abelian:2,2^40"])
 @pytest.mark.parametrize("theorem", ["thm12", "thm13", "thm14"])
 def test_oversized_dihedral_and_quaternion_gates_build_no_poset(monkeypatch, capsys, spec, theorem):
-    # the Sylow counts come by arithmetic: the poset's up and down masks
-    # alone would take O(order**2) bits
-    def refuse(group):
-        raise AssertionError(f"built the cyclic-subgroup poset of {group.name}")
+    # the gates read count_of_order_dividing, by arithmetic: the poset's up
+    # and down masks alone would take O(order**2) bits, and listing the
+    # 2**41 elements of C2xC2^40 to count them would not fit in memory
+    def refuse(group, *args):
+        raise AssertionError(f"built the poset or listed the elements of {group.name}")
 
     for cls in (Group, CyclicGroup, DihedralLikeGroup, ProductGroup):
         monkeypatch.setattr(cls, "cyclic_poset", property(refuse))
+        monkeypatch.setattr(cls, "elements_of_order_dividing", refuse)
     argv = ["verify", "--theorem", theorem, "--group", spec, "--max-brute-vertices", "10", "--json"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["group"] == parse_group_spec(spec).name
+
+
+def test_oversized_sylow_product_lists_only_its_own_elements(capsys):
+    # C3xC3^30xC5 has 3**31 * 5 elements; its Sylow 5-subgroup, the named
+    # cut-set, is listed digit by digit as the 5 elements 0..4
+    argv = ["verify", "--theorem", "thm12", "--group", "abelian:3,3^30,5", "--max-brute-vertices", "10", "--json"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["predicted_kappa"], out["predicted_cutsets"]) == (5, [[0, 1, 2, 3, 4]])
 
 
 @pytest.mark.parametrize("spec", ["dihedral:2000", "quaternion:4096", "cyclic:27720"])

@@ -247,7 +247,7 @@ def test_separation_of_nongenerators():
     graph = build_power_graph(G)
     # M = <x> of order 6 for an order-6 element x; nongenerators cut it off
     x = next(g for g, o in enumerate(G.element_orders) if o == 6)
-    M = G.cyclic_closure(x)
+    M = G.cyclic_subgroup(x).elements
     gens = G.generator_class(x)
     tilde = M - gens
     outside = frozenset(range(12)) - M
