@@ -3,7 +3,8 @@
 Subcommands: kappa, cutsets, maximal-cyclics, verify, survey, export-dot.
 Group specs: ``cyclic:N``, ``abelian:p^e,p^e,...``, ``quaternion:N``,
 ``dihedral:N``. Exit codes: 0 ok, 1 mismatch or suite failure, 2 invalid
-input, 3 resource limit in strict mode.
+input, 3 resource limit: a cap (resource skips only in strict mode), or out
+of memory.
 """
 
 from __future__ import annotations
@@ -321,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
 
 

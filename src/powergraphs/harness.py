@@ -9,6 +9,12 @@ observed one and the observed minimum cut-sets obey the forecast's two rules:
 their number equals its ``count`` when it has one, and every named cut-set is
 among them. A "props" verification runs every property suite instead and
 matches when at least one check ran and none failed.
+
+Past ``is_abelian``, gates and predictions read one structural number, the
+group's ``count_of_order_dividing``: the Sylow data come from it, and so does
+the least maximal cyclic order (``min_maximal_cyclic_order``). No prediction
+builds the poset of cyclic subgroups or lists an element beyond its named
+cut-sets.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .numtheory import factorize
 from .powergraph import build_power_graph
 from .predictions import (
     Prediction,
-    SylowProfile,
     kappa_abelian_three_primes,
     kappa_abelian_two_primes,
     kappa_cyclic,
@@ -130,33 +135,34 @@ def corpus_groups(max_order: int) -> tuple[Group, ...]:
     return tuple(_corpus(max_order))
 
 
-def sylow_profile(group: Group) -> SylowProfile:
-    """Structural facts consumed by the arithmetic predictors."""
-    dec = group.sylow_decomposition()
-    return SylowProfile(
-        noncyclic=dec.noncyclic,
-        elementary=dec.elementary,
-        maximal_cyclic_orders=tuple(sorted({m.order for m in group.maximal_cyclics})),
-    )
-
-
 def _prime_count(group: Group) -> int:
     return len(factorize(group.size))
 
 
-def _with_profile(
-    predictor: Callable[[int, SylowProfile], Prediction],
-) -> Callable[[Group], Prediction]:
-    return lambda g: predictor(g.size, sylow_profile(g))
+def min_maximal_cyclic_order(group: Group) -> int:
+    """The least order m of a maximal cyclic subgroup of an abelian group,
+    read off ``count_of_order_dividing`` alone: m is the product, over the
+    prime powers p**e exactly dividing the order, of p**a, where a is the
+    least j < e with count(p**(j+1)) < count(p) * count(p**j), or e if there
+    is none.
 
-
-def _predict_thm12(group: Group) -> Prediction:
-    dec = group.sylow_decomposition()
-    return kappa_nilpotent_one_noncyclic(
-        group.size,
-        dec.noncyclic[0],
-        sylow_is_generalized_quaternion=dec.quaternion,
-    )
+    Proof. Let P = C(p**e_1) + ... + C(p**e_k), e_1 <= ... <= e_k, be the
+    Sylow p-subgroup. <g> is maximal in P exactly when g is not in pP: if
+    g = ph with h != 0, <g> lies in <h>, of order p|g|; if g is not in pP
+    and g = th, then p does not divide t, so <g> = <h>. Such a g has a
+    coordinate of order p**e_i, so the least order is p**e_1, which a
+    generator of C(p**e_1) attains. count(p**j) = p**(sum of min(e_i, j)),
+    so count(p**(j+1)) / count(p**j) = p**#{i : e_i > j}, which equals
+    count(p) = p**k exactly while j < e_1; hence a = e_1, which is e exactly
+    when P is cyclic. An abelian group is nilpotent, and a nilpotent group's
+    maximal cyclic subgroups are the products of one maximal cyclic subgroup
+    of each Sylow subgroup, so the least order is the product of the p**e_1.
+    """
+    count = group.count_of_order_dividing
+    m = 1
+    for p, e in factorize(group.size):
+        m *= p ** next((j for j in range(e) if count(p ** (j + 1)) < count(p) * count(p**j)), e)
+    return m
 
 
 _Condition = tuple[str, Callable[[Group], bool]]
@@ -186,7 +192,7 @@ _THEOREM_GATES: dict[str, tuple[str, tuple[_Stage, ...], Callable[[Group], Predi
                 _ONE_NONCYCLIC,
             ),
         ),
-        _predict_thm12,
+        lambda g: kappa_nilpotent_one_noncyclic(g.size, g.sylow_decomposition()),
     ),
     "thm13": (
         "abelian-gated",
@@ -194,7 +200,7 @@ _THEOREM_GATES: dict[str, tuple[str, tuple[_Stage, ...], Callable[[Group], Predi
             _ABELIAN_NONCYCLIC,
             (("order has exactly two prime divisors", lambda g: _prime_count(g) == 2),),
         ),
-        _with_profile(kappa_abelian_two_primes),
+        lambda g: kappa_abelian_two_primes(g.size, g.sylow_decomposition(), min_maximal_cyclic_order(g)),
     ),
     "thm14": (
         "abelian-gated",
@@ -205,7 +211,7 @@ _THEOREM_GATES: dict[str, tuple[str, tuple[_Stage, ...], Callable[[Group], Predi
                 _ONE_NONCYCLIC,
             ),
         ),
-        _with_profile(kappa_abelian_three_primes),
+        lambda g: kappa_abelian_three_primes(g.size, g.sylow_decomposition(), min_maximal_cyclic_order(g)),
     ),
 }
 

@@ -3,6 +3,10 @@
 Every predictor returns a Prediction whose hypothesis_trace records each gate
 condition it evaluated, so a caller can report exactly why a formula did or
 did not apply. Not-applicable is a first-class outcome, never a guess.
+
+The predictors are arithmetic: besides the order they read only the group's
+``SylowDecomposition`` and, for the abelian theorems, m, the least order of
+a maximal cyclic subgroup (``harness.min_maximal_cyclic_order``).
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+from .groups import SylowDecomposition
 from .numtheory import euler_phi, factorize, is_prime, p_adic_valuation
 
 
@@ -62,22 +67,6 @@ class Prediction:
     ) -> "Prediction":
         """No kappa and no cut-set claim: a hypothesis gate failed."""
         return cls(None, case_tag, CutsetForecast(), hypothesis_trace)
-
-
-@dataclass(frozen=True)
-class SylowProfile:
-    """Structural facts about a group's Sylow subgroups and maximal cyclics.
-
-    Derived from an actual group by the harness; predictors stay arithmetic.
-    """
-
-    noncyclic: tuple[int, ...]
-    elementary: tuple[int, ...]
-    maximal_cyclic_orders: tuple[int, ...]
-
-    @property
-    def min_maximal_cyclic_order(self) -> int:
-        return min(self.maximal_cyclic_orders)
 
 
 def condition_two_phi(primes: tuple[int, ...] | list[int]) -> bool:
@@ -174,14 +163,9 @@ def kappa_cyclic(n: int) -> Prediction:
     )
 
 
-def kappa_nilpotent_one_noncyclic(
-    n: int,
-    noncyclic_prime: int,
-    *,
-    sylow_is_generalized_quaternion: bool = False,
-) -> Prediction:
+def kappa_nilpotent_one_noncyclic(n: int, dec: SylowDecomposition) -> Prediction:
     """Connectivity for a non-cyclic nilpotent group of order n whose only
-    non-cyclic Sylow subgroup sits at ``noncyclic_prime``.
+    non-cyclic Sylow subgroup is the one at ``dec.noncyclic``.
 
     Applicable when p_k >= r+1 or 2*phi(p1...p_{r-1}) > p1...p_{r-1}, and the
     non-cyclic Sylow subgroup is not a generalized quaternion 2-group; then
@@ -191,15 +175,17 @@ def kappa_nilpotent_one_noncyclic(
     if len(pairs) < 2:
         raise ValueError("need at least two distinct primes")
     ps, es = zip(*pairs)
-    if noncyclic_prime not in ps:
-        raise ValueError(f"{noncyclic_prime} does not divide the order")
+    if len(dec.noncyclic) != 1:
+        raise ValueError("need exactly one non-cyclic Sylow subgroup")
+    (p_k,) = dec.noncyclic
+    if p_k not in ps:
+        raise ValueError(f"{p_k} does not divide the order")
     r = len(ps)
-    p_k = noncyclic_prime
     n_k = es[ps.index(p_k)]
     trace: list[tuple[str, bool]] = []
     quaternion_ok = True
     if p_k == 2:
-        quaternion_ok = not sylow_is_generalized_quaternion
+        quaternion_ok = not dec.quaternion
         trace.append(("non-cyclic Sylow 2-subgroup is not generalized quaternion", quaternion_ok))
     head = ps[:-1]
     gate_rank = p_k >= r + 1
@@ -219,24 +205,26 @@ def kappa_nilpotent_one_noncyclic(
     return Prediction.gated("nilpotent-one-noncyclic-gated", tuple(trace))
 
 
-def kappa_abelian_two_primes(n: int, profile: SylowProfile) -> Prediction:
+def kappa_abelian_two_primes(n: int, dec: SylowDecomposition, m: int) -> Prediction:
     """Connectivity for a non-cyclic abelian group of order n with two prime
-    divisors.
+    divisors, Sylow data ``dec`` and least maximal cyclic order m.
 
     One non-cyclic Sylow subgroup: the other Sylow subgroup is a minimum
     cut-set (unique except possibly when it is odd and the non-cyclic one is
     the 2-Sylow). Both non-cyclic: kappa = min(|P1|, |P2|, |C~|) where C is a
     minimum-order maximal cyclic subgroup and C~ its non-generators, provided
     either p1 >= 3 with a maximal cyclic subgroup of order p1*p2 present, or
-    the smaller Sylow subgroup is elementary abelian.
+    the smaller Sylow subgroup is elementary abelian. With both Sylow
+    subgroups non-cyclic no maximal cyclic subgroup has order below p1*p2,
+    so one of that order exists exactly when m = p1*p2.
     """
     pairs = factorize(n)
     if len(pairs) != 2:
         raise ValueError("need exactly two distinct primes")
     (p1, n1), (p2, n2) = pairs
-    non = tuple(sorted(set(profile.noncyclic)))
+    non = tuple(sorted(set(dec.noncyclic)))
     if not set(non) <= {p1, p2}:
-        raise ValueError("profile names primes outside the factorization")
+        raise ValueError("decomposition names primes outside the factorization")
     if len(non) == 0:
         raise ValueError("an abelian group with all Sylow subgroups cyclic is cyclic")
     if len(non) == 1:
@@ -254,9 +242,8 @@ def kappa_abelian_two_primes(n: int, profile: SylowProfile) -> Prediction:
             cutsets=forecast,
             hypothesis_trace=trace,
         )
-    m = profile.min_maximal_cyclic_order
-    gate_small = p1 >= 3 and (p1 * p2) in profile.maximal_cyclic_orders
-    gate_elem = p1 in profile.elementary
+    gate_small = p1 >= 3 and m == p1 * p2
+    gate_elem = p1 in dec.elementary
     trace = (
         ("both Sylow subgroups non-cyclic", True),
         (f"p1 >= 3 and a maximal cyclic subgroup of order {p1 * p2} exists", gate_small),
@@ -273,9 +260,10 @@ def kappa_abelian_two_primes(n: int, profile: SylowProfile) -> Prediction:
     )
 
 
-def kappa_abelian_three_primes(n: int, profile: SylowProfile) -> Prediction:
+def kappa_abelian_three_primes(n: int, dec: SylowDecomposition, m: int) -> Prediction:
     """Connectivity for a non-cyclic abelian group of order n with three prime
-    divisors and exactly one non-cyclic Sylow subgroup.
+    divisors, exactly one non-cyclic Sylow subgroup (Sylow data ``dec``) and
+    least maximal cyclic order m.
 
     When the non-cyclic Sylow subgroup is odd, or is not at the smallest
     prime, the product of the other two Sylow subgroups is the unique minimum
@@ -287,13 +275,12 @@ def kappa_abelian_three_primes(n: int, profile: SylowProfile) -> Prediction:
     if len(pairs) != 3:
         raise ValueError("need exactly three distinct primes")
     ps, es = zip(*pairs)
-    non = tuple(sorted(set(profile.noncyclic)))
+    non = tuple(sorted(set(dec.noncyclic)))
     if len(non) != 1 or non[0] not in ps:
         raise ValueError("need exactly one non-cyclic Sylow subgroup at a dividing prime")
     p_k = non[0]
     k = ps.index(p_k)
     if ps[0] == 2 and k == 0:
-        m = profile.min_maximal_cyclic_order
         c = p_adic_valuation(m, 2)
         odd_part = ps[1] ** es[1] * ps[2] ** es[2]
         if c < 1 or m != 2**c * odd_part:

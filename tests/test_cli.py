@@ -203,6 +203,19 @@ def test_export_dot_brute_cap_exit_three(capsys):
     assert "resource limit:" in err
 
 
+def test_out_of_memory_exits_three(capsys, monkeypatch):
+    # a fallback for inputs no cap catches yet, not a cap: exit 3, the
+    # resource-limit code, instead of 1 and a traceback
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("powergraphs.cli.verify_theorem", exhaust)
+    code, out, err = run(capsys, "verify", "--theorem", "thm13", "--group", "abelian:2,2,3^20")
+    assert code == 3
+    assert out == ""
+    assert err == "resource limit: out of memory\n"
+
+
 @pytest.mark.parametrize("command", ["kappa", "cutsets", "export-dot"])
 def test_brute_cap_applies_before_the_group_is_built(capsys, monkeypatch, command):
     def no_build(order):

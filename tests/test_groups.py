@@ -900,21 +900,58 @@ def test_dihedral_and_quaternion_structure_makes_no_power_walk(monkeypatch, caps
     assert walked == []
 
 
+def refuse_structure(monkeypatch, *names):
+    """Make every group class fail the test when it reads one of the named
+    structures: ``cyclic_poset`` (a property) or a method."""
+
+    def refuse(group, *args):
+        raise AssertionError(f"built the poset or listed the elements of {group.name}")
+
+    for cls in (Group, CyclicGroup, DihedralLikeGroup, ProductGroup):
+        for name in names:
+            monkeypatch.setattr(cls, name, property(refuse) if name == "cyclic_poset" else refuse)
+
+
 @pytest.mark.parametrize("spec", ["dihedral:200000", "quaternion:1048576", "abelian:2,2^40"])
 @pytest.mark.parametrize("theorem", ["thm12", "thm13", "thm14"])
 def test_oversized_dihedral_and_quaternion_gates_build_no_poset(monkeypatch, capsys, spec, theorem):
     # the gates read count_of_order_dividing, by arithmetic: the poset's up
     # and down masks alone would take O(order**2) bits, and listing the
     # 2**41 elements of C2xC2^40 to count them would not fit in memory
-    def refuse(group, *args):
-        raise AssertionError(f"built the poset or listed the elements of {group.name}")
-
-    for cls in (Group, CyclicGroup, DihedralLikeGroup, ProductGroup):
-        monkeypatch.setattr(cls, "cyclic_poset", property(refuse))
-        monkeypatch.setattr(cls, "elements_of_order_dividing", refuse)
+    refuse_structure(monkeypatch, "cyclic_poset", "elements_of_order_dividing")
     argv = ["verify", "--theorem", theorem, "--group", spec, "--max-brute-vertices", "10", "--json"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["group"] == parse_group_spec(spec).name
+
+
+@pytest.mark.parametrize(
+    "theorem, spec, case, kappa",
+    [
+        ("thm14", "abelian:2,2,3,5^12", "three-primes-even-noncyclic-shallow", 488281252),
+        ("thm14", "abelian:2^2,2^2,3,5^12", "three-primes-even-noncyclic-deep", 732421875),
+        ("thm13", "abelian:3,3,5,5^12", "two-primes-both-noncyclic", 7),
+        ("thm13", "abelian:2,2,3,3^15", "two-primes-both-noncyclic", 4),
+    ],
+)
+def test_oversized_abelian_predictions_build_no_poset(monkeypatch, capsys, theorem, spec, case, kappa):
+    # the least maximal cyclic order is read off count_of_order_dividing:
+    # the poset of C_{5**12} alone would loop over 5**12 residues
+    refuse_structure(monkeypatch, "cyclic_poset", "elements_of_order_dividing")
+    argv = ["verify", "--theorem", theorem, "--group", spec, "--max-brute-vertices", "10", "--json"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["predicted_kappa"], out["case"]) == (kappa, case)
+
+
+def test_oversized_named_sylow_subgroup_builds_no_poset(monkeypatch, capsys):
+    # the named cut-set, the Sylow 3-subgroup C_{3**12}, is still listed,
+    # digit by digit, but no poset is built
+    refuse_structure(monkeypatch, "cyclic_poset")
+    argv = ["verify", "--theorem", "thm13", "--group", "abelian:2,2,3^12", "--max-brute-vertices", "10", "--json"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["predicted_kappa"], out["case"]) == (3**12, "two-primes-one-noncyclic")
+    assert [len(s) for s in out["predicted_cutsets"]] == [3**12]
 
 
 def test_oversized_sylow_product_lists_only_its_own_elements(capsys):

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from math import prod
 
 import pytest
 
@@ -14,9 +15,9 @@ from powergraphs.harness import (
     ResourceCaps,
     corpus_groups,
     generate_abelian_corpus,
+    min_maximal_cyclic_order,
     run_property_suite,
     survey,
-    sylow_profile,
     verify_theorem,
 )
 from powergraphs.predictions import CutsetForecast
@@ -47,13 +48,23 @@ def test_corpus_deterministic():
     assert "Q32" not in names  # order cap applies to the exceptional list too
 
 
-def test_sylow_profile():
-    G = make_abelian([(2, 1), (2, 1), (3, 1)])
-    profile = sylow_profile(G)
-    assert profile.noncyclic == (2,)
-    assert profile.elementary == (2, 3)
-    assert profile.min_maximal_cyclic_order == 6
-    assert profile.maximal_cyclic_orders == (6,)
+def test_min_maximal_cyclic_order_matches_the_poset():
+    # the count-only helper against the maximal nodes of the poset, and the
+    # thm13 gate read from it: with both Sylow subgroups non-cyclic, a
+    # maximal cyclic subgroup of order p1*p2 exists exactly when m = p1*p2
+    both_noncyclic = 0
+    for spec in generate_abelian_corpus(400):
+        G = make_abelian(spec)
+        if G.is_cyclic:
+            continue
+        orders = {M.order for M in G.maximal_cyclics}
+        m = min_maximal_cyclic_order(G)
+        assert m == min(orders), G.name
+        primes = G.sylow_decomposition().primes
+        if len(primes) == 2 and G.sylow_decomposition().noncyclic == primes:
+            both_noncyclic += 1
+            assert (prod(primes) in orders) == (m == prod(primes)), G.name
+    assert both_noncyclic > 0
 
 
 def test_verify_cyclic_match():
