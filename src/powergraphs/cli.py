@@ -19,7 +19,6 @@ from .connectivity import (
     ResourceLimitError,
     all_minimum_cutsets,
     minimum_cutset,
-    vertex_connectivity,
 )
 from .cyclic import external_overlap
 from .groups import (
@@ -106,7 +105,7 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
         raise ValueError("connectivity needs a group of order >= 2")
     graph = build_power_graph(group)
     if graph.is_complete:
-        kappa, cutset = vertex_connectivity(graph), None
+        kappa, cutset = graph.vertex_count - 1, None
     else:
         cutset = sorted(minimum_cutset(graph))
         kappa = len(cutset)

@@ -1,9 +1,10 @@
 """Exact vertex connectivity and minimum cut-set enumeration.
 
-Both read only the graph's closed-twin quotient (``PowerGraph.twin_quotient``,
-computed once per graph, for a group's graph from its poset of cyclic
-subgroups with no adjacency row): vertices with equal closed neighbourhoods
-form a class (elements generating one cyclic subgroup do), and no minimal separator
+Both read only the power graph's closed-twin quotient
+(``PowerGraph.twin_quotient``, computed once per graph from the group's
+poset of cyclic subgroups, with no adjacency row): vertices with equal
+closed neighbourhoods form a class (elements generating one cyclic
+subgroup do), and no minimal separator
 splits a class or meets the classes of the vertices it separates. So a
 minimum s-t vertex cut is a minimum cut of the quotient with nodes weighted by
 class size: one integer-capacity vertex-split max-flow (Even & Tarjan, 1975).

@@ -87,7 +87,7 @@ def _order_d_subgroup(group: Group, subgroup: CyclicSubgroup, d: int) -> CyclicS
     if d < 1 or subgroup.order % d != 0:
         raise ValueError(f"{d} does not divide the subgroup order {subgroup.order}")
     poset = group.cyclic_poset
-    below = poset.down[poset.least_generators.index(subgroup.generator)]
+    below = poset.down[group._node(subgroup.generator)]
     inside = (group.cyclic_subgroup(poset.least_generators[j]) for j in iter_bits(below))
     return next(sub for sub in inside if sub.order == d)
 

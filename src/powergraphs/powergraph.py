@@ -1,19 +1,18 @@
-"""Power graphs of finite groups and the cut-set predicates on them.
+"""The power graph of a finite group and the cut-set predicates on it.
 
 Two distinct elements are adjacent exactly when one lies in the cyclic
 subgroup generated by the other, so the graph is the comparability graph of
 the poset of cyclic subgroups, each subgroup blown up into a clique of its
-generators. The connectivity engine reads only the closed-twin quotient
-(``PowerGraph.twin_quotient``), computed once per graph. For the power graph
-of a group (``build_power_graph``) it is read off that poset
-(``poset_twin_quotient``): the group lists one node per cyclic subgroup
-(``Group.cyclic_poset``), and twins are merged node by node, with no
-n-vertex row. The rows are built only when something reads ``adj``, the
-property suites and the DOT export, from the same poset: row x holds the
-generators of every cyclic subgroup comparable to <x>. A graph given as
-rows (``PowerGraph(n, adj)``) merges its twins row by row. Adjacency is stored densely as one integer bitmask per
-vertex: power graphs are dense, and whole-row operations are the dominant
-win.
+generators. ``PowerGraph`` is built from a group (``build_power_graph``)
+and reads everything off that poset (``Group.cyclic_poset``), which lists
+one node per cyclic subgroup. The connectivity engine reads only the
+closed-twin quotient (``PowerGraph.twin_quotient``), computed once per
+graph by merging twins node by node (``poset_twin_quotient``), with no
+n-vertex row. The rows (``_rows``) are built only when something reads
+``adj``, the property suites and the DOT export: row x holds the generators
+of every cyclic subgroup comparable to <x>. Adjacency is stored densely as
+one integer bitmask per vertex: power graphs are dense, and whole-row
+operations are the dominant win.
 """
 
 from __future__ import annotations
@@ -35,14 +34,22 @@ class Separation:
     side_b: frozenset[int]
 
 
-@dataclass(frozen=True, eq=False)
 class PowerGraph:
-    """Simple undirected graph on group element indices, given by its rows
-    (``adj[v]`` masks the neighbours of v); vertex 0 is the identity. Graphs
-    compare and hash by identity, so neither reads the rows."""
+    """The power graph of a group on its element indices; vertex 0 is the
+    identity. ``adj[v]`` masks the neighbours of v. Graphs compare and hash
+    by identity, so neither reads the rows."""
 
-    vertex_count: int
-    adj: tuple[int, ...]
+    def __init__(self, group: Group):
+        self.group = group
+        self.vertex_count = group.size
+
+    def __repr__(self) -> str:
+        return f"PowerGraph({self.group!r})"
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """The adjacency rows (``_rows``), built on the first read."""
+        return _rows(self.group)
 
     @cached_property
     def full_mask(self) -> int:
@@ -62,16 +69,14 @@ class PowerGraph:
         """The closed-twin quotient: (members, q_adj, universal).
 
         Vertices with equal closed neighbourhoods are twins, and twins form a
-        class (in a power graph the generators of one cyclic subgroup are
-        twins, so each class is a union of generator classes).
-        members[i] is the vertex mask of class i, classes ordered by least
-        vertex; q_adj[i] is the mask of classes adjacent to class i; universal
-        is the index of the class of vertices adjacent to all others, or None.
-        Merged row by row here; the power graph of a group reads it off the
-        poset of cyclic subgroups instead (``poset_twin_quotient``).
+        class (the generators of one cyclic subgroup are twins, so each class
+        is a union of generator classes). members[i] is the vertex mask of
+        class i, classes ordered by least vertex; q_adj[i] is the mask of
+        classes adjacent to class i; universal is the index of the class of
+        vertices adjacent to all others, or None. Read off the poset of
+        cyclic subgroups (``poset_twin_quotient``), with no row.
         """
-        keys = [row | 1 << v for v, row in enumerate(self.adj)]
-        return _merge_twins(keys, (1 << v for v in range(self.vertex_count)), self.full_mask)
+        return poset_twin_quotient(self.group)
 
     @property
     def is_complete(self) -> bool:
@@ -156,40 +161,10 @@ class PowerGraph:
         return all(self.adj[u] & b == 0 for u in iter_bits(a))
 
 
-def _merge_twins(
-    keys: Iterable[int], vertices: Iterable[int], everything: int
-) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
-    """The closed-twin quotient of items given in order by their keys, each
-    item's closed neighbourhood as a mask over the items, and the masks of
-    the vertices they stand for. Items with one key are merged into a
-    class, classes ordered by their first item; two classes are adjacent
-    when one's key holds the other's first item, and the universal class is
-    the one whose key is ``everything``."""
-    classes: dict[int, int] = {}
-    class_bit: dict[int, int] = {}  # the bit of a class's first item -> the class's bit
-    for i, (key, members) in enumerate(zip(keys, vertices)):
-        if key in classes:
-            classes[key] |= members
-        else:
-            class_bit[1 << i] = 1 << len(classes)
-            classes[key] = members
-    reps = sum(class_bit)
-    q_adj = []
-    for i, key in enumerate(classes):
-        row, q = key & reps, 0
-        while row:
-            low = row & -row
-            row ^= low
-            q |= class_bit[low]
-        q_adj.append(q & ~(1 << i))
-    universal = next((i for i, key in enumerate(classes) if key == everything), None)
-    return tuple(classes.values()), tuple(q_adj), universal
-
-
 def poset_twin_quotient(group: Group) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
     """The closed-twin quotient of the group's power graph, (members, q_adj,
-    universal) as ``PowerGraph.twin_quotient`` gives it from the rows, read
-    off the poset of cyclic subgroups (``Group.cyclic_poset``) with no row.
+    universal) as ``PowerGraph.twin_quotient`` defines it, read off the
+    poset of cyclic subgroups (``Group.cyclic_poset``) with no row.
 
     Twins. A generator x of a cyclic subgroup Z is adjacent to y exactly
     when <y> is comparable to Z, so its closed neighbourhood is the union of
@@ -213,27 +188,26 @@ def poset_twin_quotient(group: Group) -> tuple[tuple[int, ...], tuple[int, ...],
     universal class is the one whose nodes are comparable to every node.
     """
     poset = group.cyclic_poset
-    return _merge_twins(map(or_, poset.up, poset.down), poset.generators, (1 << len(poset.up)) - 1)
-
-
-class _GroupPowerGraph(PowerGraph):
-    """The power graph of a group: its twin quotient comes from the poset of
-    cyclic subgroups, and its rows are built on the first read of ``adj``."""
-
-    def __init__(self, group: Group):
-        object.__setattr__(self, "vertex_count", group.size)
-        object.__setattr__(self, "group", group)
-
-    def __repr__(self) -> str:
-        return f"PowerGraph({self.group!r})"
-
-    @cached_property
-    def adj(self) -> tuple[int, ...]:
-        return _rows(self.group)
-
-    @cached_property
-    def twin_quotient(self) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
-        return poset_twin_quotient(self.group)
+    classes: dict[int, int] = {}  # a key -> the class's vertex mask
+    class_bit: dict[int, int] = {}  # the bit of a class's first node -> the class's bit
+    for i, (key, members) in enumerate(zip(map(or_, poset.up, poset.down), poset.generators)):
+        if key in classes:
+            classes[key] |= members
+        else:
+            class_bit[1 << i] = 1 << len(classes)
+            classes[key] = members
+    reps = sum(class_bit)
+    q_adj = []
+    for i, key in enumerate(classes):
+        row, q = key & reps, 0
+        while row:
+            low = row & -row
+            row ^= low
+            q |= class_bit[low]
+        q_adj.append(q & ~(1 << i))
+    everything = (1 << len(poset.up)) - 1
+    universal = next((i for i, key in enumerate(classes) if key == everything), None)
+    return tuple(classes.values()), tuple(q_adj), universal
 
 
 def _rows(group: Group) -> tuple[int, ...]:
@@ -258,4 +232,4 @@ def build_power_graph(group: Group) -> PowerGraph:
     (``poset_twin_quotient``), so the engines build no row; the rows
     (``_rows``) are built on the first read of ``adj``.
     """
-    return _GroupPowerGraph(group)
+    return PowerGraph(group)

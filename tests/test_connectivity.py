@@ -28,6 +28,7 @@ from powergraphs.groups import (
     make_generalized_quaternion,
 )
 from powergraphs.powergraph import PowerGraph, Separation, build_power_graph
+from test_powergraph import RowGraph, twin_quotient_by_definition
 
 
 def test_complete_graph_connectivity():
@@ -431,7 +432,7 @@ def test_engine_reads_adjacency_once_through_the_cached_quotient():
     plain = build_power_graph(make_abelian([(2, 1), (2, 1), (3, 1), (5, 1)]))
     rows = CountingRows(plain.adj)
     rows.passes = rows.lookups = 0
-    graph = PowerGraph(vertex_count=plain.vertex_count, adj=rows)
+    graph = RowGraph(plain.vertex_count, rows)
     kappa = vertex_connectivity(graph)
     quotient = graph.twin_quotient
     full = all_minimum_cutsets(graph)
@@ -720,7 +721,7 @@ def random_graph(n, edge_bits):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             k += 1
-    return PowerGraph(vertex_count=n, adj=tuple(adj))
+    return RowGraph(n, tuple(adj))
 
 
 def brute_st_separator_size(graph, s, t):
@@ -844,7 +845,19 @@ def blown_up_graph(n, edge_bits, twins):
         for b, v in enumerate(owner):
             if a != b and (u == v or base.adjacent(u, v)):
                 adj[a] |= 1 << b
-    return PowerGraph(vertex_count=len(owner), adj=tuple(adj))
+    return RowGraph(len(owner), tuple(adj))
+
+
+@given(
+    st.integers(1, 9),
+    st.integers(0, 2**36 - 1),
+    st.lists(st.integers(1, 3), min_size=9, max_size=9),
+)
+@settings(max_examples=100, deadline=None)
+def test_row_quotient_matches_the_definition(n, edge_bits, twins):
+    # the quotient under the subset oracles and the unit-flow checks above
+    for graph in (random_graph(n, edge_bits), blown_up_graph(n, edge_bits, twins)):
+        assert graph.twin_quotient == twin_quotient_by_definition(graph)
 
 
 @given(

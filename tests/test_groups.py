@@ -2,7 +2,7 @@ import copy
 import json
 import re
 from collections import Counter
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import combinations
 from math import gcd, prod
 
@@ -595,6 +595,91 @@ class CayleyTableGroup(Group):
 
     def mul(self, a: int, b: int) -> int:
         return self._table[a][b]
+
+
+def closed_group(name, identity, generators, mul):
+    """The group the generators generate under mul, tabulated into a
+    ``CayleyTableGroup``; elements are indexed as the closure reaches them,
+    the identity first."""
+    elements = [identity]
+    index = {identity: 0}
+    for x in elements:  # grows while iterated
+        for g in generators:
+            y = mul(x, g)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    return CayleyTableGroup(name, [[index[mul(x, y)] for y in elements] for x in elements])
+
+
+def permutation_group(name, *generators):
+    # p*q maps i to p[q[i]]
+    identity = tuple(range(len(generators[0])))
+    return closed_group(name, identity, generators, lambda p, q: tuple(p[i] for i in q))
+
+
+def matrix_group_mod_3(name, *generators):
+    # (a, b, c, d) is the 2x2 matrix with rows (a, b) and (c, d)
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % 3, (a * f + b * h) % 3, (c * e + d * g) % 3, (c * f + d * h) % 3)
+
+    return closed_group(name, (1, 0, 0, 1), generators, mul)
+
+
+def metacyclic_group(name, m, s, t, r):
+    """<a, b | a^m, b^s = a^t, b a b^-1 = a^r>, a^i b^j as (i, j)."""
+
+    def mul(x, y):
+        (i, j), (k, l) = x, y
+        i, j = (i + k * pow(r, j, m)) % m, j + l  # b^j a^k = a^(k r^j) b^j
+        return ((i + t) % m, j - s) if j >= s else (i, j)
+
+    return closed_group(name, (0, 0), [(1, 0), (0, 1)], mul)
+
+
+@cache
+def closed_groups():
+    """Non-abelian groups other than D and Q, and products of some of them
+    with a cyclic part: symmetric, alternating and 2x2 matrix groups over
+    F3, metacyclic groups, and direct products with a table part."""
+    S3 = permutation_group("S3", (1, 0, 2), (1, 2, 0))
+    A4 = permutation_group("A4", (1, 2, 0, 3), (0, 2, 3, 1))
+    SL23 = matrix_group_mod_3("SL(2,3)", (1, 1, 0, 1), (1, 0, 1, 1))
+    return (
+        S3,
+        A4,
+        permutation_group("S4", (1, 0, 2, 3), (1, 2, 3, 0)),
+        permutation_group("A5", (1, 2, 0, 3, 4), (1, 2, 3, 4, 0)),
+        permutation_group("S5", (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)),
+        SL23,
+        matrix_group_mod_3("GL(2,3)", (1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 1)),
+        metacyclic_group("C7:C3", 7, 3, 0, 2),
+        metacyclic_group("C5:C4", 5, 4, 0, 2),
+        metacyclic_group("C3:C4", 3, 4, 0, 2),
+        metacyclic_group("C9:C3", 9, 3, 0, 4),
+        metacyclic_group("SD16", 8, 2, 0, 3),
+        metacyclic_group("M16", 8, 2, 0, 5),
+        metacyclic_group("Dic5", 10, 2, 5, 9),
+        direct_product(S3, make_cyclic(5)),
+        direct_product(A4, make_cyclic(5)),
+        direct_product(S3, make_cyclic(35)),
+        direct_product(SL23, make_cyclic(5)),
+    )
+
+
+CLOSED_GROUPS = [pytest.param(G, id=G.name) for G in closed_groups()]
+
+
+def test_closed_groups_have_their_orders():
+    # each closure reached the whole group its generators name
+    assert {G.name: G.size for G in closed_groups()} == {
+        "S3": 6, "A4": 12, "S4": 24, "A5": 60, "S5": 120, "SL(2,3)": 24, "GL(2,3)": 48,
+        "C7:C3": 21, "C5:C4": 20, "C3:C4": 12, "C9:C3": 27, "SD16": 16, "M16": 16, "Dic5": 20,
+        "S3xC5": 30, "A4xC5": 60, "S3xC35": 210, "SL(2,3)xC5": 120,
+    }
+    assert not any(G.is_abelian for G in closed_groups())
 
 
 # The smallest non-associative loop: a Latin square with identity 0 in which

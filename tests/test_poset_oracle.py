@@ -25,6 +25,7 @@ from powergraphs.groups import (
 )
 from powergraphs.harness import corpus_groups
 from powergraphs.powergraph import build_power_graph
+from test_groups import CLOSED_GROUPS
 
 
 def poset_minimum_cutsets(group, *, upsets=True, intervals=True):
@@ -66,6 +67,11 @@ def assert_poset_oracle_agrees(group):
 def test_poset_oracle_matches_the_enumeration_on_the_corpus():
     for G in [*corpus_groups(200), *(make_cyclic(n) for n in range(2, 401))]:
         assert_poset_oracle_agrees(G)
+
+
+@pytest.mark.parametrize("G", CLOSED_GROUPS)
+def test_poset_oracle_matches_the_enumeration_on_closed_groups(G):
+    assert_poset_oracle_agrees(G)
 
 
 D, Q, C = make_dihedral, make_generalized_quaternion, make_cyclic

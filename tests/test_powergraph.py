@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 
 import pytest
 
@@ -14,7 +15,7 @@ from powergraphs.connectivity import all_minimum_cutsets, minimum_cutset
 from powergraphs.harness import corpus_groups, exceptional_groups
 from powergraphs.powergraph import PowerGraph, Separation, build_power_graph
 from powergraphs.suites import _sample_non_adjacent
-from test_groups import naive_classes, naive_closure, walked_by_multiplication
+from test_groups import CLOSED_GROUPS, naive_classes, naive_closure, walked_by_multiplication
 
 
 def membership_groups():
@@ -46,6 +47,36 @@ def membership_groups():
 
 
 MEMBERSHIP_GROUPS = membership_groups()
+
+
+class RowGraph(PowerGraph):
+    """A graph given by its rows (``adj[v]`` masks the neighbours of v),
+    for tests that need graphs no group has. Its twin quotient is merged row
+    by row, the reference for the poset quotient of a group's graph."""
+
+    def __init__(self, vertex_count, adj):
+        self.vertex_count = vertex_count
+        self.adj = adj
+
+    def __repr__(self):
+        return f"RowGraph(vertex_count={self.vertex_count})"
+
+    @cached_property
+    def twin_quotient(self):
+        # one class per closed neighbourhood, in first-vertex order, from one
+        # pass over the rows (the engine tests count passes); two classes are
+        # adjacent when one's neighbourhood holds the other's least vertex
+        classes = {}  # closed neighbourhood -> the class's vertex mask
+        for v, row in enumerate(self.adj):
+            key = row | 1 << v
+            classes[key] = classes.get(key, 0) | 1 << v
+        least = [members & -members for members in classes.values()]
+        q_adj = tuple(
+            sum(1 << j for j, low in enumerate(least) if key & low and i != j)
+            for i, key in enumerate(classes)
+        )
+        universal = next((i for i, key in enumerate(classes) if key == self.full_mask), None)
+        return tuple(classes.values()), q_adj, universal
 
 
 def adjacency_by_definition(closures, x, y):
@@ -97,11 +128,9 @@ def poset_oracle_groups():
     ]
 
 
-def rows_by_definition(G):
+def rows_by_definition(closures):
     """Row x is <x> together with every y with x in <y>, minus x: the
-    closures ORed with their transpose, the y with one closure added at once.
-    The closures are G's multiplication walk's (``walked_by_multiplication``)."""
-    closures = walked_by_multiplication(G).closure_masks
+    closures ORed with their transpose, the y with one closure added at once."""
     sharing = {}  # closure -> the elements y with that closure
     for y, closure in enumerate(closures):
         sharing[closure] = sharing.get(closure, 0) | 1 << y
@@ -115,12 +144,22 @@ def rows_by_definition(G):
 def test_poset_quotient_matches_the_row_quotient():
     for G in poset_oracle_groups():
         graph = build_power_graph(G)
-        reference = PowerGraph(G.size, rows_by_definition(G))
+        closures = walked_by_multiplication(G).closure_masks
+        reference = RowGraph(G.size, rows_by_definition(closures))
         assert graph.twin_quotient == reference.twin_quotient, G.name
         if G.size >= 2 and not reference.is_complete:
             assert minimum_cutset(graph) == minimum_cutset(reference), G.name
             assert all_minimum_cutsets(graph) == all_minimum_cutsets(reference), G.name
         assert "adj" not in vars(graph), G.name
+
+
+@pytest.mark.parametrize("G", CLOSED_GROUPS)
+def test_poset_quotient_matches_the_naive_rows_on_closed_groups(G):
+    # the base walk, and a product with a table part, against rows from
+    # closures walked by multiplication, merged row by row
+    closures = [mask_of(naive_closure(G, g)) for g in range(G.size)]
+    reference = RowGraph(G.size, rows_by_definition(closures))
+    assert build_power_graph(G).twin_quotient == reference.twin_quotient
 
 
 def test_cyclic_poset_matches_the_naive_closures():
