@@ -1,20 +1,21 @@
 """Exact vertex connectivity and minimum cut-set enumeration.
 
-Both read only the power graph's closed-twin quotient
-(``PowerGraph.twin_quotient``, computed once per graph from the group's
-poset of cyclic subgroups, with no adjacency row): vertices with equal
-closed neighbourhoods form a class (elements generating one cyclic
-subgroup do), and no minimal separator
-splits a class or meets the classes of the vertices it separates. So a
-minimum s-t vertex cut is a minimum cut of the quotient with nodes weighted by
-class size: one integer-capacity vertex-split max-flow (Even & Tarjan, 1975).
-Every separator contains the universal class, the vertices adjacent to all
-others (in a power graph the identity, plus the generators when the group is
-cyclic), if there is one. Both engines run their flows on the one sweep of
-``_menger_pairs``: a few heavy sources and their non-neighbours (Esfahanian &
-Hakimi, 1984), with the universal class and the earlier sources counted into
-the cut and each finished target joined to its source (Hao & Orlin, 1994),
-so each minimum separator is listed at its first pair (Kanevsky, 1993);
+Both read only the power graph's twin quotient (``PowerGraph.twin_quotient``,
+computed once per graph, with no adjacency row). For a group's graph its
+classes are the nodes of the poset of cyclic subgroups, each the generators
+of one cyclic subgroup, so the engines' class indices are the poset's node
+indices. The generators of one subgroup are closed twins, and no minimal
+separator splits a set of closed twins or meets the classes of the vertices
+it separates. So a minimum s-t vertex cut is a minimum cut of the quotient
+with nodes weighted by class size: one integer-capacity vertex-split
+max-flow (Even & Tarjan, 1975). Every separator contains the universal
+classes, given as a mask: the vertices adjacent to all others (in a power
+graph the identity, plus the generators when the group is cyclic). Both
+engines run their flows on the one sweep of ``_menger_pairs``: a few heavy
+sources and their non-neighbours (Esfahanian & Hakimi, 1984), with the
+universal classes and the earlier sources counted into the cut and each
+finished target joined to its source (Hao & Orlin, 1994), so each minimum
+separator is listed at its first pair (Kanevsky, 1993);
 later pairs may find it again, and the enumeration drops the repeats. A
 common neighbour of a pair lies in every separator of it, so it is counted
 into the pair's cut too, before any search; a pair whose counted classes
@@ -146,22 +147,22 @@ def _max_flow(
 
 
 def _menger_pairs(
-    q_adj: Sequence[int], weight: Sequence[int], universal: int | None
+    q_adj: Sequence[int], weight: Sequence[int], universal: int
 ) -> Iterator[tuple[int, int, list[int], int, int]]:
     """The one sweep both engines run: class pairs (s, t), each with the
     adjacency ``adj``, the classes ``into`` forced into its cut and their
     weight ``forced``, carried from source to source, not re-summed.
 
-    The sources are the classes but the universal class U, if any, in
-    (-weight, index) order, each paired with its non-neighbours but the
-    earlier sources, by index. ``into`` is U and the earlier sources: a
-    flow weighs them 0 and ORs them into its cut. ``adj`` is ``q_adj`` with
-    s joined to each target it has finished. A separator holds U and misses
-    a source, one before ``into`` outweighs it. So the sweep has no end of
-    its own: each caller, holding its best b so far, stops it once ``into``
-    weighs more than any cut it still looks for. Neither loses a cut that
-    counts, and both engines also count the pair's common neighbours in
-    ``adj`` into its cut:
+    The sources are the classes outside the universal mask U, in (-weight,
+    index) order, each paired with its non-neighbours but the earlier
+    sources, by index. ``into`` is U and the earlier sources: a flow weighs
+    them 0 and ORs them into its cut. ``adj`` is ``q_adj`` with s joined to
+    each target it has finished. A minimum separator holds U, splits no
+    class of twins and so misses a source, one before ``into`` outweighs
+    it. So the sweep has no end of its own: each caller, holding its best b
+    so far, stops it once ``into`` weighs more than any cut it still looks
+    for. Neither loses a cut that counts, and both engines also count the
+    pair's common neighbours in ``adj`` into its cut:
 
     - Kappa. Say a minimum cut C of the pair beats the best b before it. If
       C missed an earlier source, the first one s' and a class outside C and
@@ -178,10 +179,10 @@ def _menger_pairs(
       neighbour: the minimum cuts, the cut closest to s and the cuts listed
       are the same sets with them counted in.
     """
-    into, forced = (0, 0) if universal is None else (1 << universal, weight[universal])
+    into, forced = universal, sum(weight[c] for c in iter_bits(universal))
     everything = (1 << len(q_adj)) - 1
     for s in sorted(range(len(q_adj)), key=lambda c: (-weight[c], c)):
-        if s != universal:
+        if not universal >> s & 1:
             adj = list(q_adj)
             for t in iter_bits(everything & ~(q_adj[s] | into | 1 << s)):
                 yield s, t, adj, into, forced
@@ -195,10 +196,10 @@ def _minimum_cut(graph: PowerGraph) -> frozenset[int] | None:
     """A minimum vertex cut read off the twin quotient; None if the graph is complete."""
     if graph.vertex_count < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
+    if graph.is_complete:
+        return None
     members, q_adj, u = graph.twin_quotient
     k = len(members)
-    if k == 1:
-        return None
     weight = [m.bit_count() for m in members]
     # twins share a closed neighbourhood: their own class and every adjacent one
     degree = [weight[i] - 1 + sum(weight[j] for j in iter_bits(q_adj[i])) for i in range(k)]
@@ -244,7 +245,7 @@ def min_vertex_cut_between(
     graph: PowerGraph, s: int, t: int
 ) -> tuple[frozenset[int], list[list[int]]]:
     """A minimum s-t vertex cut and a maximum family of internally
-    vertex-disjoint s-t paths, from one flow on the closed-twin quotient
+    vertex-disjoint s-t paths, from one flow on the twin quotient
     between the classes of s and t, each other class carrying at most its
     size; s and t must be distinct and non-adjacent. The cut is the one
     closest to s, and by Menger's theorem there are exactly len(cut) paths.
@@ -330,7 +331,7 @@ def all_minimum_cutsets(
     graph: PowerGraph, *, max_combinations: int = 10_000_000
 ) -> tuple[int, list[frozenset[int]]]:
     """The vertex connectivity kappa and every minimum cut-set, from one
-    sweep of max-flows on the closed-twin quotient. The graph must have at
+    sweep of max-flows on the twin quotient. The graph must have at
     least 2 vertices; a complete one on n vertices gives (n - 1, []).
 
     The search keeps a best weight, at first the least degree, and the sets

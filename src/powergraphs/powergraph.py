@@ -5,13 +5,14 @@ subgroup generated by the other, so the graph is the comparability graph of
 the poset of cyclic subgroups, each subgroup blown up into a clique of its
 generators. ``PowerGraph`` is built from a group (``build_power_graph``)
 and reads everything off that poset (``Group.cyclic_poset``), which lists
-one node per cyclic subgroup. The connectivity engine reads only the
-closed-twin quotient (``PowerGraph.twin_quotient``), computed once per
-graph by merging twins node by node (``poset_twin_quotient``), with no
-n-vertex row. The rows (``_rows``) are built only when something reads
-``adj``, the property suites and the DOT export: row x holds the generators
-of every cyclic subgroup comparable to <x>. Adjacency is stored densely as
-one integer bitmask per vertex: power graphs are dense, and whole-row
+one node per cyclic subgroup. The connectivity engines read only the twin
+quotient (``PowerGraph.twin_quotient``): the poset's nodes as classes,
+their comparabilities as class adjacency and the nodes comparable to every
+node as a universal mask (``poset_twin_quotient``), with no n-vertex row.
+The rows (``_rows``) are built only when something reads ``adj``, the
+property suites and the DOT export: row x holds the generators of every
+cyclic subgroup comparable to <x>. Adjacency is stored densely as one
+integer bitmask per vertex: power graphs are dense, and whole-row
 operations are the dominant win.
 """
 
@@ -65,23 +66,25 @@ class PowerGraph:
         return (self.adj[u] >> v) & 1 == 1
 
     @cached_property
-    def twin_quotient(self) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
-        """The closed-twin quotient: (members, q_adj, universal).
+    def twin_quotient(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """A twin quotient: (members, q_adj, universal).
 
-        Vertices with equal closed neighbourhoods are twins, and twins form a
-        class (the generators of one cyclic subgroup are twins, so each class
-        is a union of generator classes). members[i] is the vertex mask of
-        class i, classes ordered by least vertex; q_adj[i] is the mask of
-        classes adjacent to class i; universal is the index of the class of
-        vertices adjacent to all others, or None. Read off the poset of
-        cyclic subgroups (``poset_twin_quotient``), with no row.
+        Vertices with equal closed neighbourhoods are closed twins. members
+        partitions the vertices into sets of closed twins, not necessarily
+        maximal: members[i] is the vertex mask of class i. Classes are
+        cliques, completely joined or not at all; q_adj[i] is the mask of
+        classes adjacent to class i, and universal the mask of the classes
+        of vertices adjacent to all others. A minimal separator never splits
+        a set of closed twins, so the engines read only this. One class per
+        node of the poset of cyclic subgroups (``poset_twin_quotient``),
+        with no row.
         """
         return poset_twin_quotient(self.group)
 
     @property
     def is_complete(self) -> bool:
-        # complete exactly when all vertices are closed twins
-        return len(self.twin_quotient[0]) <= 1
+        members, _, universal = self.twin_quotient
+        return universal == (1 << len(members)) - 1
 
     def _vertex_mask(self, vertices: Iterable[int]) -> int:
         m = mask_of(vertices)
@@ -161,53 +164,24 @@ class PowerGraph:
         return all(self.adj[u] & b == 0 for u in iter_bits(a))
 
 
-def poset_twin_quotient(group: Group) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
-    """The closed-twin quotient of the group's power graph, (members, q_adj,
+def poset_twin_quotient(group: Group) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The twin quotient of the group's power graph, (members, q_adj,
     universal) as ``PowerGraph.twin_quotient`` defines it, read off the
-    poset of cyclic subgroups (``Group.cyclic_poset``) with no row.
+    poset of cyclic subgroups (``Group.cyclic_poset``) with no row: one
+    class per node, its generators, in the poset's node order.
 
-    Twins. A generator x of a cyclic subgroup Z is adjacent to y exactly
-    when <y> is comparable to Z, so its closed neighbourhood is the union of
-    the generators of the nodes in ``up | down``. Generator sets are
-    non-empty and partition the group, so generators of Z and Z' are twins
-    exactly when the two nodes have one key ``up | down``: each class is the
-    union of the generator masks of the nodes with one key.
-
-    Order. The nodes come in least-generator order: the divisor lattice of
-    C_n lists <n/d> by n/d, a product of coprime parts lists its tuples in
-    the parts' order (``ProductGroup._coprime_parts``), a dihedral or
-    quaternion group lists the subgroups of <a>, the elements below half,
-    before one node per <x> outside <a> by least generator, and any other
-    group's walk lists its nodes by least generator, the least element not
-    yet listed first. A class's least vertex is the least generator of one of
-    its nodes, hence of its first node in that order, so classes ordered by
-    their first node are ordered by least vertex, as the rows order them.
-
-    Adjacency. Classes are cliques completely joined or not at all, so two
-    are adjacent exactly when one's key holds the other's first node; the
-    universal class is the one whose nodes are comparable to every node.
+    A generator x of a cyclic subgroup Z is adjacent to y exactly when <y>
+    is comparable to Z, so its closed neighbourhood is the union of the
+    generators of the nodes in ``up | down``: the generators of one node are
+    closed twins, and two nodes are adjacent exactly when one's key
+    ``up | down`` holds the other. A node is universal when its key holds
+    every node.
     """
     poset = group.cyclic_poset
-    classes: dict[int, int] = {}  # a key -> the class's vertex mask
-    class_bit: dict[int, int] = {}  # the bit of a class's first node -> the class's bit
-    for i, (key, members) in enumerate(zip(map(or_, poset.up, poset.down), poset.generators)):
-        if key in classes:
-            classes[key] |= members
-        else:
-            class_bit[1 << i] = 1 << len(classes)
-            classes[key] = members
-    reps = sum(class_bit)
-    q_adj = []
-    for i, key in enumerate(classes):
-        row, q = key & reps, 0
-        while row:
-            low = row & -row
-            row ^= low
-            q |= class_bit[low]
-        q_adj.append(q & ~(1 << i))
-    everything = (1 << len(poset.up)) - 1
-    universal = next((i for i, key in enumerate(classes) if key == everything), None)
-    return tuple(classes.values()), tuple(q_adj), universal
+    keys = tuple(map(or_, poset.up, poset.down))
+    everything = (1 << len(keys)) - 1
+    universal = sum(1 << i for i, key in enumerate(keys) if key == everything)
+    return poset.generators, tuple(key ^ 1 << i for i, key in enumerate(keys)), universal
 
 
 def _rows(group: Group) -> tuple[int, ...]:

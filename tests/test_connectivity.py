@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -240,13 +241,13 @@ def unreduced_pairs(q_adj, weight, universal, bound):
     target joined to its source. Every separator of weight at most bound
     misses one of the heaviest non-universal classes whose weight exceeds
     bound - |U|, and parts it from a class it is not adjacent to."""
-    rest = bound - (0 if universal is None else weight[universal])
+    rest = bound - sum(weight[c] for c in iter_bits(universal))
     everything = (1 << len(q_adj)) - 1
     covered = done = 0
     for s in sorted(range(len(q_adj)), key=lambda c: (-weight[c], c)):
         if covered > rest:
             return
-        if s != universal:
+        if not universal >> s & 1:
             covered += weight[s]
             done |= 1 << s
             for t in iter_bits(everything & ~(q_adj[s] | done)):
@@ -256,9 +257,9 @@ def unreduced_pairs(q_adj, weight, universal, bound):
 def unreduced_minimum_cut(graph):
     """Oracle: the reported minimum cut from the unreduced pairs, each flow
     stopping at the best cut so far; None for a complete graph."""
-    members, q_adj, u = graph.twin_quotient
-    if len(members) == 1:
+    if graph.is_complete:
         return None
+    members, q_adj, u = graph.twin_quotient
     weight = [m.bit_count() for m in members]
 
     def vertices(classes):
@@ -269,7 +270,7 @@ def unreduced_minimum_cut(graph):
     best = closed[first].bit_count() - 1
     best_cut = closed[first] & ~(members[first] & -members[first])
     for s, t in unreduced_pairs(q_adj, weight, u, best):
-        if best == (0 if u is None else weight[u]):
+        if best == sum(weight[c] for c in iter_bits(u)):
             break
         flow, cut, _ = connectivity._max_flow(q_adj, weight, s, t, limit=best)
         if cut is not None:
@@ -481,10 +482,10 @@ def test_cli_builds_no_adjacency_rows(monkeypatch, capsys, argv):
     assert cli.main(list(argv)) == 0
     plain_out = capsys.readouterr().out
     built = count_calls(monkeypatch, "_rows")
-    merged = count_calls(monkeypatch, "poset_twin_quotient")
+    quotients = count_calls(monkeypatch, "poset_twin_quotient")
     assert cli.main(list(argv)) == 0
     assert capsys.readouterr().out == plain_out
-    assert built == [] and len(merged) == 1
+    assert built == [] and len(quotients) == 1
 
 
 def test_group_graph_prints_and_compares_without_rows(monkeypatch):
@@ -876,6 +877,40 @@ def test_flow_kappa_matches_subset_oracle_on_planted_twins(n, edge_bits, twins):
         assert graph.is_cut_set(cut)
         assert all_minimum_cutsets(graph) == (kappa, all_minimum_cutsets_by_subsets(graph, kappa))
     assert_sweep_matches_unreduced_rule(graph)
+
+
+class SplitRowGraph(RowGraph):
+    """A RowGraph whose twin quotient has one class per vertex: sets of
+    closed twins, not maximal ones, as a group's poset nodes may be."""
+
+    @cached_property
+    def twin_quotient(self):
+        universal = sum(1 << v for v, row in enumerate(self.adj) if row | 1 << v == self.full_mask)
+        return tuple(1 << v for v in range(self.vertex_count)), tuple(self.adj), universal
+
+
+@given(
+    st.integers(2, 7),
+    st.integers(0, 2**21 - 1),
+    st.lists(st.integers(1, 3), min_size=7, max_size=7),
+)
+@settings(max_examples=100, deadline=None)
+def test_engines_agree_on_twin_classes_split_into_singletons(n, edge_bits, twins):
+    # a minimal separator splits no set of closed twins, so the engines
+    # need not merge twins: singleton classes give the same results
+    for merged in (random_graph(n, edge_bits), blown_up_graph(n, edge_bits, twins)):
+        split = SplitRowGraph(merged.vertex_count, merged.adj)
+        assert split.is_complete == merged.is_complete
+        kappa, sets = all_minimum_cutsets(merged)
+        assert all_minimum_cutsets(split) == (kappa, sets)
+        assert vertex_connectivity(split) == vertex_connectivity(merged) == kappa
+        if not merged.is_complete:
+            assert minimum_cutset(split) in sets
+        for s in range(merged.vertex_count):
+            for t in iter_bits(merged.full_mask & ~merged.adj[s] & ~(1 << s)):
+                cut, paths = min_vertex_cut_between(split, s, t)
+                merged_cut, merged_paths = min_vertex_cut_between(merged, s, t)
+                assert cut == merged_cut and len(paths) == len(merged_paths), (s, t)
 
 
 def assert_st_query_matches_unit_flow(graph, s, t):

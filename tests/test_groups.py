@@ -639,33 +639,66 @@ def metacyclic_group(name, m, s, t, r):
     return closed_group(name, (0, 0), [(1, 0), (0, 1)], mul)
 
 
+def heisenberg_group(name, p):
+    """The upper unitriangular 3x3 matrices over F_p, the matrix with
+    entries a, b above the diagonal and c in the corner as (a, b, c)."""
+
+    def mul(x, y):
+        (a, b, c), (d, e, f) = x, y
+        return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
+
+    return closed_group(name, (0, 0, 0), [(1, 0, 0), (0, 1, 0)], mul)
+
+
 @cache
 def closed_groups():
     """Non-abelian groups other than D and Q, and products of some of them
-    with a cyclic part: symmetric, alternating and 2x2 matrix groups over
-    F3, metacyclic groups, and direct products with a table part."""
+    with a cyclic or a dihedral part: symmetric, alternating and 2x2 matrix
+    groups over F3, metacyclic and Heisenberg groups, and direct products
+    with a table part."""
     S3 = permutation_group("S3", (1, 0, 2), (1, 2, 0))
     A4 = permutation_group("A4", (1, 2, 0, 3), (0, 2, 3, 1))
+    S4 = permutation_group("S4", (1, 0, 2, 3), (1, 2, 3, 0))
+    A5 = permutation_group("A5", (1, 2, 0, 3, 4), (1, 2, 3, 4, 0))
     SL23 = matrix_group_mod_3("SL(2,3)", (1, 1, 0, 1), (1, 0, 1, 1))
+    C7C3 = metacyclic_group("C7:C3", 7, 3, 0, 2)
+    SD16 = metacyclic_group("SD16", 8, 2, 0, 3)
+    M16 = metacyclic_group("M16", 8, 2, 0, 5)
+    Heis3 = heisenberg_group("Heis3", 3)
     return (
         S3,
         A4,
-        permutation_group("S4", (1, 0, 2, 3), (1, 2, 3, 0)),
-        permutation_group("A5", (1, 2, 0, 3, 4), (1, 2, 3, 4, 0)),
+        S4,
+        A5,
         permutation_group("S5", (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)),
         SL23,
         matrix_group_mod_3("GL(2,3)", (1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 1)),
-        metacyclic_group("C7:C3", 7, 3, 0, 2),
+        C7C3,
         metacyclic_group("C5:C4", 5, 4, 0, 2),
         metacyclic_group("C3:C4", 3, 4, 0, 2),
         metacyclic_group("C9:C3", 9, 3, 0, 4),
-        metacyclic_group("SD16", 8, 2, 0, 3),
-        metacyclic_group("M16", 8, 2, 0, 5),
+        SD16,
+        M16,
         metacyclic_group("Dic5", 10, 2, 5, 9),
+        metacyclic_group("C7:C6", 7, 6, 0, 3),
+        metacyclic_group("C11:C5", 11, 5, 0, 3),
+        metacyclic_group("C3:C8", 3, 8, 0, 2),
+        metacyclic_group("C9:C9", 9, 9, 0, 4),
+        metacyclic_group("SD32", 16, 2, 0, 7),
+        Heis3,
+        heisenberg_group("Heis5", 5),
         direct_product(S3, make_cyclic(5)),
         direct_product(A4, make_cyclic(5)),
         direct_product(S3, make_cyclic(35)),
         direct_product(SL23, make_cyclic(5)),
+        direct_product(S4, make_cyclic(5)),
+        direct_product(Heis3, make_cyclic(10)),
+        direct_product(M16, make_cyclic(15)),
+        direct_product(SD16, make_cyclic(3)),
+        direct_product(C7C3, make_cyclic(10)),
+        direct_product(S3, make_dihedral(10)),
+        direct_product(A5, make_cyclic(2)),
+        direct_product(direct_product(make_dihedral(8), make_cyclic(2)), make_cyclic(3)),
     )
 
 
@@ -677,7 +710,9 @@ def test_closed_groups_have_their_orders():
     assert {G.name: G.size for G in closed_groups()} == {
         "S3": 6, "A4": 12, "S4": 24, "A5": 60, "S5": 120, "SL(2,3)": 24, "GL(2,3)": 48,
         "C7:C3": 21, "C5:C4": 20, "C3:C4": 12, "C9:C3": 27, "SD16": 16, "M16": 16, "Dic5": 20,
-        "S3xC5": 30, "A4xC5": 60, "S3xC35": 210, "SL(2,3)xC5": 120,
+        "C7:C6": 42, "C11:C5": 55, "C3:C8": 24, "C9:C9": 81, "SD32": 32, "Heis3": 27, "Heis5": 125,
+        "S3xC5": 30, "A4xC5": 60, "S3xC35": 210, "SL(2,3)xC5": 120, "S4xC5": 120, "Heis3xC10": 270,
+        "M16xC15": 240, "SD16xC3": 48, "C7:C3xC10": 210, "S3xD10": 60, "A5xC2": 120, "D8xC2xC3": 48,
     }
     assert not any(G.is_abelian for G in closed_groups())
 

@@ -1,9 +1,11 @@
+from math import prod
+
 import pytest
 
 from powergraphs.connectivity import vertex_connectivity
 from powergraphs.groups import SylowDecomposition, make_abelian, make_cyclic
 from powergraphs.harness import min_maximal_cyclic_order
-from powergraphs.numtheory import euler_phi
+from powergraphs.numtheory import euler_phi, factorize
 from powergraphs.powergraph import build_power_graph
 from powergraphs.predictions import (
     condition_two_phi,
@@ -66,6 +68,26 @@ def test_kappa_cyclic_four_primes():
     gated = kappa_cyclic(2 * 3 * 5 * 7)
     assert not gated.applicable
     assert any(not holds for _, holds in gated.hypothesis_trace)
+
+
+def test_many_primes_gate_matters_only_at_four_orders():
+    # thm11's formula for four or more primes, phi(n) + prod p^(e-1) *
+    # (P - phi(P)) with P the product of all primes but the largest, taken
+    # without its gate 2*phi(P) > P: on every C_n to 2400 whose gate fails
+    # it is kappa but at four orders, where it is too large
+    wrong = {}
+    for n in range(2, 2401):
+        pairs = factorize(n)
+        head = [p for p, _ in pairs[:-1]]
+        if len(pairs) < 4 or condition_two_phi(head):
+            continue
+        assert not kappa_cyclic(n).applicable, n
+        P = prod(head)
+        formula = euler_phi(n) + prod(p ** (e - 1) for p, e in pairs) * (P - euler_phi(P))
+        kappa = vertex_connectivity(build_power_graph(make_cyclic(n)))
+        if formula != kappa:
+            wrong[n] = (formula, kappa)
+    assert wrong == {1050: (350, 318), 1470: (490, 406), 2100: (700, 636), 2310: (642, 630)}
 
 
 def test_kappa_cyclic_rejects_tiny():
