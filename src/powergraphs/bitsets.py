@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
 
@@ -32,10 +33,23 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# binary digits "0" and "1" to the bytes 0 and 1, for ``compress``
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def bits(mask: int) -> list[int]:
     """The set bits of the mask as an ascending list, in time linear in the
-    mask's length: its binary digits are searched, least significant first."""
+    mask's length, read off its binary digits, least significant first.
+
+    A dense mask, with a set bit in every 5 digits or more, is listed in one
+    C-level pass: its digits as the bytes 0 and 1 select from ``count()``.
+    A sparse one is searched with ``str.find``, one call per set bit, which
+    skips a run of zeros faster than that pass steps through it. Near the
+    cut the two take about the same time (random masks of 900 to 100000
+    bits, Python 3.11)."""
     digits = bin(mask)[:1:-1]
+    if 5 * mask.bit_count() >= len(digits):
+        return list(compress(count(), digits.encode().translate(_DIGIT_BYTES)))
     out = []
     i = digits.find("1")
     while i >= 0:

@@ -15,12 +15,13 @@ import sys
 from functools import cache, partial
 from typing import Callable
 
+from .bitsets import bits
 from .connectivity import (
     ResourceLimitError,
     all_minimum_cutsets,
     minimum_cutset,
 )
-from .cyclic import external_overlap
+from .cyclic import shared_mask
 from .groups import (
     AbelianSpec,
     Group,
@@ -145,17 +146,16 @@ def maximal_cyclic_rows(group: Group) -> list[dict]:
     """One row per maximal cyclic subgroup M: its least generator, order,
     number of non-generators and of external-overlap elements (None for a
     cyclic group), and sorted members."""
-    maximal = group.maximal_cyclics
-    overlaps = [None] * len(maximal) if group.is_cyclic else map(len, external_overlap(group))
+    shared = None if group.is_cyclic else shared_mask(group)
     return [
         {
             "generator": m.generator,
             "order": m.order,
             "nongenerators": m.order - m.generators.bit_count(),
-            "external_overlap": overlap,
-            "elements": sorted(m.elements),
+            "external_overlap": None if shared is None else (m.closure & shared).bit_count(),
+            "elements": bits(m.closure),
         }
-        for m, overlap in zip(maximal, overlaps)
+        for m in group.maximal_cyclics
     ]
 
 

@@ -13,9 +13,9 @@ group's poset of cyclic subgroups (``Group.cyclic_poset``): a maximal one
 below M's. Containment questions are mask expressions over its closure and
 generators masks: its non-generators are its closure less its generators,
 and the external overlaps of the maximal subgroups are their members that
-lie in two of them or more. The poset needs no walk for a cyclic group, a
-product of coprime factors or a dihedral or quaternion group (see
-``groups``).
+lie in two of them or more (``shared_mask``). The poset needs no walk for
+a cyclic group, a product of coprime factors or a dihedral or quaternion
+group (see ``groups``).
 """
 
 from __future__ import annotations
@@ -49,12 +49,17 @@ def external_overlap(group: Group) -> tuple[frozenset[int], ...]:
     """
     if group.is_cyclic:
         raise ValueError("external overlap needs a non-cyclic group")
-    maximal = group.maximal_cyclics
+    shared = shared_mask(group)
+    return tuple(frozenset(bits(m.closure & shared)) for m in group.maximal_cyclics)
+
+
+def shared_mask(group: Group) -> int:
+    """The members of two maximal cyclic subgroups or more, as a mask."""
     seen = shared = 0
-    for m in maximal:
+    for m in group.maximal_cyclics:
         shared |= seen & m.closure
         seen |= m.closure
-    return tuple(frozenset(bits(m.closure & shared)) for m in maximal)
+    return shared
 
 
 def sylow_product(group: Group, primes: tuple[int, ...] | frozenset[int]) -> frozenset[int]:

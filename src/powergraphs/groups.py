@@ -20,7 +20,9 @@ groups, the factors' lists for products, and one multiplication per listed
 power otherwise. The maximal cyclic subgroups (``maximal_cyclics``) are its
 maximal nodes, the elements of order dividing m the generators of its nodes
 of such orders; the power graph's twin quotient and rows are read from it
-too.
+too. Two classes write their maximal cyclic subgroups down with no poset:
+``CyclicGroup`` has one, the group itself, and a product with a coprime cut
+the tuples of its parts' ones.
 
 The theorem gates read one number, ``count_of_order_dividing(m)``: the base
 class counts the poset's generators, and ``CyclicGroup``,
@@ -258,7 +260,10 @@ class Group:
     def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
         """The maximal cyclic subgroups, the nodes of ``cyclic_poset`` below
         no other, in node (least-generator) order. Only their closures are
-        summed: an oversized product's other nodes need none."""
+        summed: the other nodes need none. ``CyclicGroup`` and a
+        ``ProductGroup`` with a coprime cut build no poset for them; a
+        dihedral or quaternion group and a product with no coprime cut read
+        them here."""
         poset = self.cyclic_poset
         return tuple(
             CyclicSubgroup(least, self._closure(i), mask)
@@ -386,6 +391,20 @@ class CyclicGroup(Group):
             tuple(sum(1 << j for j, e in enumerate(orders) if d % e == 0) for d in orders),
         )
 
+    @cached_property
+    def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
+        """The group itself, with no poset: least generator 1 (the identity
+        0 in C1), every residue a member, and as generators the units, the
+        residues less the multiples of each prime p dividing n. Those
+        multiples are the bits 0, p, 2p, ... below n, the mask
+        (2**n - 1) / (2**p - 1)."""
+        n = self.size
+        closure = (1 << n) - 1
+        units = closure
+        for p, _ in factorize(n):
+            units &= ~(closure // ((1 << p) - 1))
+        return (CyclicSubgroup(1 % n, closure, units),)
+
     def elements_of_order_dividing(self, m: int) -> frozenset[int]:
         n = self.size
         return frozenset(range(0, n, n // gcd(n, m)))
@@ -470,7 +489,8 @@ class ProductGroup(Group):
     factors' power lists, and the product is abelian iff every factor is.
     Elements of order dividing m are listed digit by digit too, and
     counted as the product of the factors' counts; the poset of cyclic
-    subgroups comes from a cut of the factors into parts of coprime orders.
+    subgroups and the maximal cyclic subgroups come from a cut of the
+    factors into parts of coprime orders.
     """
 
     def __init__(self, factors: tuple[Group, ...]):
@@ -554,6 +574,33 @@ class ProductGroup(Group):
                     column.extend(map(outer.__mul__, masks))
             poset = CyclicPoset(*map(tuple, columns))
         return poset
+
+    @cached_property
+    def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
+        """With a coprime cut (``_coprime_parts``), the tuples of the parts'
+        maximal cyclic subgroups, with no poset: a tuple lies inside another
+        exactly when each part does, so it is maximal exactly when each part
+        is, and in lexicographic order, the first part varying slowest, the
+        tuples are in the node order of ``cyclic_poset``. A tuple's closure
+        and generators are the Kronecker products of the parts' masks
+        (``_spread``), and its least generator the sum of the parts' at
+        their place values. Otherwise read off the poset as in
+        ``Group.maximal_cyclics``."""
+        parts = self._coprime_parts
+        if parts is None:
+            return Group.maximal_cyclics.func(self)
+        maximal = parts[0].maximal_cyclics
+        for part in parts[1:]:
+            size = part.size
+            tuples = []
+            for outer in maximal:
+                closure, generators = _spread(outer.closure, size), _spread(outer.generators, size)
+                tuples.extend(
+                    CyclicSubgroup(outer.generator * size + m.generator, closure * m.closure, generators * m.generators)
+                    for m in part.maximal_cyclics
+                )
+            maximal = tuple(tuples)
+        return maximal
 
     def elements_of_order_dividing(self, m: int) -> frozenset[int]:
         # g**m is the identity exactly when each digit's m-th power is

@@ -13,7 +13,7 @@ import pytest
 
 from powergraphs import harness
 from powergraphs.cli import build_parser, main, maximal_cyclic_rows, parse_group_spec
-from powergraphs.groups import Group, make_abelian
+from powergraphs.groups import CyclicGroup, Group, ProductGroup, make_abelian
 from powergraphs.harness import THEOREM_IDS
 from powergraphs.numtheory import euler_phi
 from test_groups import (
@@ -279,6 +279,22 @@ def refuse_poset_walks(monkeypatch):
     patch_poset_walk(monkeypatch, refuse)
 
 
+def refuse_coprime_posets(monkeypatch):
+    """Make the poset of a cyclic group, or of a product with a coprime cut,
+    fail the test; a product with no coprime cut still walks its own."""
+
+    def refuse(group):
+        raise AssertionError(f"built the cyclic-subgroup poset of {group.name}")
+
+    def product_poset(group):
+        if group._coprime_parts is not None:
+            refuse(group)
+        return Group.cyclic_poset.func(group)
+
+    monkeypatch.setattr(CyclicGroup, "cyclic_poset", property(refuse))
+    monkeypatch.setattr(ProductGroup, "cyclic_poset", property(product_poset))
+
+
 def log_poset_walks(monkeypatch) -> list[Group]:
     """Log every group whose cyclic subgroups are walked."""
     walked = []
@@ -309,8 +325,9 @@ def test_verify_oversized_cyclic_product_reads_its_factors(capsys, monkeypatch):
 
 
 def test_maximal_cyclics_of_an_oversized_cyclic_product(capsys, monkeypatch):
-    # the one maximal node is built from C4's and C59049's, with no walk
-    refuse_poset_walks(monkeypatch)
+    # the one maximal cyclic subgroup is the tuple of C4's and C59049's,
+    # with no poset
+    refuse_coprime_posets(monkeypatch)
     code, out, _ = run(capsys, "maximal-cyclics", "--group", "abelian:2^2,3^10", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -319,6 +336,41 @@ def test_maximal_cyclics_of_an_oversized_cyclic_product(capsys, monkeypatch):
     assert payload["maximal_cyclic_subgroups"] == [
         {
             "generator": 3**10 + 1,
+            "order": n,
+            "nongenerators": n - euler_phi(n),
+            "external_overlap": None,
+            "elements": list(range(n)),
+        }
+    ]
+
+
+def maximal_cyclic_rows_at_the_cli(capsys, spec):
+    code, out, _ = run(capsys, "maximal-cyclics", "--group", spec, "--json")
+    assert code == 0
+    return json.loads(out)["maximal_cyclic_subgroups"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for theorem, spec in PREDICT_OVERSIZE_REQUESTS if theorem is None],
+    ids=lambda spec: make_abelian(spec).name,
+)
+def test_coprime_product_maximal_cyclics_build_no_poset(capsys, monkeypatch, spec):
+    # the tuples of the parts' maximal cyclic subgroups; only the parts with
+    # no coprime cut, C2xC2 and C2xC2xC2, walk their posets
+    rows = reference_rows(spec)
+    refuse_coprime_posets(monkeypatch)
+    arg = ",".join(f"{p}^{e}" for p, e in spec)
+    assert maximal_cyclic_rows_at_the_cli(capsys, f"abelian:{arg}") == rows
+
+
+def test_cyclic_group_maximal_cyclics_build_no_poset(capsys, monkeypatch):
+    # the one maximal cyclic subgroup is the group, its generators the units
+    refuse_coprime_posets(monkeypatch)
+    n = 720720
+    assert maximal_cyclic_rows_at_the_cli(capsys, f"cyclic:{n}") == [
+        {
+            "generator": 1,
             "order": n,
             "nongenerators": n - euler_phi(n),
             "external_overlap": None,

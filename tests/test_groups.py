@@ -950,6 +950,23 @@ def test_power_walks_and_posets_match_the_multiplication_walk():
         assert_gate_counts_match_the_walk(G, ref)
 
 
+def test_closed_form_maximal_cyclics_match_the_poset():
+    # C_n and a product with a coprime cut write their maximal cyclic
+    # subgroups down with no poset; the base class reads them off the poset
+    # (the divisor lattice, the parts' Kronecker product), order included
+    C = make_cyclic
+    groups = [
+        *corpus_groups(600),
+        *map(C, range(1, 601)),
+        *sylow_factored_groups(),
+        direct_product(make_generalized_quaternion(16), C(3)),
+        direct_product(make_dihedral(6), direct_product(C(4), C(3))),
+        direct_product(C(2), direct_product(C(2), direct_product(C(3), C(25)))),
+    ]
+    for G in groups:
+        assert G.maximal_cyclics == Group.maximal_cyclics.func(G), G.name
+
+
 def assert_gate_counts_match_the_walk(G, ref):
     """G's ``is_cyclic`` and ``count_of_order_dividing`` against ref, G
     walked by multiplication: whether some element has the group's order,

@@ -1,14 +1,17 @@
 """Structural invariants over the group corpus, plus randomized properties."""
 
+from functools import reduce
 from itertools import product
 from math import gcd, lcm
+from operator import and_, or_
+from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from powergraphs import suites
-from powergraphs.bitsets import mask_of
+from powergraphs.bitsets import bits, iter_bits, mask_of
 from powergraphs.connectivity import vertex_connectivity
 from powergraphs.cyclic import (
     external_overlap,
@@ -231,3 +234,33 @@ def test_quaternion_two_cut(order):
     assert vertex_connectivity(graph) == 2
     involution = next(g for g, o in enumerate(G.element_orders) if o == 2)
     assert graph.is_cut_set({0, involution})
+
+
+@st.composite
+def masks_of_any_density(draw):
+    """A random mask of up to 3000 binary digits, each set with chance
+    2**-k (k random masks met) or 1 - 2**-k (k joined), k from 1 to 10."""
+    length = draw(st.integers(0, 3000))
+    rng = Random(draw(st.integers(0, 2**64)))
+    masks = [rng.getrandbits(length) for _ in range(draw(st.integers(1, 10)))]
+    return reduce(and_ if draw(st.booleans()) else or_, masks)
+
+
+# bits lists a mask with a set bit in every 5 binary digits or more in one
+# pass and searches a sparser one: these 20 set bits in 100 digits sit on the
+# cut, and the 19 left without bit 0 fall below it
+AT_THE_CUT = sum(1 << 5 * i for i in range(19)) | 1 << 99
+
+
+@given(masks_of_any_density())
+@example(0)
+@example(1)
+@example(1 << 5000)
+@example(1 << 5000 | 1)
+@example((1 << 4000) - 1)
+@example(AT_THE_CUT)
+@example(AT_THE_CUT & ~1)
+@example(AT_THE_CUT | 2)
+@settings(max_examples=200, deadline=None)
+def test_bits_matches_iter_bits(mask):
+    assert bits(mask) == list(iter_bits(mask))
