@@ -6,18 +6,8 @@ from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
 
-def mask_of(vertices: Iterable[int], size: int = 0) -> int:
-    """The mask with the bit of each vertex set.
-
-    Each ``|= 1 << v`` copies the whole mask, which is cheapest for few or
-    small masks. Given ``size``, a bound on the vertices, the bits are set in
-    a byte buffer instead, linear in their number, for large masks.
-    """
-    if size:
-        buffer = bytearray((size + 7) >> 3)
-        for v in vertices:
-            buffer[v >> 3] |= 1 << (v & 7)
-        return int.from_bytes(buffer, "little")
+def mask_of(vertices: Iterable[int]) -> int:
+    """The mask with the bit of each vertex set, one ``|= 1 << v`` each."""
     m = 0
     for v in vertices:
         m |= 1 << v

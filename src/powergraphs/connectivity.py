@@ -273,11 +273,12 @@ def min_vertex_cut_between(
     n = graph.vertex_count
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError(f"need two distinct vertices, got {s}, {t}")
-    if graph.adjacent(s, t):
-        raise ValueError(f"vertices {s} and {t} are adjacent; no vertex cut separates them")
     members, q_adj, _ = graph.twin_quotient
     source = next(c for c, m in enumerate(members) if m >> s & 1)
     sink = next(c for c, m in enumerate(members) if m >> t & 1)
+    # a class is a clique and classes are joined completely or not at all
+    if source == sink or q_adj[source] >> sink & 1:
+        raise ValueError(f"vertices {s} and {t} are adjacent; no vertex cut separates them")
     flow, cut, edge_flow = _max_flow(q_adj, [m.bit_count() for m in members], source, sink)
     succ: dict[int, list[int]] = {}
     for (a, b), units in edge_flow.items():

@@ -12,17 +12,18 @@ that check these formulas live in the tests.
 Structure is read off the poset of cyclic subgroups (``cyclic_poset``),
 one node per cyclic subgroup with its generators' mask and the nodes above
 and below it; it is the one structure a group keeps. Each class writes its
-poset: ``CyclicGroup`` from its divisor lattice, a product with a coprime
-cut from its parts' posets, ``DihedralLikeGroup`` from the divisor lattice
-of <a> and one node per <x> outside it, and any other group walks it, one
-power list (``_power_walk``) per cyclic subgroup: residues for cyclic
-groups, the factors' lists for products, and one multiplication per listed
-power otherwise. The maximal cyclic subgroups (``maximal_cyclics``) are its
-maximal nodes, the elements of order dividing m the generators of its nodes
-of such orders; the power graph's twin quotient and rows are read from it
-too. Two classes write their maximal cyclic subgroups down with no poset:
-``CyclicGroup`` has one, the group itself, and a product with a coprime cut
-the tuples of its parts' ones.
+poset: ``CyclicGroup`` from its divisor lattice, each node's generators by
+one formula (``_generators``), a product with a coprime cut from its parts'
+posets multiplied out (``_kron``), ``DihedralLikeGroup`` from the divisor
+lattice of <a> and one node per <x> outside it, and any other group walks
+it, one power list (``_power_walk``) per cyclic subgroup: residues for
+cyclic groups, the factors' lists for products, and one multiplication per
+listed power otherwise. The maximal cyclic subgroups (``maximal_cyclics``)
+are its maximal nodes, the elements of order dividing m the generators of
+its nodes of such orders; the power graph's twin quotient and rows are read
+from it too. ``CyclicGroup`` (the group itself) and a product with a
+coprime cut (the tuples of its parts' ones) write their maximal cyclic
+subgroups down with no poset, by the same two helpers.
 
 The theorem gates read one number, ``count_of_order_dividing(m)``: the base
 class counts the poset's generators, and ``CyclicGroup``,
@@ -43,8 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import add
-from typing import NamedTuple
+from operator import add, mul
+from typing import Iterable, NamedTuple, Sequence
 
 from .bitsets import bits, iter_bits, mask_of
 from .numtheory import divisors, factorize, is_prime
@@ -98,8 +99,7 @@ class SylowDecomposition:
     quaternion: bool
 
 
-@dataclass(slots=True)
-class CyclicSubgroup:
+class CyclicSubgroup(NamedTuple):
     """One cyclic subgroup <h>: h, its least generator, and as masks its
     members (``closure``) and the elements that generate it (``generators``).
     """
@@ -352,8 +352,52 @@ def _spread(mask: int, width: int) -> int:
     return int(("0" * (width - 1)).join(bin(mask)[2:]), 2)
 
 
+def _kron(outer: Iterable[tuple], inner: Sequence[tuple], size: int, widths: tuple[int, ...]) -> list[tuple]:
+    """The rows (least generator, masks...) of a product of two parts of
+    coprime orders, one per pair of rows of the outer and the inner part,
+    of order ``size``, the outer varying slowest: least generator
+    ``least * size + inner_least``, each mask ``_spread(mask, width) *
+    inner_mask``, ``width`` the inner mask's width. Each cyclic subgroup is
+    one pair of the parts' ones, its members and generators their pairs; a
+    pair lies inside another exactly when each part does, so node masks
+    multiply too and a pair is maximal exactly when each part is. Element
+    indices compare as their digits do, most significant first, so the
+    pairs are in least-generator order when each part's rows are."""
+    rows = []
+    for least, *masks in outer:
+        spread = [_spread(mask, width) for mask, width in zip(masks, widths)]
+        rows.extend((least * size + row[0], *map(mul, spread, row[1:])) for row in inner)
+    return rows
+
+
+def _multiples(k: int, n: int) -> int:
+    """The mask of the multiples of k below n, k | n, by doubling: per
+    binary digit of their number n/k, from the top, the run so far doubles
+    by a shift and a digit 1 adds one more, so no bit needs masking off."""
+    mask = span = 0
+    for digit in bin(n // k)[2:]:
+        mask |= mask << span
+        span *= 2
+        if digit == "1":
+            mask = mask << k | 1
+            span += k
+    return mask
+
+
+def _generators(n: int, d: int) -> int:
+    """The generators of the subgroup of order d of C_n as a mask, d | n:
+    the residues k with gcd(k, n) = n/d, the multiples of n/d less those of
+    (n/d)*p for each prime p dividing d."""
+    k = n // d
+    dropped = 0
+    for p, _ in factorize(d):
+        dropped |= _multiples(k * p, n)
+    return _multiples(k, n) ^ dropped
+
+
 class CyclicGroup(Group):
-    """C_n with residue arithmetic: element k is the k-th power of a generator."""
+    """C_n with residue arithmetic (element k is the k-th power of a
+    generator); its generator masks all come from ``_generators``."""
 
     is_abelian = True
     is_cyclic = True
@@ -375,18 +419,15 @@ class CyclicGroup(Group):
     def cyclic_poset(self) -> CyclicPoset:
         """The divisor lattice, with no walk: the subgroup of order d is
         <n/d>, the multiples of n/d, so its least generator is n/d (the
-        identity 0 for d = 1) and its generators are the k with
-        gcd(k, n) = n/d. In least-generator order d = 1 comes first, then
-        the other divisors descending."""
+        identity 0 for d = 1) and its generators ``_generators(n, d)``. In
+        least-generator order d = 1 comes first, then the other divisors
+        descending."""
         n = self.size
         orders = divisors(n)
         orders = orders[:1] + orders[:0:-1]
-        by_gcd: dict[int, list[int]] = {}
-        for k in range(n):
-            by_gcd.setdefault(gcd(k, n), []).append(k)
         return CyclicPoset(
             tuple(n // d % n for d in orders),
-            tuple(mask_of(by_gcd[n // d], n) for d in orders),
+            tuple(_generators(n, d) for d in orders),
             tuple(sum(1 << j for j, e in enumerate(orders) if e % d == 0) for d in orders),
             tuple(sum(1 << j for j, e in enumerate(orders) if d % e == 0) for d in orders),
         )
@@ -394,16 +435,11 @@ class CyclicGroup(Group):
     @cached_property
     def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
         """The group itself, with no poset: least generator 1 (the identity
-        0 in C1), every residue a member, and as generators the units, the
-        residues less the multiples of each prime p dividing n. Those
-        multiples are the bits 0, p, 2p, ... below n, the mask
-        (2**n - 1) / (2**p - 1)."""
+        0 in C1), every residue a member, and as generators the units,
+        ``_generators(n, n)``. The closure comes first, so an order too
+        large for memory fails on it at once."""
         n = self.size
-        closure = (1 << n) - 1
-        units = closure
-        for p, _ in factorize(n):
-            units &= ~(closure // ((1 << p) - 1))
-        return (CyclicSubgroup(1 % n, closure, units),)
+        return (CyclicSubgroup(1 % n, (1 << n) - 1, _generators(n, n)),)
 
     def elements_of_order_dividing(self, m: int) -> frozenset[int]:
         n = self.size
@@ -490,7 +526,7 @@ class ProductGroup(Group):
     Elements of order dividing m are listed digit by digit too, and
     counted as the product of the factors' counts; the poset of cyclic
     subgroups and the maximal cyclic subgroups come from a cut of the
-    factors into parts of coprime orders.
+    factors into parts of coprime orders, multiplied out by ``_kron``.
     """
 
     def __init__(self, factors: tuple[Group, ...]):
@@ -531,16 +567,8 @@ class ProductGroup(Group):
     @cached_property
     def _coprime_parts(self) -> tuple[Group, ...] | None:
         """The factors, cut into parts wherever those before and after have
-        coprime orders; None if there is no cut.
-
-        The parts have pairwise coprime orders, so each cyclic subgroup is
-        one tuple of cyclic subgroups of the parts, one per part, and its
-        generators are the tuples of the parts' generators. Digits are
-        chosen independently, so the least generator of a tuple is the sum
-        of the parts' least generators at their place values; and element
-        indices compare as their digit tuples do, most significant first, so
-        the tuples of the parts' nodes, each part in least-generator order
-        and the first varying slowest, are in least-generator order."""
+        coprime orders; None if there is no cut. The poset and the maximal
+        cyclic subgroups are the parts' ones multiplied out (``_kron``)."""
         sizes = [g.size for g in self.factors]
         cuts = [k for k in range(1, len(sizes)) if gcd(prod(sizes[:k]), prod(sizes[k:])) == 1]
         if not cuts:
@@ -553,11 +581,9 @@ class ProductGroup(Group):
 
     @cached_property
     def cyclic_poset(self) -> CyclicPoset:
-        """With a coprime cut (``_coprime_parts``), the mixed-radix product
-        of the parts' posets: a tuple lies inside another exactly when each
-        part does, so its ``up`` and ``down`` are the Kronecker products of
-        the parts' masks (``_spread``), and its generators those of the
-        parts' generator masks at the place values. Otherwise walked as in
+        """With a coprime cut (``_coprime_parts``), the product of the parts'
+        posets (``_kron``), its generators spread by the part's order and its
+        ``up`` and ``down`` by the part's node count. Otherwise walked as in
         ``Group.cyclic_poset``, one power list per cyclic subgroup."""
         parts = self._coprime_parts
         if parts is None:
@@ -565,41 +591,24 @@ class ProductGroup(Group):
         poset = parts[0].cyclic_poset
         for part in parts[1:]:
             inner = part.cyclic_poset
-            k, size = len(inner.up), part.size
-            columns: tuple[list[int], ...] = ([], [], [], [])
-            for least, gens, up, down in zip(*poset):
-                columns[0].extend(least * size + y for y in inner.least_generators)
-                spread = (_spread(gens, size), _spread(up, k), _spread(down, k))
-                for column, outer, masks in zip(columns[1:], spread, inner[1:]):
-                    column.extend(map(outer.__mul__, masks))
-            poset = CyclicPoset(*map(tuple, columns))
+            k = len(inner.up)
+            rows = _kron(zip(*poset), list(zip(*inner)), part.size, (part.size, k, k))
+            poset = CyclicPoset(*zip(*rows))
         return poset
 
     @cached_property
     def maximal_cyclics(self) -> tuple[CyclicSubgroup, ...]:
         """With a coprime cut (``_coprime_parts``), the tuples of the parts'
-        maximal cyclic subgroups, with no poset: a tuple lies inside another
-        exactly when each part does, so it is maximal exactly when each part
-        is, and in lexicographic order, the first part varying slowest, the
-        tuples are in the node order of ``cyclic_poset``. A tuple's closure
-        and generators are the Kronecker products of the parts' masks
-        (``_spread``), and its least generator the sum of the parts' at
-        their place values. Otherwise read off the poset as in
+        maximal cyclic subgroups (``_kron``), with no poset, in the node
+        order of ``cyclic_poset``. Otherwise read off the poset as in
         ``Group.maximal_cyclics``."""
         parts = self._coprime_parts
         if parts is None:
             return Group.maximal_cyclics.func(self)
         maximal = parts[0].maximal_cyclics
         for part in parts[1:]:
-            size = part.size
-            tuples = []
-            for outer in maximal:
-                closure, generators = _spread(outer.closure, size), _spread(outer.generators, size)
-                tuples.extend(
-                    CyclicSubgroup(outer.generator * size + m.generator, closure * m.closure, generators * m.generators)
-                    for m in part.maximal_cyclics
-                )
-            maximal = tuple(tuples)
+            rows = _kron(maximal, part.maximal_cyclics, part.size, (part.size, part.size))
+            maximal = tuple(map(CyclicSubgroup._make, rows))
         return maximal
 
     def elements_of_order_dividing(self, m: int) -> frozenset[int]:

@@ -245,7 +245,7 @@ def check_maximal_cyclic_product_form(group: Group, graph: PowerGraph) -> CheckR
     closures = group.closure_masks
     orders = group.element_orders
     sylows = [
-        (p, mask_of(sylow_product(group, (p,)), group.size))
+        (p, mask_of(sylow_product(group, (p,))))
         for p in group.sylow_decomposition().primes
     ]
     for m in group.maximal_cyclics:

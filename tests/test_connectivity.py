@@ -98,6 +98,22 @@ def test_min_cut_between_rejects_adjacent():
         min_vertex_cut_between(graph, 3, 3)
 
 
+def test_st_query_builds_no_rows(monkeypatch):
+    # whether s and t are adjacent is read off the twin quotient, so a query
+    # on D2000 builds none of its 2000 rows
+    def refuse(group):
+        raise AssertionError("an s-t query built the adjacency rows")
+
+    monkeypatch.setattr(powergraph, "_rows", refuse)
+    graph = build_power_graph(make_dihedral(2000))
+    cut, paths = min_vertex_cut_between(graph, 1000, 1001)
+    assert (sorted(cut), paths) == ([0], [[1000, 0, 1001]])
+    # adjacent classes, and one class: 1 and 999 both generate the rotations
+    for s, t in ((0, 1000), (1, 999)):
+        with pytest.raises(ValueError, match="adjacent"):
+            min_vertex_cut_between(graph, s, t)
+
+
 def test_max_disjoint_paths_rejects_bad_endpoints():
     graph = build_power_graph(make_abelian([(2, 1), (2, 1), (3, 1)]))
     for s, t in ((1, 1), (-1, 1), (1, graph.vertex_count), (0, 1)):

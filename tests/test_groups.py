@@ -25,6 +25,8 @@ from powergraphs.groups import (
     ProductGroup,
     SylowDecomposition,
     UnsupportedStructureError,
+    _generators,
+    _multiples,
     direct_product,
     make_abelian,
     make_cyclic,
@@ -965,6 +967,33 @@ def test_closed_form_maximal_cyclics_match_the_poset():
     ]
     for G in groups:
         assert G.maximal_cyclics == Group.maximal_cyclics.func(G), G.name
+
+
+def residue_mask(residues, n):
+    """The mask of the residues below n, set in a byte buffer, linear in n."""
+    buffer = bytearray((n + 7) >> 3)
+    for k in residues:
+        buffer[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buffer, "little")
+
+
+def test_cyclic_generator_masks_are_the_residues_by_gcd():
+    # C_n's generator masks are written by shifts (_generators); by
+    # definition the generators of its subgroup of order d are the residues
+    # k with gcd(k, n) = n/d, here grouped by one gcd per residue
+    for n in [*range(1, 1201), 2520, 27720, 720720]:
+        by_gcd = {}
+        for k in range(n):
+            by_gcd.setdefault(gcd(k, n), []).append(k)
+        G = CyclicGroup(n)
+        poset = G.cyclic_poset
+        assert len(poset.generators) == len(by_gcd), n
+        # the node of order d has least generator n/d, the identity 0 for d = 1
+        for least, mask in zip(poset.least_generators, poset.generators):
+            assert mask == residue_mask(by_gcd[gcd(least, n)], n), (n, least)
+        assert G.maximal_cyclics[0].generators == residue_mask(by_gcd[1], n), n
+        assert _multiples(1, n) == (1 << n) - 1 and _multiples(n, n) == 1, n
+        assert _generators(n, 1) == 1 and _generators(n, n) == residue_mask(by_gcd[1], n), n
 
 
 def assert_gate_counts_match_the_walk(G, ref):

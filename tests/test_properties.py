@@ -264,3 +264,8 @@ AT_THE_CUT = sum(1 << 5 * i for i in range(19)) | 1 << 99
 @settings(max_examples=200, deadline=None)
 def test_bits_matches_iter_bits(mask):
     assert bits(mask) == list(iter_bits(mask))
+    assert mask_of(bits(mask)) == mask
+    # mask_of takes the vertices in any order, repeats included
+    vertices = bits(mask) * 2
+    Random(mask).shuffle(vertices)
+    assert mask_of(vertices) == reduce(or_, (1 << v for v in vertices), 0)
